@@ -10,6 +10,7 @@ mandatory wherever randomness is involved.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import Optional
@@ -23,7 +24,13 @@ from .errors import (
 )
 from .graphs import PatternGraph, TwoColoring, decode, encode, mono_counts
 from .reports import RunManifest, emit, envelope
-from .search import SearchBudget, multiplicity, ramsey_number, threshold_multiplicity
+from .search import (
+    SearchBudget,
+    multiplicity,
+    parse_resume_token,
+    ramsey_number,
+    threshold_multiplicity,
+)
 
 
 def _read_input(path: str) -> bytes:
@@ -145,7 +152,12 @@ def _cmd_mult(args) -> int:
     h = PatternGraph.parse(args.pattern)
     token = None
     if args.resume_from:
-        token = open(args.resume_from).read().strip()
+        with open(args.resume_from) as fh:
+            token = fh.read().strip()
+        try:
+            parse_resume_token(token, args.n)
+        except PreconditionError as err:
+            raise PreconditionError(f"--resume-from: {err}") from None
     report = multiplicity(
         h, args.n, budget, threads=args.threads, resume_token=token
     )
@@ -272,6 +284,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    """--threads: a worker count between 1 and the machine's CPU count."""
+    limit = os.cpu_count() or 1
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= limit:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {limit} (the CPU count), got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ramsey",
@@ -286,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-nodes", type=int, default=None,
                        help="search node cap (default RAMSEY_BUDGET_NODES or built-in)")
         p.add_argument("--budget-seconds", type=float, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("chi", help="emit the two-blue-cliques coloring chi(a,b) as kcol")
     p.add_argument("--a", type=int, required=True)

@@ -6,8 +6,10 @@ something that cannot share its bugs.
 """
 
 from itertools import combinations, permutations
+from math import comb
 
-from ramseykit.graphs import PatternGraph, SimpleGraph
+from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring
+from ramseykit.search import _bits_to_coloring, _colex_index
 
 
 def pattern_as_graph(h: PatternGraph) -> SimpleGraph:
@@ -76,3 +78,67 @@ def random_simple_graph(n: int, p: float, rng) -> SimpleGraph:
             if rng.random() < p
         ],
     )
+
+
+def reference_copy_masks(h: PatternGraph, n: int) -> list[int]:
+    """Every copy of h in K_n as an int bitmask over colex edge indices.
+
+    Walks every k-subset and its vertex permutations and deduplicates
+    through a set, independently of the search's template enumerator.
+    """
+    k = h.order
+    if k > n:
+        return []
+    masks: set[int] = set()
+
+    def edge_mask(edges) -> int:
+        m = 0
+        for u, v in edges:
+            m |= 1 << _colex_index(u, v)
+        return m
+
+    for sub in combinations(range(n), k):
+        if h.kind == "complete":
+            masks.add(edge_mask(combinations(sub, 2)))
+        elif h.kind == "star":
+            for center in sub:
+                masks.add(edge_mask((center, leaf) for leaf in sub if leaf != center))
+        elif h.kind == "path":
+            # perm[0] < perm[-1] picks one of the two directions
+            for perm in permutations(sub):
+                if perm[0] < perm[-1]:
+                    masks.add(edge_mask(zip(perm, perm[1:])))
+        elif h.kind == "cycle":
+            a = sub[0]
+            for perm in permutations(sub[1:]):
+                if perm[0] < perm[-1]:
+                    cycle = (a,) + perm
+                    masks.add(edge_mask(list(zip(cycle, cycle[1:])) + [(cycle[-1], a)]))
+        else:  # explicit
+            for perm in permutations(sub):
+                masks.add(edge_mask((perm[u], perm[v]) for u, v in h.graph.edges()))
+    return sorted(masks)
+
+
+def mask_rows_as_ints(rows) -> list[int]:
+    """Rows of little-endian uint64 words as sorted Python int bitmasks."""
+    return sorted(sum(int(x) << 64 * w for w, x in enumerate(row)) for row in rows.tolist())
+
+
+def multiplicity_bruteforce(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
+    """Unpruned enumeration of all 2^C(n,2) colorings (soundness oracle)."""
+    E = comb(n, 2)
+    masks = reference_copy_masks(h, n)
+    full = (1 << E) - 1
+    best, best_mask = None, 0
+    for red in range(1 << E):
+        blue = full ^ red
+        cnt = 0
+        for cm in masks:
+            if cm & red == cm or cm & blue == cm:
+                cnt += 1
+        if best is None or cnt < best:
+            best, best_mask = cnt, red
+    # colex mask -> row-major coloring
+    bits = [(0 if best_mask >> e & 1 else 1) for e in range(E)]
+    return best, _bits_to_coloring(n, bits)

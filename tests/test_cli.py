@@ -1,11 +1,13 @@
 """CLI behavior: exit codes, report schema, pipe composition, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from ramseykit.cli import main
 from ramseykit.extremal import chi
@@ -100,6 +102,29 @@ class TestSearchCommands:
             json.loads(done.stdout)["result"]["value"]
             == json.loads(full.stdout)["result"]["value"]
         )
+
+    @pytest.mark.parametrize("token,problem", [
+        ("abc", "characters other than 0 and 1"),
+        ("0" * 11, "more than the 10 edges of K_5"),
+        ("1000", "must start with 0"),
+    ])
+    def test_bad_resume_token_exits_2(self, tmp_path, capsys, token, problem):
+        tok_file = tmp_path / "resume.txt"
+        tok_file.write_text(token)
+        out = tmp_path / "out.json"
+        rc = main(["mult", "--pattern", "P4", "--n", "5", "--resume-from", str(tok_file),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--resume-from" in err and problem in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3", str((os.cpu_count() or 1) + 1), "two"])
+    def test_threads_out_of_range_exits_2(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["mult", "--pattern", "P4", "--n", "5", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_env_budget_override(self):
         import os

@@ -1,19 +1,22 @@
 """Exhaustive-search soundness: pruned search vs unpruned enumeration,
 known Ramsey numbers, budget and resume semantics."""
 
+from math import comb
+
 import pytest
 
 from ramseykit.errors import PreconditionError
-from ramseykit.graphs import PatternGraph, mono_counts
+from ramseykit.graphs import PatternGraph, SimpleGraph, mono_counts
 from ramseykit.search import (
     SearchBudget,
     enumerate_copy_masks,
     find_zero_coloring,
     multiplicity,
-    multiplicity_bruteforce,
     ramsey_number,
     threshold_multiplicity,
 )
+
+from .helpers import mask_rows_as_ints, multiplicity_bruteforce, reference_copy_masks
 
 P = PatternGraph
 
@@ -51,6 +54,57 @@ class TestSoundness:
         # number of distinct copies of C5 in K9 = C(9,5) * 12
         assert len(enumerate_copy_masks(P.cycle(5), 9)) == 126 * 12
         assert len(enumerate_copy_masks(P.path(6), 8)) == 28 * 360
+
+    # C(12,2) = 66 and C(13,2) = 78 edges need two words per mask
+    MASK_CASES = [
+        (P.complete(3), 6),
+        (P.complete(2), 3),
+        (P.complete(4), 12),
+        (P.star(1), 4),
+        (P.star(3), 7),
+        (P.path(5), 7),
+        (P.cycle(5), 9),
+        (P.cycle(4), 12),
+        (P.cycle(7), 13),
+        (P.explicit(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])), 6),
+        # vertex 4 is isolated: its copies must not repeat across subsets
+        (P.explicit(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)])), 7),
+        (P.explicit(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)])), 4),
+    ]
+
+    @pytest.mark.parametrize("h,n", MASK_CASES, ids=lambda x: getattr(x, "kind", x))
+    def test_copy_masks_match_reference(self, h, n):
+        masks = enumerate_copy_masks(h, n)
+        assert masks.shape[1] == -(-comb(n, 2) // 64)
+        assert mask_rows_as_ints(masks) == reference_copy_masks(h, n)
+
+
+def goodman_k3(n: int) -> int:
+    """M(K3, n) = C(n,3) - floor((n/2) floor((n-1)^2/4)) (Goodman, 1959)."""
+    return comb(n, 3) - (n * ((n - 1) ** 2 // 4)) // 2
+
+
+class TestKernelFingerprints:
+    """Values and search counters pinned from runs of the all-Python-int kernel."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_goodman_triangles(self, n):
+        report = multiplicity(P.complete(3), n)
+        assert report.exact and report.value == goodman_k3(n)
+
+    def test_p6_on_8(self):
+        report = multiplicity(P.path(6), 8)
+        stats = report.stats
+        assert (report.value, report.exact) == (300, True) and type(report.value) is int
+        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (59215, 19961, 9644)
+
+    def test_c7_on_13_budget(self):
+        report = multiplicity(P.cycle(7), 13, SearchBudget(max_nodes=5000))
+        stats = report.stats
+        assert (report.value, report.exact) == (360, False)
+        assert (stats.pruned_bound, stats.pruned_symmetry) == (1406, 1081)
+        assert report.resume_token == "000000000000000000011001111111110011111101"
+        assert sum(mono_counts(report.witness, P.cycle(7))) == 360
 
 
 class TestKnownValues:
@@ -116,6 +170,16 @@ class TestBudgets:
         h = P.path(5)
         assert multiplicity(h, 7, threads=2).value == multiplicity(h, 7).value
 
+    @pytest.mark.parametrize("token,problem", [
+        ("abc", "characters other than 0 and 1"),
+        ("0192", "characters other than 0 and 1"),
+        ("0" * 11, "more than the 10 edges"),
+        ("1000", "must start with 0"),
+    ])
+    def test_bad_resume_token_rejected(self, token, problem):
+        with pytest.raises(PreconditionError, match=problem):
+            multiplicity(P.path(4), 5, resume_token=token)
+
     def test_zero_search_budget(self):
         w, stats, settled = find_zero_coloring(P.complete(3), 6, SearchBudget(max_nodes=5))
         assert w is None and not settled
@@ -129,3 +193,5 @@ class TestBudgets:
             multiplicity(P.complete(1), 4)
         with pytest.raises(PreconditionError, match="at least one edge"):
             ramsey_number(P.complete(1), 4)
+        with pytest.raises(PreconditionError, match="at least one edge"):
+            multiplicity(P.explicit(SimpleGraph.from_edges(3, [])), 5)
