@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-nodes", type=int, default=None,
                        help="search node cap (default RAMSEY_BUDGET_NODES or built-in)")
         p.add_argument("--budget-seconds", type=float, default=None)
-        p.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("chi", help="emit the two-blue-cliques coloring chi(a,b) as kcol")
     p.add_argument("--a", type=int, required=True)
@@ -341,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--resume-from", default=None, help="file holding a resume token")
     add_budget(p)
+    p.add_argument("--threads", type=_thread_count, default=1)
     add_out(p)
     p.set_defaults(func=_cmd_mult)
 
@@ -355,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--n-max", type=int, default=12)
     add_budget(p)
+    p.add_argument("--threads", type=_thread_count, default=1)
     add_out(p)
     p.set_defaults(func=_cmd_threshold)
 

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring
-from ramseykit.search import _bits_to_coloring, _colex_index
+from ramseykit.search import _bits_to_coloring, _colex_edges, _colex_index
 
 
 def pattern_as_graph(h: PatternGraph) -> SimpleGraph:
@@ -142,3 +142,41 @@ def multiplicity_bruteforce(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     # colex mask -> row-major coloring
     bits = [(0 if best_mask >> e & 1 else 1) for e in range(E)]
     return best, _bits_to_coloring(n, bits)
+
+
+def reference_transposition_sigmas(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(moved edges ascending, edge permutation) for every vertex transposition of K_n."""
+    edges = _colex_edges(n)
+    out = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            sigma = tuple(_colex_index(perm[i], perm[j]) for i, j in edges)
+            moved = tuple(e for e, s in enumerate(sigma) if s != e)
+            if moved:
+                out.append((moved, sigma))
+    return out
+
+
+def reference_canonical_violated(x: list[int], sigmas, depth: int) -> bool:
+    """Whether some sigma maps the first depth colex edges of x to a lex-smaller prefix.
+
+    Rescans every transposition from its first moved edge, comparing
+    x[e] with x[sigma(e)] until a pair leaves the assigned prefix or the
+    two differ.
+    """
+    for moved, sigma in sigmas:
+        for e in moved:
+            if e >= depth:
+                break
+            je = sigma[e]
+            if je >= depth:
+                break
+            a = x[e]
+            b = x[je]
+            if b != a:
+                if b < a:
+                    return True
+                break
+    return False

@@ -126,6 +126,12 @@ class TestSearchCommands:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_ramsey_number_has_no_threads_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey-number", "--pattern", "P4", "--n-max", "5", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_env_budget_override(self):
         import os
 

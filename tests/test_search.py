@@ -5,10 +5,14 @@ from math import comb
 
 import pytest
 
+from ramseykit import search
 from ramseykit.errors import PreconditionError
 from ramseykit.graphs import PatternGraph, SimpleGraph, mono_counts
 from ramseykit.search import (
     SearchBudget,
+    _Engine,
+    _seed_colorings,
+    _seed_incumbent,
     enumerate_copy_masks,
     find_zero_coloring,
     multiplicity,
@@ -16,7 +20,13 @@ from ramseykit.search import (
     threshold_multiplicity,
 )
 
-from .helpers import mask_rows_as_ints, multiplicity_bruteforce, reference_copy_masks
+from .helpers import (
+    mask_rows_as_ints,
+    multiplicity_bruteforce,
+    reference_canonical_violated,
+    reference_copy_masks,
+    reference_transposition_sigmas,
+)
 
 P = PatternGraph
 
@@ -98,6 +108,12 @@ class TestKernelFingerprints:
         assert (report.value, report.exact) == (300, True) and type(report.value) is int
         assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (59215, 19961, 9644)
 
+    def test_k3_on_9(self):
+        report = multiplicity(P.complete(3), 9)
+        stats = report.stats
+        assert (report.value, report.exact) == (goodman_k3(9), True)
+        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (538211, 183523, 85580)
+
     def test_c7_on_13_budget(self):
         report = multiplicity(P.cycle(7), 13, SearchBudget(max_nodes=5000))
         stats = report.stats
@@ -105,6 +121,73 @@ class TestKernelFingerprints:
         assert (stats.pruned_bound, stats.pruned_symmetry) == (1406, 1081)
         assert report.resume_token == "000000000000000000011001111111110011111101"
         assert sum(mono_counts(report.witness, P.cycle(7))) == 360
+
+
+class _ReferenceEngine(_Engine):
+    """The search engine with the full-scan canonicity check in place of the incremental one."""
+
+    def __init__(self, masks, n, *args, **kwargs):
+        super().__init__(masks, n, *args, **kwargs)
+        self.reference_sigmas = reference_transposition_sigmas(n)
+
+    def _tied_after(self, depth, tied):
+        violated = reference_canonical_violated(self.x, self.reference_sigmas, depth + 1)
+        return -1 if violated else tied
+
+
+def _search_fingerprint(report):
+    stats = report.stats
+    return (report.value, report.witness, report.exact, report.resume_token,
+            stats.nodes, stats.leaves, stats.pruned_bound, stats.pruned_symmetry)
+
+
+class TestCanonicityCheck:
+    """The incremental check prunes exactly the nodes the full rescan prunes."""
+
+    @pytest.mark.parametrize("h,n,max_nodes", [
+        (P.complete(3), 8, None),
+        (P.cycle(5), 9, None),
+        (P.path(5), 7, None),
+        (P.path(6), 8, None),
+        (P.cycle(7), 13, 5000),
+    ], ids=lambda x: getattr(x, "kind", x))
+    def test_matches_full_scan(self, monkeypatch, h, n, max_nodes):
+        budget = SearchBudget(max_nodes=max_nodes)
+        incremental = multiplicity(h, n, budget)
+        monkeypatch.setattr(search, "_Engine", _ReferenceEngine)
+        full_scan = multiplicity(h, n, budget)
+        assert _search_fingerprint(incremental) == _search_fingerprint(full_scan)
+
+    def test_forced_prefix_matches_full_scan(self):
+        h, n = P.path(6), 8
+        masks = enumerate_copy_masks(h, n)
+        runs = []
+        for engine in (_Engine, _ReferenceEngine):
+            eng = engine(masks, n, SearchBudget(max_nodes=None), 400, None, prefix=[0, 1, 1, 0])
+            eng.run()
+            stats = eng.stats.as_dict()
+            del stats["elapsed_seconds"]
+            runs.append((eng.best, eng.best_bits, eng.stopped_at, stats))
+        assert runs[0] == runs[1]
+        assert runs[0][3]["pruned_symmetry"] > 0
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("h,n", [
+        (P.cycle(7), 7),
+        (P.cycle(7), 12),
+        (P.cycle(7), 13),
+        (P.cycle(5), 9),
+        (P.path(6), 8),
+        (P.complete(3), 9),
+        (P.star(3), 7),
+        (P.explicit(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])), 7),
+    ], ids=lambda x: getattr(x, "kind", x))
+    def test_mask_counts_pick_the_first_minimum_of_mono_counts(self, h, n):
+        seeds = _seed_colorings(n)
+        counts = [sum(mono_counts(c, h)) for c in seeds]
+        first = counts.index(min(counts))
+        assert _seed_incumbent(enumerate_copy_masks(h, n), n) == (counts[first], seeds[first])
 
 
 class TestKnownValues:
