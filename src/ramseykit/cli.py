@@ -284,17 +284,29 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _int_value(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _thread_count(text: str) -> int:
     """--threads: a worker count between 1 and the machine's CPU count."""
     limit = os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int_value(text)
     if not 1 <= value <= limit:
         raise argparse.ArgumentTypeError(
             f"must be between 1 and {limit} (the CPU count), got {value}"
         )
+    return value
+
+
+def _instance_count(text: str) -> int:
+    """--instances: a positive instance count."""
+    value = _int_value(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -377,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-claim", help="seeded structured-instance battery for one claim verifier")
     p.add_argument("--claim", required=True,
                    choices=("common-neighbor", "bridged-cliques", "alternating", "two-matching"))
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_instance_count, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", action="store_true")
     add_out(p)
@@ -387,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True,
                    choices=("countpath2-p1", "countpath2-p2", "countcycle1"))
     p.add_argument("--grid", default="default", choices=("default",))
-    p.add_argument("--instances", type=int, default=None, help="override instances per cell")
+    p.add_argument("--instances", type=_instance_count, default=None,
+                   help="override instances per cell")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", action="store_true")
     add_out(p)

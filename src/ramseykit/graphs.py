@@ -1,10 +1,11 @@
 """Bitset graphs, red/blue colorings of K_n, and exact subgraph-copy counting.
 
 Everything downstream verifies against the counters in this module, so they
-are deliberately redundant: paths and cycles have both a layered
-subset-DP counter (fast on hosts up to 16 vertices) and an anchored
-backtracking counter, and the tests cross-check the two against a naive
-enumeration oracle.
+are deliberately redundant: paths and cycles have a layered subset-DP
+census (hosts up to 16 vertices) and a second counter with a node budget
+for larger hosts, anchored backtracking for paths and a per-anchor
+(mask, end) DP for cycles, and the tests cross-check them against a naive
+enumeration oracle and the depth-first cycle counter.
 
 A "copy" of a pattern H in a host G is a subgraph of G isomorphic to H,
 counted once per subgraph (automorphism-deduplicated): the complete graph
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .errors import KcolParseError, PreconditionError
+from .errors import BudgetExceededError, KcolParseError, PreconditionError
 
 # Single machine word per adjacency row; all desk-scale targets fit.
 MAX_VERTICES = 64
@@ -410,29 +411,91 @@ class _NodeBudget:
         if self.left is not None:
             self.left -= 1
             if self.left < 0:
-                from .errors import BudgetExceededError
-
                 raise BudgetExceededError("backtracking node budget exhausted")
 
 
 def _count_cycles_backtrack(g: SimpleGraph, k: int, budget: Optional[int] = None) -> int:
-    """Anchored DFS over ordered walks; each k-cycle found twice."""
+    """Number of k-cycles in g, or BudgetExceededError past a node budget.
+
+    The budget is counted in nodes of the anchored DFS over paths
+    (a, v1, ..., vd), 1 <= d <= k-1, with a the least vertex of the cycle
+    and every vi > a: one node per such path. The count raises exactly when
+    that DFS would visit more than budget nodes (None means no cap).
+
+    The paths are counted by a layered (mask, end) DP per anchor, as in
+    _cycle_census, so the cost is one step per distinct state: layer d maps
+    mask << 6 | end (mask over v1..vd; end < MAX_VERTICES = 64) to its
+    number of paths, and its summed ways is the DFS's node count at depth
+    d. Layer k-1 is never built: its node count and the cycles it closes
+    are read off layer k-2.
+    Lookahead: before building layer d, the node counts of layers d+1 and
+    d+2 are added up from layer d-1 without allocating, and the budget is
+    checked against layers d to d+2, so a count that will run out stops
+    before it builds its largest frontier. Each cycle is found twice, once
+    per direction. The name is that of the depth-first counter this
+    replaced, kept because the benchmark's tracer wraps the function by
+    name; that counter is now the reference in tests/helpers.py.
+    """
     adj = g.adj
-    counter = _NodeBudget(budget)
+    left = budget
     total = 0
-
-    def extend(anchor: int, v: int, used: int, depth: int) -> int:
-        counter.spend()
-        if depth == k - 1:
-            return 1 if adj[v] >> anchor & 1 else 0
-        found = 0
-        for w in _bits(adj[v] & ~used & (-1 << (anchor + 1))):
-            found += extend(anchor, w, used | (1 << w), depth + 1)
-        return found
-
     for a in range(g.n):
-        for v in _bits(g.adj[a] & (-1 << (a + 1))):
-            total += extend(a, v, (1 << a) | (1 << v), 1)
+        above = -1 << (a + 1)
+        start = adj[a] & above
+        if not start:
+            continue
+        frontier = {a: 1}  # layer 0: the anchor alone, mask 0, end a
+        ahead = start.bit_count()  # nodes of layer 1
+        for depth in range(1, k - 1):
+            if left is not None:
+                # nodes of layers depth+1 and depth+2 (if depth+2 <= k-1):
+                # paths end-w-x-y with w in cand, x and y in avail
+                two = three = 0
+                deep = depth + 2 < k
+                for key, ways in frontier.items():
+                    avail = above & ~(key >> 6)
+                    cand = adj[key & 63] & avail
+                    s2 = s3 = reach = 0
+                    rest = cand
+                    while rest:
+                        low = rest & -rest
+                        row = adj[low.bit_length() - 1]
+                        s2 += (row & avail).bit_count()
+                        reach |= row
+                        rest ^= low
+                    two += ways * s2
+                    if deep:
+                        # x has |N(x) & cand| choices of w, and then every
+                        # neighbour in avail but w as y
+                        rest = reach & avail
+                        while rest:
+                            low = rest & -rest
+                            row = adj[low.bit_length() - 1]
+                            s3 += ((row & avail).bit_count() - 1) * (row & cand).bit_count()
+                            rest ^= low
+                        three += ways * s3
+                if ahead + two + three > left:
+                    raise BudgetExceededError("backtracking node budget exhausted")
+                left -= ahead
+                ahead = two
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for key, ways in frontier.items():
+                mask = key >> 6
+                cand = adj[key & 63] & above & ~mask
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    nk = (mask | low) << 6 | (low.bit_length() - 1)
+                    nxt[nk] = get(nk, 0) + ways
+            frontier = nxt
+            if not frontier:
+                break
+        if left is not None:
+            left -= ahead  # layer k-1, already checked by the lookahead
+        back = adj[a]
+        for key, ways in frontier.items():
+            total += ways * (adj[key & 63] & above & ~(key >> 6) & back).bit_count()
     assert total % 2 == 0
     return total // 2
 

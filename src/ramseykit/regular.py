@@ -155,6 +155,12 @@ def regularity_defect(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> f
 
     Built from the full table of worst deviations by subset-size pair,
     intersected with the size-floor geometry ceil(eps|X|), ceil(eps|Y|).
+    With E = e(X, Y), the deviation of U, V with e edges between them is
+    |e/(|U| m) - E/(nx ny)| = |e nx ny - E |U| m| / (|U| m nx ny), m = |V|,
+    whose denominator is fixed per (|U|, m) cell, so each cell keeps its
+    largest integer numerator and is divided once at the end. Integer true
+    division rounds correctly and rounding is monotone, so every cell gets
+    the same float as the largest of its exactly computed deviations.
     """
     vx = _as_tuple(xs, g.n, "X")
     vy = _as_tuple(ys, g.n, "Y")
@@ -163,36 +169,32 @@ def regularity_defect(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> f
     if len(vx) > EXACT_REGULARITY_CAP or len(vy) > EXACT_REGULARITY_CAP:
         raise PreconditionError(f"defect supports side sizes <= {EXACT_REGULARITY_CAP}")
     nx, ny = len(vx), len(vy)
-    d = Fraction(
-        sum((g.adj[x] & sum(1 << y for y in vy)).bit_count() for x in vx), nx * ny
-    )
-    worst = [[0.0] * (ny + 1) for _ in range(nx + 1)]
+    nxy = nx * ny
+    edges = sum((g.adj[x] & sum(1 << y for y in vy)).bit_count() for x in vx)
+    cols = [g.adj[y] for y in vy]
+    worst = [[0] * (ny + 1) for _ in range(nx + 1)]  # largest numerator per cell
+    umasks = [0] * (1 << nx)  # umasks[bits] = the vertices of vx picked by bits
     for umask_bits in range(1, 1 << nx):
+        low = umask_bits & -umask_bits
+        umask = umasks[umask_bits] = umasks[umask_bits ^ low] | 1 << vx[low.bit_length() - 1]
         usize = umask_bits.bit_count()
-        umask = 0
-        for b in range(nx):
-            if umask_bits >> b & 1:
-                umask |= 1 << vx[b]
-        degs = sorted(_degrees_into(g, umask, vy))
-        prefix = [0]
-        for dg in degs:
-            prefix.append(prefix[-1] + dg)
-        total = prefix[-1]
+        degs = sorted([(col & umask).bit_count() for col in cols])
+        row = worst[usize]
+        step = edges * usize
+        lo_e = hi_e = target = 0
         for m in range(1, ny + 1):
-            lo_e = prefix[m]
-            hi_e = total - prefix[ny - m]
-            dev = max(
-                abs(float(Fraction(hi_e, usize * m) - d)),
-                abs(float(Fraction(lo_e, usize * m) - d)),
-            )
-            if dev > worst[usize][m]:
-                worst[usize][m] = dev
+            lo_e += degs[m - 1]  # the m smallest degrees into U
+            hi_e += degs[ny - m]  # the m largest
+            target += step  # E |U| m
+            num = max(hi_e * nxy - target, target - lo_e * nxy)
+            if num > row[m]:
+                row[m] = num
     # suffix maxima: S[i][j] = worst deviation over sizes >= (i, j)
     suffix = [[0.0] * (ny + 2) for _ in range(nx + 2)]
     for i in range(nx, 0, -1):
         for j in range(ny, 0, -1):
             suffix[i][j] = max(
-                worst[i][j], suffix[i + 1][j], suffix[i][j + 1]
+                worst[i][j] / (i * j * nxy), suffix[i + 1][j], suffix[i][j + 1]
             )
     best = 1.0
     for u0 in range(1, nx + 1):

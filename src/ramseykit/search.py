@@ -54,7 +54,9 @@ form a template of local edge lists; it is mapped through the colex table
 of every k-subset of K_n, one template edge column at a time, in small
 integer dtypes. Different subsets give different copies, so no global
 deduplication is needed (isolated vertices of an explicit pattern are
-dropped first, since they would make subsets repeat copies).
+dropped first, since they would make subsets repeat copies; multiplicity
+multiplies its count back by the ways to place them, so its value counts
+subgraphs, as graphs.count_copies does).
 """
 
 from __future__ import annotations
@@ -527,22 +529,39 @@ def multiplicity(
         return report
 
     masks = enumerate_copy_masks(h, n)
+    per_copy = _subgraphs_per_copy(h, n)
     best_val, seed = _seed_incumbent(masks, n)
     best_bits = _coloring_to_bits(seed)
-    if incumbent is not None and incumbent.value <= best_val:
-        best_val = incumbent.value
+    if incumbent is not None and incumbent.value <= best_val * per_copy:
+        best_val = incumbent.value // per_copy
         best_bits = _coloring_to_bits(incumbent.witness)
 
     if threads > 1 and resume is None:
-        return _multiplicity_parallel(h, n, budget, threads, use_symmetry, best_val, best_bits)
+        report = _multiplicity_parallel(h, n, budget, threads, use_symmetry, best_val, best_bits)
+    else:
+        eng = _Engine(masks, n, budget, best_val + 1, best_bits, use_symmetry, resume=resume)
+        eng.run()
+        exact = eng.stopped_at is None
+        token = "".join(map(str, eng.stopped_at)) if eng.stopped_at is not None else None
+        witness = _bits_to_coloring(n, eng.best_bits)
+        value = eng.best if eng.best <= best_val else best_val
+        report = MultiplicityReport(h, n, value, witness, eng.stats, exact, token)
+    report.value *= per_copy
+    return report
 
-    eng = _Engine(masks, n, budget, best_val + 1, best_bits, use_symmetry, resume=resume)
-    eng.run()
-    exact = eng.stopped_at is None
-    token = "".join(map(str, eng.stopped_at)) if eng.stopped_at is not None else None
-    witness = _bits_to_coloring(n, eng.best_bits)
-    value = eng.best if eng.best <= best_val else best_val
-    return MultiplicityReport(h, n, value, witness, eng.stats, exact, token)
+
+def _subgraphs_per_copy(h: PatternGraph, n: int) -> int:
+    """Subgraphs of K_n isomorphic to h that share one copy's edge set.
+
+    The search counts copies as edge sets. An explicit pattern with i
+    isolated vertices and k' others places those i vertices on any i of the
+    n - k' vertices its edges miss, C(n - k', i) ways, which is how
+    count_copies counts it; every other pattern has no isolated vertex.
+    """
+    if h.kind != "explicit":
+        return 1
+    isolated = sum(1 for row in h.graph.adj if not row)
+    return comb(n - (h.graph.n - isolated), isolated)
 
 
 def _subtree_prefixes(depth: int) -> list[list[int]]:

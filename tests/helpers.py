@@ -8,7 +8,7 @@ something that cannot share its bugs.
 from itertools import combinations, permutations
 from math import comb
 
-from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring
+from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring, _NodeBudget, _bits
 from ramseykit.search import _bits_to_coloring, _colex_edges, _colex_index
 
 
@@ -180,3 +180,86 @@ def reference_canonical_violated(x: list[int], sigmas, depth: int) -> bool:
                     return True
                 break
     return False
+
+
+def reference_count_cycles_backtrack(g: SimpleGraph, k: int, budget=None) -> int:
+    """Anchored DFS over ordered walks; each k-cycle found twice.
+
+    One budget node per path (a, v1, ..., vd), 1 <= d <= k-1, with a the
+    least vertex; BudgetExceededError once more than budget are visited.
+    """
+    return _cycle_dfs(g, k, _NodeBudget(budget))
+
+
+def cycle_dfs_nodes(g: SimpleGraph, k: int) -> int:
+    """Nodes the anchored cycle DFS visits, the unit of the cycle counters' budget."""
+    cap = 1 << 62
+    counter = _NodeBudget(cap)
+    _cycle_dfs(g, k, counter)
+    return cap - counter.left
+
+
+def _cycle_dfs(g: SimpleGraph, k: int, counter: _NodeBudget) -> int:
+    adj = g.adj
+    total = 0
+
+    def extend(anchor: int, v: int, used: int, depth: int) -> int:
+        counter.spend()
+        if depth == k - 1:
+            return 1 if adj[v] >> anchor & 1 else 0
+        found = 0
+        for w in _bits(adj[v] & ~used & (-1 << (anchor + 1))):
+            found += extend(anchor, w, used | (1 << w), depth + 1)
+        return found
+
+    for a in range(g.n):
+        for v in _bits(g.adj[a] & (-1 << (a + 1))):
+            total += extend(a, v, (1 << a) | (1 << v), 1)
+    assert total % 2 == 0
+    return total // 2
+
+
+def reference_regularity_defect(g: SimpleGraph, xs, ys) -> float:
+    """regularity_defect with one Fraction per deviation, cell maxima in float."""
+    from fractions import Fraction
+
+    vx, vy = tuple(sorted(set(xs))), tuple(sorted(set(ys)))
+    nx, ny = len(vx), len(vy)
+    my = sum(1 << y for y in vy)
+    d = Fraction(sum((g.adj[x] & my).bit_count() for x in vx), nx * ny)
+    worst = [[0.0] * (ny + 1) for _ in range(nx + 1)]
+    for umask_bits in range(1, 1 << nx):
+        usize = umask_bits.bit_count()
+        umask = 0
+        for b in range(nx):
+            if umask_bits >> b & 1:
+                umask |= 1 << vx[b]
+        degs = sorted((g.adj[y] & umask).bit_count() for y in vy)
+        prefix = [0]
+        for dg in degs:
+            prefix.append(prefix[-1] + dg)
+        total = prefix[-1]
+        for m in range(1, ny + 1):
+            lo_e = prefix[m]
+            hi_e = total - prefix[ny - m]
+            dev = max(
+                abs(float(Fraction(hi_e, usize * m) - d)),
+                abs(float(Fraction(lo_e, usize * m) - d)),
+            )
+            if dev > worst[usize][m]:
+                worst[usize][m] = dev
+    suffix = [[0.0] * (ny + 2) for _ in range(nx + 2)]
+    for i in range(nx, 0, -1):
+        for j in range(ny, 0, -1):
+            suffix[i][j] = max(worst[i][j], suffix[i + 1][j], suffix[i][j + 1])
+    best = 1.0
+    for u0 in range(1, nx + 1):
+        for v0 in range(1, ny + 1):
+            lo = max((u0 - 1) / nx, (v0 - 1) / ny)
+            hi = min(u0 / nx, v0 / ny)
+            if lo >= hi:
+                continue
+            cand = max(suffix[u0][v0], lo)
+            if cand <= hi and cand < best:
+                best = cand
+    return best

@@ -207,6 +207,19 @@ class TestAnalysisCommands:
         validate(report)
         assert report["result"]["tally"].get("FAIL", 0) == 0
 
+    @pytest.mark.parametrize(
+        "cmd",
+        [["verify-lemma", "--lemma", "countcycle1"], ["verify-claim", "--claim", "alternating"]],
+    )
+    @pytest.mark.parametrize("instances", ["0", "-1", "-3", "many"])
+    def test_instances_below_one_exits_2(self, capsys, tmp_path, cmd, instances):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--seed", "1", "--instances", instances, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--instances" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_classify_chi(self):
         proc = run_cli(
             ["classify", "--parts", "0-4;5-8", "--eps", "0.0001"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseykit.errors import KcolParseError, PreconditionError
+from ramseykit.errors import BudgetExceededError, KcolParseError, PreconditionError
 from ramseykit.graphs import (
     PatternGraph,
     SimpleGraph,
@@ -22,7 +22,12 @@ from ramseykit.graphs import (
 )
 from ramseykit.graphs import _count_cycles_backtrack, _count_paths_backtrack
 
-from .helpers import naive_count_copies, random_simple_graph
+from .helpers import (
+    cycle_dfs_nodes,
+    naive_count_copies,
+    random_simple_graph,
+    reference_count_cycles_backtrack,
+)
 
 
 @st.composite
@@ -89,6 +94,57 @@ class TestOracleEquivalence:
             for k in range(3, 8):
                 assert count_copies(g, PatternGraph.cycle(k)) == _count_cycles_backtrack(g, k)
                 assert count_copies(g, PatternGraph.path(k)) == _count_paths_backtrack(g, k)
+
+
+def _capped(count, g, k, budget):
+    try:
+        return count(g, k, budget)
+    except BudgetExceededError:
+        return "budget"
+
+
+class TestCappedCycleCount:
+    """The (mask, end) DP against the anchored DFS it replaced, budget included."""
+
+    def test_matches_reference_dfs_on_random_hosts(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            g = random_simple_graph(n, rng.random(), rng)
+            k = rng.randint(3, n + 1)
+            nodes = cycle_dfs_nodes(g, k)
+            for budget in (None, 0, 1, rng.randint(0, nodes + 2)):
+                got = _capped(_count_cycles_backtrack, g, k, budget)
+                assert got == _capped(reference_count_cycles_backtrack, g, k, budget), (
+                    g.adj, k, budget,
+                )
+
+    def test_budget_is_exact_at_the_dfs_node_count(self):
+        rng = random.Random(43)
+        checked = 0
+        while checked < 150:
+            n = rng.randint(3, 9)
+            g = random_simple_graph(n, rng.choice([0.4, 0.7, 1.0]), rng)
+            k = rng.randint(3, n)
+            nodes = cycle_dfs_nodes(g, k)
+            if nodes == 0:
+                continue
+            want = reference_count_cycles_backtrack(g, k)
+            assert _count_cycles_backtrack(g, k, nodes) == want
+            with pytest.raises(BudgetExceededError):
+                _count_cycles_backtrack(g, k, nodes - 1)
+            with pytest.raises(BudgetExceededError):
+                reference_count_cycles_backtrack(g, k, nodes - 1)
+            checked += 1
+
+    def test_budget_counts_across_anchors(self):
+        # C5 in K5: anchors 0..3 visit 64, 15, 4 and 1 DFS nodes
+        g = SimpleGraph.complete(5)
+        assert cycle_dfs_nodes(g, 5) == 84
+        assert _count_cycles_backtrack(g, 5, 84) == 12
+        for budget in (64, 79, 83):
+            with pytest.raises(BudgetExceededError):
+                _count_cycles_backtrack(g, 5, budget)
 
 
 class TestMonoCounts:

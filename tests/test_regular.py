@@ -27,7 +27,7 @@ from ramseykit.regular import (
     verify_counting_lemma,
 )
 
-from .helpers import definitional_regularity
+from .helpers import definitional_regularity, random_simple_graph, reference_regularity_defect
 
 
 class TestDensity:
@@ -115,6 +115,17 @@ class TestDefect:
             eps_hat = regularity_defect(g, range(5), range(5, 10))
             res = check_regularity(g, range(5), range(5, 10), min(0.999, eps_hat + 1e-6))
             assert res.verdict == "regular"
+
+    def test_matches_fraction_reference_bit_for_bit(self):
+        rng = random.Random(13)
+        shapes = [(1, 1), (1, 6), (6, 1), (2, 9), (9, 9)]
+        shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(120)]
+        for nx, ny in shapes:
+            for p in (0.0, 1.0, rng.random()):
+                g = random_simple_graph(nx + ny, p, rng)
+                xs, ys = range(nx), range(nx, nx + ny)
+                got = regularity_defect(g, xs, ys)
+                assert repr(got) == repr(reference_regularity_defect(g, xs, ys)), (g.adj, nx, ny)
 
 
 class TestDegreeExceptions:
@@ -329,6 +340,38 @@ class TestHarness:
                         instances_per_cell=10)
         rep = verify_counting_lemma("countpath2-p1", seed=1, spec=spec)
         assert rep.tally() == {"pass": 10}
+
+    def test_countcycle1_fingerprint(self):
+        # seed 2026, 2 instances per cell, as `verify-lemma --lemma countcycle1
+        # --seed 2026 --instances 2`; pinned from the depth-first counter
+        base = GridSpec.default("countcycle1")
+        spec = GridSpec("countcycle1", base.t_values, base.size_lo, base.size_hi,
+                        instances_per_cell=2, count_budget=base.count_budget)
+        rep = verify_counting_lemma("countcycle1", seed=2026, spec=spec)
+        got = [(r.family, r.sizes, r.length, r.exact, r.count_complete, r.verdict, r.note)
+               for r in rep.rows]
+        assert got == [
+            ("complete", (6, 5, 5), 13, None, False, "pass",
+             "count budget-truncated; bound is zero"),
+            ("complete", (6, 4, 6), 13, None, False, "vacuous", "count budget-truncated"),
+            ("complete-minus-matching", (4, 6, 5), 15, None, False, "vacuous",
+             "count budget-truncated"),
+            ("complete-minus-matching", (4, 6, 4), 15, 0, True, "vacuous", ""),
+            ("quasirandom", (4, 5, 4), 15, 0, True, "vacuous", ""),
+            ("quasirandom", (5, 6, 6), 13, None, False, "vacuous", "count budget-truncated"),
+        ]
+
+    def test_countcycle1_completed_counts(self):
+        # seed 3, 5 instances per cell: the rows whose count finished
+        # inside the 300,000-node budget, pinned from the depth-first counter
+        base = GridSpec.default("countcycle1")
+        spec = GridSpec("countcycle1", base.t_values, base.size_lo, base.size_hi,
+                        instances_per_cell=5, count_budget=base.count_budget)
+        rep = verify_counting_lemma("countcycle1", seed=3, spec=spec)
+        got = [(sum(r.sizes), r.length, r.exact) for r in rep.rows if r.count_complete]
+        assert got == [(14, 15, 0), (15, 15, 256), (12, 13, 0), (14, 13, 323),
+                       (14, 15, 0), (13, 13, 38)]
+        assert sum(not r.count_complete for r in rep.rows) == 9
 
     def test_deterministic_given_seed(self):
         spec = GridSpec("countpath2-p1", (2,), 4, 6, instances_per_cell=3)

@@ -56,6 +56,18 @@ class TestSoundness:
             report = multiplicity(h, n)
             assert sum(mono_counts(report.witness, h)) == report.value
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_isolated_vertices_count_as_subgraphs(self, n):
+        # claw plus isolated vertex 4: 16 edge-set copies at n = 7, each
+        # completed by any of the 3 vertices the claw misses
+        h = P.explicit(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)]))
+        report = multiplicity(h, n)
+        assert report.exact
+        assert report.value == sum(mono_counts(report.witness, h))
+        assert report.value == {4: 0, 5: 0, 6: 12, 7: 48}[n]
+        assert multiplicity(h, n, threads=2).value == report.value
+        assert (find_zero_coloring(h, n)[0] is not None) == (report.value == 0)
+
     def test_symmetry_pruning_changes_nothing(self):
         h = P.path(4)
         assert multiplicity(h, 6, use_symmetry=False).value == multiplicity(h, 6).value
