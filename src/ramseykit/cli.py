@@ -155,7 +155,7 @@ def _cmd_mult(args) -> int:
         with open(args.resume_from) as fh:
             token = fh.read().strip()
         try:
-            parse_resume_token(token, args.n)
+            parse_resume_token(token, h, args.n)
         except PreconditionError as err:
             raise PreconditionError(f"--resume-from: {err}") from None
     report = multiplicity(

@@ -57,6 +57,20 @@ deduplication is needed (isolated vertices of an explicit pattern are
 dropped first, since they would make subsets repeat copies; multiplicity
 multiplies its count back by the ways to place them, so its value counts
 subgraphs, as graphs.count_copies does).
+
+Jobs, budgets and resume tokens. A job runs the engine below a forced
+prefix of edge colours against the incumbent with a node cap; stopped by
+its cap or the deadline, it returns its untried subtrees as prefixes in
+DFS order. A search drains a job list that starts as [[]]: serially each
+job gets all the budget left, so the root job is the plain DFS; with
+threads > 1 a fork pool runs rounds of every queued job with JOB_SLICE
+nodes and the round-start incumbent, merged in job order, so node counts
+repeat. A stop writes what is left as a one-line token,
+ramsey-resume/2;pattern=P5;n=7;witness=<C(n,2) bits>;pending=<prefix>,...
+naming the pattern (an explicit one with its edges), n, the incumbent as
+colex edge colours and the pending prefixes. Resuming checks each field
+against the board and recounts the witness on the board's copy masks: a
+stored count may be stale or forged, a recounted coloring bounds the minimum.
 """
 
 from __future__ import annotations
@@ -64,14 +78,14 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import asdict, dataclass, field
+from math import comb, inf
 from typing import Optional
 
 import numpy as np
 
 from .errors import PreconditionError
-from .graphs import PatternGraph, TwoColoring, pair_index
+from .graphs import PatternGraph, TwoColoring, encode, pair_index
 
 DEFAULT_NODE_BUDGET = 400_000_000
 
@@ -98,13 +112,11 @@ class SearchStats:
     elapsed_seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "leaves": self.leaves,
-            "pruned_bound": self.pruned_bound,
-            "pruned_symmetry": self.pruned_symmetry,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-        }
+        return {**asdict(self), "elapsed_seconds": round(self.elapsed_seconds, 6)}
+
+    def add(self, other: "SearchStats") -> None:
+        for name in ("nodes", "leaves", "pruned_bound", "pruned_symmetry"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 @dataclass
@@ -120,8 +132,6 @@ class MultiplicityReport:
     resume_token: Optional[str] = None
 
     def as_dict(self) -> dict:
-        from .graphs import encode
-
         return {
             "pattern": self.pattern.label(),
             "n": self.n,
@@ -143,8 +153,6 @@ class RamseyNumberReport:
     per_n: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        from .graphs import encode
-
         return {
             "pattern": self.pattern.label(),
             "value": self.value,
@@ -305,60 +313,46 @@ def _transposition_sigmas(n: int) -> list[list[tuple[int, tuple[tuple[int, int],
 
 
 class _Exhausted(Exception):
-    pass
+    """A job stopped before branch args[1] at depth args[0]."""
 
 
 class _Engine:
-    """One branch-and-bound run over colorings of K_n (0 = red, 1 = blue)."""
+    """Branch-and-bound over colorings of K_n (0 = red, 1 = blue), built once per board."""
 
-    def __init__(
-        self,
-        masks: np.ndarray,
-        n: int,
-        budget: SearchBudget,
-        incumbent: int,
-        incumbent_bits: Optional[list[int]],
-        use_symmetry: bool = True,
-        prefix: Optional[list[int]] = None,
-        resume: Optional[list[int]] = None,
-    ):
-        self.n = n
+    def __init__(self, masks: np.ndarray, n: int, use_symmetry: bool = True):
         self.E = comb(n, 2)
         self.by_last = _group_by_last(masks, self.E)
         self.sigmas = _transposition_sigmas(n) if use_symmetry else []
         # all C(n,2) transpositions start tied; without symmetry none is checked
         self.tied = (1 << self.E) - 1 if use_symmetry else 0
-        self.budget = budget
+
+    def run(self, prefix: list[int], cap: int, cap_bits: Optional[list[int]],
+            max_nodes: float, deadline: float = inf):
+        """One job: the subtree below a forced prefix, pruned at cap copies.
+
+        Returns (best, bits, stats, pending): the best leaf found below cap,
+        else (cap, cap_bits), and the prefixes that a stop left untried.
+        """
+        self.prefix = prefix
+        self.best, self.best_bits = cap, cap_bits
+        self.max_nodes, self.deadline = max_nodes, deadline
         self.stats = SearchStats()
-        self.best = incumbent
-        self.best_bits = list(incumbent_bits) if incumbent_bits else None
-        self.x = [0] * self.E
-        self.red = 0
-        self.blue = 0
-        self.prefix = prefix or []
-        self.resume = resume
-        self.deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds else None
-        )
-        self.stopped_at: Optional[list[int]] = None
-
-    def run(self) -> None:
-        t0 = time.monotonic()
+        self.x = x = [0] * self.E
+        self.red = self.blue = 0
         try:
-            self._dfs(0, 0, self.tied, bool(self.resume))
-        except _Exhausted:
-            pass
-        self.stats.elapsed_seconds = time.monotonic() - t0
-
-    def _check_budget(self, depth: int) -> None:
-        self.stats.nodes += 1
-        if self.budget.max_nodes is not None and self.stats.nodes > self.budget.max_nodes:
-            self.stopped_at = self.x[:depth]
-            raise _Exhausted
-        if self.deadline is not None and self.stats.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                self.stopped_at = self.x[:depth]
-                raise _Exhausted
+            self._dfs(0, 0, self.tied)
+            pending = []
+        except _Exhausted as stop:
+            depth, b = stop.args
+            if depth < len(prefix):
+                pending = [prefix]
+            else:
+                # the stopped node's branches from b on (edge 0 is only ever red),
+                # then the blue branch of each ancestor below the prefix on red
+                pending = [x[:depth] + [c] for c in range(b, 2 if depth else 1)]
+                pending += [x[:i] + [1] for i in reversed(range(max(len(prefix), 1), depth))
+                            if x[i] == 0]
+        return self.best, self.best_bits, self.stats, pending
 
     def _tied_after(self, depth: int, tied: int) -> int:
         """The tied mask after edge depth is assigned, or -1 to prune.
@@ -378,25 +372,28 @@ class _Engine:
                         break
         return tied
 
-    def _dfs(self, depth: int, decided_mono: int, tied: int, on_spine: bool) -> None:
+    def _dfs(self, depth: int, decided_mono: int, tied: int) -> None:
+        stats = self.stats
         if depth == self.E:
-            self.stats.leaves += 1
+            stats.leaves += 1
             if decided_mono < self.best:
                 self.best = decided_mono
                 self.best_bits = self.x.copy()
             return
         if depth < len(self.prefix):
             branches = (self.prefix[depth],)
-        elif depth == 0 and self.E > 0:
+        elif depth == 0:
             branches = (0,)  # color swap: first edge red WLOG
         else:
             branches = (0, 1)
-        spine_bit = self.resume[depth] if on_spine and self.resume and depth < len(self.resume) else None
         for b in branches:
-            if spine_bit is not None and b < spine_bit:
-                continue
-            child_spine = spine_bit is not None and b == spine_bit
-            self._check_budget(depth)
+            # the node is counted before the cap test; the deadline is read every 4096 nodes
+            stats.nodes += 1
+            if stats.nodes > self.max_nodes or (
+                not stats.nodes & 4095 and time.monotonic() > self.deadline
+            ):
+                stats.nodes -= 1
+                raise _Exhausted(depth, b)
             self.x[depth] = b
             bit = 1 << depth
             # a copy ending at this edge is monochromatic in colour b
@@ -421,11 +418,11 @@ class _Engine:
                     hit |= bucket[w] & (other >> 64 * w & _WORD)
                 total += len(hit) - int(np.count_nonzero(hit))
             if total >= self.best:
-                self.stats.pruned_bound += 1
+                stats.pruned_bound += 1
             elif (child_tied := self._tied_after(depth, tied) if tied else 0) < 0:
-                self.stats.pruned_symmetry += 1
+                stats.pruned_symmetry += 1
             else:
-                self._dfs(depth + 1, total, child_tied, child_spine)
+                self._dfs(depth + 1, total, child_tied)
             if b == 0:
                 self.red ^= bit
             else:
@@ -433,12 +430,7 @@ class _Engine:
 
 
 def _bits_to_coloring(n: int, bits: list[int]) -> TwoColoring:
-    edges = _colex_edges(n)
-    mask = 0
-    for e, b in enumerate(bits):
-        if b == 0:
-            i, j = edges[e]
-            mask |= 1 << pair_index(i, j, n)
+    mask = sum(1 << pair_index(i, j, n) for (i, j), b in zip(_colex_edges(n), bits) if b == 0)
     return TwoColoring(n, mask)
 
 
@@ -448,32 +440,28 @@ def _coloring_to_bits(c: TwoColoring) -> list[int]:
 
 
 def _seed_colorings(n: int) -> list[TwoColoring]:
-    """Cheap candidate colorings whose counts seed the incumbent."""
+    """Cheap candidate colorings whose counts seed the incumbent: all blue, then chi(a, n - a)."""
     from .extremal import chi
 
-    out = [TwoColoring(n, 0)]  # all blue
-    for a in range(1, n // 2 + 1):
-        out.append(chi(a, n - a))
-    return out
+    return [TwoColoring(n, 0)] + [chi(a, n - a) for a in range(1, n // 2 + 1)]
 
 
-def _seed_incumbent(masks: np.ndarray, n: int) -> tuple[int, TwoColoring]:
-    """The first seed coloring with the fewest monochromatic copies, and that count.
+def _mono_count(masks: np.ndarray, bits: list[int]) -> int:
+    """The copies monochromatic under a coloring given by its colex edge colours.
 
     A copy is monochromatic exactly when it misses one of the colours; every
     copy has an edge, so the count is the copies minus those that touch both.
     """
+    red = sum(1 << e for e, b in enumerate(bits) if b == 0)
+    red = np.array([red >> 64 * w & _WORD for w in range(masks.shape[1])], dtype=np.uint64)
+    both = (masks & red).any(axis=1) & (masks & ~red).any(axis=1)
+    return len(masks) - int(np.count_nonzero(both))
+
+
+def _seed_incumbent(masks: np.ndarray, n: int) -> tuple[int, TwoColoring]:
+    """The first seed coloring with the fewest monochromatic copies, and that count."""
     seeds = _seed_colorings(n)
-    counts = []
-    for cand in seeds:
-        red = sum(1 << e for e, b in enumerate(_coloring_to_bits(cand)) if b == 0)
-        touches_red = np.zeros(len(masks), dtype=bool)
-        touches_blue = np.zeros(len(masks), dtype=bool)
-        for w in range(masks.shape[1]):
-            word = np.uint64(red >> 64 * w & _WORD)
-            touches_red |= (masks[:, w] & word) != 0
-            touches_blue |= (masks[:, w] & ~word) != 0
-        counts.append(len(masks) - int(np.count_nonzero(touches_red & touches_blue)))
+    counts = [_mono_count(masks, _coloring_to_bits(cand)) for cand in seeds]
     first = counts.index(min(counts))
     return counts[first], seeds[first]
 
@@ -483,22 +471,105 @@ def _require_edge(h: PatternGraph) -> None:
         raise PreconditionError("search needs a pattern with at least one edge")
 
 
-def parse_resume_token(token: str, n: int) -> list[int]:
-    """The branch bits of a resume token for a board of size n.
+TOKEN_VERSION = "ramsey-resume/2"
+_TOKEN_FIELDS = ["pattern", "n", "witness", "pending"]
 
-    A token is the colour of each colex edge on the path to the node where
-    a search stopped, so it holds only 0s and 1s, has at most C(n,2) of
-    them, and starts with 0 because the first edge is always red.
+
+def _pattern_name(h: PatternGraph) -> str:
+    """h's CLI label; an explicit pattern, whose label gives only its order, adds its edges."""
+    if h.kind != "explicit":
+        return h.label()
+    return h.label() + ":" + ",".join(f"{u}-{v}" for u, v in h.graph.edges())
+
+
+def _resume_token(h: PatternGraph, n: int, bits: list[int], jobs: list[list[int]]) -> str:
+    witness, *pending = ("".join(map(str, b)) for b in [bits] + jobs)
+    fields = [_pattern_name(h), n, witness, ",".join(pending)]
+    return ";".join([TOKEN_VERSION] + [f"{k}={v}" for k, v in zip(_TOKEN_FIELDS, fields)])
+
+
+def parse_resume_token(token: str, h: PatternGraph, n: int) -> tuple[list[int], list[list[int]]]:
+    """The incumbent witness and the pending prefixes of a resume token for h on K_n.
+
+    A prefix has at most C(n,2) bits and starts with 0: the first edge is always red.
     """
-    if set(token) - {"0", "1"}:
-        raise PreconditionError(f"resume token {token!r} holds characters other than 0 and 1")
-    if len(token) > comb(n, 2):
+    version, *fields = token.split(";")
+    if version != TOKEN_VERSION:
+        raise PreconditionError(f"resume token version {version[:24]!r} is not {TOKEN_VERSION!r}")
+    if [f.partition("=")[0] for f in fields] != _TOKEN_FIELDS:
+        raise PreconditionError(f"resume token fields must be {', '.join(_TOKEN_FIELDS)}")
+    pattern, size, witness, pending = (f.partition("=")[2] for f in fields)
+    for what, got, want in (("pattern", pattern, _pattern_name(h)), ("n", size, str(n))):
+        if got != want:
+            raise PreconditionError(f"resume token is for {what}={got}, not {what}={want}")
+    prefixes = pending.split(",")
+    for what, text in [("witness", witness)] + [("prefix", p) for p in prefixes]:
+        if set(text) - {"0", "1"}:
+            raise PreconditionError(
+                f"resume token {what} {text!r} holds characters other than 0 and 1"
+            )
+    edges = comb(n, 2)
+    if len(witness) != edges:
         raise PreconditionError(
-            f"resume token has {len(token)} bits, more than the {comb(n, 2)} edges of K_{n}"
+            f"resume token witness has {len(witness)} bits, but K_{n} has {edges} edges"
         )
-    if token and token[0] != "0":
-        raise PreconditionError("resume token must start with 0: the first edge is always red")
-    return [int(ch) for ch in token]
+    for text in prefixes:
+        if len(text) > edges:
+            raise PreconditionError(
+                f"resume token prefix has {len(text)} bits, more than the {edges} edges of K_{n}"
+            )
+        if text.startswith("1"):
+            raise PreconditionError(
+                "resume token prefix must start with 0: the first edge is always red"
+            )
+    return [int(c) for c in witness], [[int(c) for c in p] for p in prefixes]
+
+
+def _drain(engine, jobs, best, bits, budget, map_jobs=None, job_nodes=None):
+    """Drain a job list: serially, one job per round with all the budget left."""
+    map_jobs = map_jobs or (lambda args: [engine.run(*a) for a in args])
+    t0 = time.monotonic()
+    deadline = t0 + budget.max_seconds if budget.max_seconds else inf
+    max_nodes = inf if budget.max_nodes is None else budget.max_nodes
+    stats = SearchStats()
+    while jobs and (left := max_nodes - stats.nodes) >= 1 and time.monotonic() <= deadline:
+        size = 1 if job_nodes is None else min(len(jobs), max(1, left // job_nodes))
+        cap = left if job_nodes is None else min(job_nodes, left)
+        pending = []
+        for job_best, job_bits, job_stats, job_pending in map_jobs(
+            [(job, best, bits, cap, deadline) for job in jobs[:size]]
+        ):
+            if job_best < best:
+                best, bits = job_best, job_bits
+            stats.add(job_stats)
+            pending += job_pending
+        jobs = pending + jobs[size:]
+    stats.elapsed_seconds = time.monotonic() - t0
+    return best, bits, stats, jobs
+
+
+# Nodes per job and round of the pool drain: a constant, so node counts repeat.
+JOB_SLICE = 20_000
+_worker_engine: Optional[_Engine] = None
+
+
+def _adopt_engine(engine: _Engine) -> None:
+    """Pool initializer: each forked worker, never the parent, holds the engine here."""
+    global _worker_engine
+    _worker_engine = engine
+
+
+def _run_job(args):
+    return _worker_engine.run(*args)
+
+
+def _multiplicity_parallel(engine, jobs, best, bits, budget, threads):
+    """The pool drain: rounds of JOB_SLICE-node jobs, mapped on a fork pool of `threads`."""
+    import multiprocessing as mp
+
+    with mp.get_context("fork").Pool(threads, _adopt_engine, (engine,)) as pool:
+        return _drain(engine, jobs, best, bits, budget,
+                      lambda args: pool.map(_run_job, args, chunksize=1), JOB_SLICE)
 
 
 def multiplicity(
@@ -508,46 +579,40 @@ def multiplicity(
     threads: int = 1,
     use_symmetry: bool = True,
     resume_token: Optional[str] = None,
-    incumbent: Optional[MultiplicityReport] = None,
 ) -> MultiplicityReport:
     """Exact minimum number of monochromatic copies of h over colorings of K_n.
 
     Exhaustive up to the symmetry reductions described in the module
     docstring. A board smaller than the pattern trivially has value 0. On
     budget exhaustion the report is flagged non-exact and carries a resume
-    token accepted by a later call.
+    token accepted by a later call; threads > 1 drains with a worker pool.
     """
     budget = budget or SearchBudget.from_env()
     if n < 1:
         raise PreconditionError("board size must be >= 1")
     _require_edge(h)
-    resume = parse_resume_token(resume_token, n) if resume_token else None
+    resume = parse_resume_token(resume_token, h, n) if resume_token else None
     if n < h.order:
-        report = MultiplicityReport(
-            h, n, 0, TwoColoring(n, 0), SearchStats(leaves=1), exact=True
-        )
-        return report
+        return MultiplicityReport(h, n, 0, TwoColoring(n, 0), SearchStats(leaves=1), exact=True)
 
     masks = enumerate_copy_masks(h, n)
-    per_copy = _subgraphs_per_copy(h, n)
-    best_val, seed = _seed_incumbent(masks, n)
-    best_bits = _coloring_to_bits(seed)
-    if incumbent is not None and incumbent.value <= best_val * per_copy:
-        best_val = incumbent.value // per_copy
-        best_bits = _coloring_to_bits(incumbent.witness)
-
-    if threads > 1 and resume is None:
-        report = _multiplicity_parallel(h, n, budget, threads, use_symmetry, best_val, best_bits)
+    seed_val, seed = _seed_incumbent(masks, n)
+    # the engine prunes at `best` copies: one above the seed until a leaf
+    # sets it, so that a leaf tying the seed is still reached
+    best, bits, jobs = seed_val + 1, _coloring_to_bits(seed), [[]]
+    if resume is not None:
+        witness, jobs = resume
+        count = _mono_count(masks, witness)  # recounted, never read from the token
+        if count < best:
+            best, bits = count, witness
+    engine = _Engine(masks, n, use_symmetry)
+    if threads > 1:
+        best, bits, stats, jobs = _multiplicity_parallel(engine, jobs, best, bits, budget, threads)
     else:
-        eng = _Engine(masks, n, budget, best_val + 1, best_bits, use_symmetry, resume=resume)
-        eng.run()
-        exact = eng.stopped_at is None
-        token = "".join(map(str, eng.stopped_at)) if eng.stopped_at is not None else None
-        witness = _bits_to_coloring(n, eng.best_bits)
-        value = eng.best if eng.best <= best_val else best_val
-        report = MultiplicityReport(h, n, value, witness, eng.stats, exact, token)
-    report.value *= per_copy
-    return report
+        best, bits, stats, jobs = _drain(engine, jobs, best, bits, budget)
+    value = min(best, seed_val) * _subgraphs_per_copy(h, n)
+    token = _resume_token(h, n, bits, jobs) if jobs else None
+    return MultiplicityReport(h, n, value, _bits_to_coloring(n, bits), stats, not jobs, token)
 
 
 def _subgraphs_per_copy(h: PatternGraph, n: int) -> int:
@@ -562,70 +627,6 @@ def _subgraphs_per_copy(h: PatternGraph, n: int) -> int:
         return 1
     isolated = sum(1 for row in h.graph.adj if not row)
     return comb(n - (h.graph.n - isolated), isolated)
-
-
-def _subtree_prefixes(depth: int) -> list[list[int]]:
-    out = []
-    for bits in itertools.product((0, 1), repeat=depth):
-        if bits[0] == 1:  # first edge forced red
-            continue
-        out.append(list(bits))
-    return out
-
-
-def _run_prefix(args):
-    h_label, explicit_edges, n, budget, use_symmetry, cap, cap_bits, prefix = args
-    if explicit_edges is None:
-        h = PatternGraph.parse(h_label)
-    else:
-        from .graphs import SimpleGraph
-
-        k, edges = explicit_edges
-        h = PatternGraph.explicit(SimpleGraph.from_edges(k, edges))
-    masks = enumerate_copy_masks(h, n)
-    eng = _Engine(masks, n, budget, cap, cap_bits, use_symmetry, prefix=prefix)
-    eng.run()
-    return (
-        eng.best,
-        eng.best_bits,
-        eng.stats.as_dict(),
-        eng.stopped_at is None,
-    )
-
-
-def _multiplicity_parallel(h, n, budget, threads, use_symmetry, best_val, best_bits):
-    import multiprocessing as mp
-
-    depth = max(2, (threads - 1).bit_length() + 1)
-    depth = min(depth, comb(n, 2))
-    prefixes = _subtree_prefixes(depth)
-    if h.kind == "explicit":
-        spec = (None, (h.graph.n, list(h.graph.edges())))
-    else:
-        spec = (h.label(), None)
-    per = SearchBudget(
-        max_nodes=None if budget.max_nodes is None else budget.max_nodes // len(prefixes),
-        max_seconds=budget.max_seconds,
-    )
-    args = [
-        (spec[0], spec[1], n, per, use_symmetry, best_val + 1, best_bits, p)
-        for p in prefixes
-    ]
-    ctx = mp.get_context("fork")
-    t0 = time.monotonic()
-    with ctx.Pool(threads) as pool:
-        results = pool.map(_run_prefix, args)
-    stats = SearchStats(elapsed_seconds=time.monotonic() - t0)
-    value, bits, exact = best_val, best_bits, True
-    for val, vbits, st, ex in results:
-        stats.nodes += st["nodes"]
-        stats.leaves += st["leaves"]
-        stats.pruned_bound += st["pruned_bound"]
-        stats.pruned_symmetry += st["pruned_symmetry"]
-        exact &= ex
-        if val < value:
-            value, bits = val, vbits
-    return MultiplicityReport(h, n, value, _bits_to_coloring(n, bits), stats, exact)
 
 
 def find_zero_coloring(
@@ -645,11 +646,10 @@ def find_zero_coloring(
     count, seed = _seed_incumbent(masks, n)
     if count == 0:
         return seed, SearchStats(leaves=1), True
-    eng = _Engine(masks, n, budget, 1, None, use_symmetry)
-    eng.run()
-    if eng.best_bits is not None and eng.best == 0:
-        return _bits_to_coloring(n, eng.best_bits), eng.stats, True
-    return None, eng.stats, eng.stopped_at is None
+    best, bits, stats, jobs = _drain(_Engine(masks, n, use_symmetry), [[]], 1, None, budget)
+    if best == 0:
+        return _bits_to_coloring(n, bits), stats, True
+    return None, stats, not jobs
 
 
 def ramsey_number(

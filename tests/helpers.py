@@ -263,3 +263,8 @@ def reference_regularity_defect(g: SimpleGraph, xs, ys) -> float:
             if cand <= hi and cand < best:
                 best = cand
     return best
+
+
+def resume_token(version="ramsey-resume/2", pattern="P4", n=5, witness="0" * 10, pending="0"):
+    """A resume token written field by field; the defaults make a valid P4@5 token."""
+    return f"{version};pattern={pattern};n={n};witness={witness};pending={pending}"

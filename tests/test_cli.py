@@ -13,6 +13,8 @@ from ramseykit.cli import main
 from ramseykit.extremal import chi
 from ramseykit.graphs import PatternGraph, decode, encode, mono_counts
 
+from .helpers import resume_token
+
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json").read_text()
 )
@@ -91,24 +93,40 @@ class TestSearchCommands:
         assert report["result"]["resume_token"]
 
     def test_resume_from_file(self, tmp_path):
-        proc = run_cli(["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "50"])
+        # by node 4710 the first leg has improved on the seed's 108 copies;
+        # M(P5, 7) = 96, and a resume that loses that incumbent reports 108
+        proc = run_cli(["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "4710"])
+        assert proc.returncode == 3
         token = json.loads(proc.stdout)["result"]["resume_token"]
         tok_file = tmp_path / "resume.txt"
-        tok_file.write_text(token)
+        tok_file.write_text(token + "\n")
         done = run_cli(["mult", "--pattern", "P5", "--n", "7", "--resume-from", str(tok_file)])
         assert done.returncode == 0
-        full = run_cli(["mult", "--pattern", "P5", "--n", "7"])
-        assert (
-            json.loads(done.stdout)["result"]["value"]
-            == json.loads(full.stdout)["result"]["value"]
-        )
+        result = json.loads(done.stdout)["result"]
+        assert (result["value"], result["exact"]) == (96, True)
+        assert sum(mono_counts(decode(result["witness_kcol"]), PatternGraph.path(5))) == 96
 
     @pytest.mark.parametrize("token,problem", [
         ("abc", "characters other than 0 and 1"),
+        ("0192", "characters other than 0 and 1"),
         ("0" * 11, "more than the 10 edges of K_5"),
         ("1000", "must start with 0"),
     ])
     def test_bad_resume_token_exits_2(self, tmp_path, capsys, token, problem):
+        self._assert_rejected(tmp_path, capsys, resume_token(pending=token), problem)
+
+    @pytest.mark.parametrize("fields,problem", [
+        ({"version": "ramsey-resume/1"}, "version 'ramsey-resume/1' is not 'ramsey-resume/2'"),
+        ({"pattern": "K3"}, "for pattern=K3, not pattern=P4"),
+        ({"n": "7"}, "for n=7, not n=5"),
+        ({"witness": "0" * 11}, "witness has 11 bits, but K_5 has 10 edges"),
+        ({"witness": "0" * 9 + "2"}, "witness '0000000002' holds characters other than 0 and 1"),
+    ], ids=["version", "pattern", "n", "witness-length", "witness-bits"])
+    def test_mismatched_resume_token_exits_2(self, tmp_path, capsys, fields, problem):
+        self._assert_rejected(tmp_path, capsys, resume_token(**fields), problem)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, token, problem):
         tok_file = tmp_path / "resume.txt"
         tok_file.write_text(token)
         out = tmp_path / "out.json"

@@ -1,7 +1,7 @@
 """Exhaustive-search soundness: pruned search vs unpruned enumeration,
 known Ramsey numbers, budget and resume semantics."""
 
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -26,6 +26,7 @@ from .helpers import (
     reference_canonical_violated,
     reference_copy_masks,
     reference_transposition_sigmas,
+    resume_token,
 )
 
 P = PatternGraph
@@ -131,7 +132,16 @@ class TestKernelFingerprints:
         stats = report.stats
         assert (report.value, report.exact) == (360, False)
         assert (stats.pruned_bound, stats.pruned_symmetry) == (1406, 1081)
-        assert report.resume_token == "000000000000000000011001111111110011111101"
+        # the search stops at the same node as the plain DFS did: on the path
+        # below, before the red branch of edge 42; the token lists that node's
+        # two branches, then the blue branch of every ancestor on red
+        path = "000000000000000000011001111111110011111101"
+        pending = [path + "0", path + "1"]
+        pending += [path[:i] + "1" for i in range(len(path) - 1, 0, -1) if path[i] == "0"]
+        witness = "000000000000000000000011111111111110111111100111111100011111110000111111100000"
+        assert report.resume_token == (
+            f"ramsey-resume/2;pattern=C7;n=13;witness={witness};pending={','.join(pending)}"
+        )
         assert sum(mono_counts(report.witness, P.cycle(7))) == 360
 
 
@@ -175,11 +185,10 @@ class TestCanonicityCheck:
         masks = enumerate_copy_masks(h, n)
         runs = []
         for engine in (_Engine, _ReferenceEngine):
-            eng = engine(masks, n, SearchBudget(max_nodes=None), 400, None, prefix=[0, 1, 1, 0])
-            eng.run()
-            stats = eng.stats.as_dict()
+            best, bits, stats, pending = engine(masks, n).run([0, 1, 1, 0], 400, None, inf)
+            stats = stats.as_dict()
             del stats["elapsed_seconds"]
-            runs.append((eng.best, eng.best_bits, eng.stopped_at, stats))
+            runs.append((best, bits, pending, stats))
         assert runs[0] == runs[1]
         assert runs[0][3]["pruned_symmetry"] > 0
 
@@ -255,8 +264,7 @@ class TestBudgets:
         partial = multiplicity(h, 7, SearchBudget(max_nodes=150))
         assert not partial.exact
         resumed = multiplicity(
-            h, 7, SearchBudget(max_nodes=None), resume_token=partial.resume_token,
-            incumbent=partial,
+            h, 7, SearchBudget(max_nodes=None), resume_token=partial.resume_token
         )
         assert resumed.exact
         assert resumed.value == full.value
@@ -272,8 +280,18 @@ class TestBudgets:
         ("1000", "must start with 0"),
     ])
     def test_bad_resume_token_rejected(self, token, problem):
+        # the bad bits sit in the pending field of an otherwise valid token
         with pytest.raises(PreconditionError, match=problem):
-            multiplicity(P.path(4), 5, resume_token=token)
+            multiplicity(P.path(4), 5, resume_token=resume_token(pending=token))
+
+    def test_resumed_witness_is_recounted(self):
+        # a token's witness counts for what it is, whatever leg wrote it: an
+        # all-red witness of K_7 holds C(7,5) * 60 = 1260 copies of P5, the
+        # seed does better, and the resumed run still reaches the minimum
+        token = resume_token(pattern="P5", n=7, witness="0" * 21, pending="0")
+        report = multiplicity(P.path(5), 7, resume_token=token)
+        assert (report.value, report.exact) == (96, True)
+        assert sum(mono_counts(report.witness, P.path(5))) == 96
 
     def test_zero_search_budget(self):
         w, stats, settled = find_zero_coloring(P.complete(3), 6, SearchBudget(max_nodes=5))
@@ -290,3 +308,59 @@ class TestBudgets:
             ramsey_number(P.complete(1), 4)
         with pytest.raises(PreconditionError, match="at least one edge"):
             multiplicity(P.explicit(SimpleGraph.from_edges(3, [])), 5)
+
+
+def _cut_and_resume(h, n, cut, threads=1):
+    """Stop a search after `cut` nodes, then resume it from its token."""
+    first = multiplicity(h, n, SearchBudget(max_nodes=cut), threads=threads)
+    assert first.stats.nodes <= cut
+    if first.exact:
+        return first
+    assert threads > 1 or first.stats.nodes == cut
+    return multiplicity(h, n, SearchBudget(max_nodes=None), threads=threads,
+                        resume_token=first.resume_token)
+
+
+CLAW_PLUS_VERTEX = P.explicit(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)]))
+
+
+class TestResumeSweep:
+    """A search cut at any node count resumes to the uninterrupted value.
+
+    On these boards the first leg often improves on the seed before the cut,
+    so a resume that dropped the incumbent would report too much.
+    """
+
+    @pytest.mark.parametrize("h,n,stride", [
+        (P.path(5), 6, 1),
+        (P.path(4), 6, 1),
+        (P.complete(3), 7, 1),
+        (P.path(5), 7, 97),
+        (P.cycle(4), 7, 31),
+        (P.star(3), 7, 31),
+        (CLAW_PLUS_VERTEX, 7, 61),
+    ], ids=["P5@6", "P4@6", "K3@7", "P5@7", "C4@7", "S3@7", "claw+K1@7"])
+    def test_every_cut_resumes_to_the_full_value(self, h, n, stride):
+        full = multiplicity(h, n)
+        for i, cut in enumerate(range(0, full.stats.nodes, stride)):
+            for threads in (1, 2) if i % 50 == 0 else (1,):
+                resumed = _cut_and_resume(h, n, cut, threads)
+                assert (resumed.value, resumed.exact) == (full.value, True), (cut, threads)
+                assert sum(mono_counts(resumed.witness, h)) == full.value, (cut, threads)
+
+
+class TestParallelDrain:
+    def test_node_counts_repeat(self):
+        runs = [multiplicity(P.complete(3), 8, threads=2).stats for _ in range(2)]
+        counts = [(s.nodes, s.leaves, s.pruned_bound, s.pruned_symmetry) for s in runs]
+        assert counts[0] == counts[1]
+
+    def test_budget_stop_leaves_a_token_that_resumes(self):
+        h = P.path(6)
+        partial = multiplicity(h, 8, SearchBudget(max_nodes=30_000), threads=2)
+        assert partial.stats.nodes <= 30_000
+        assert not partial.exact and partial.resume_token is not None
+        for threads in (1, 2):
+            resumed = multiplicity(h, 8, SearchBudget(max_nodes=None), threads=threads,
+                                   resume_token=partial.resume_token)
+            assert (resumed.value, resumed.exact) == (300, True)
