@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     RamseykitError,
 )
-from .graphs import PatternGraph, TwoColoring, decode, encode, mono_counts
+from .graphs import MAX_VERTICES, PatternGraph, TwoColoring, decode, encode, mono_counts
 from .reports import RunManifest, emit, envelope
 from .search import (
     SearchBudget,
@@ -302,12 +302,35 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _instance_count(text: str) -> int:
-    """--instances: a positive instance count."""
+def _positive_int(text: str) -> int:
+    """--instances, --n-max: at least 1."""
     value = _int_value(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _board_size(text: str) -> int:
+    """--n: a board size between 1 and MAX_VERTICES."""
+    value = _int_value(text)
+    if not 1 <= value <= MAX_VERTICES:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_VERTICES}, got {value}")
+    return value
+
+
+def _nonnegative(kind):
+    """--budget-nodes, --budget-seconds: a cap of at least 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     def add_budget(p):
-        p.add_argument("--budget-nodes", type=int, default=None,
+        p.add_argument("--budget-nodes", type=_nonnegative(int), default=None,
                        help="search node cap (default RAMSEY_BUDGET_NODES or built-in)")
-        p.add_argument("--budget-seconds", type=float, default=None)
+        p.add_argument("--budget-seconds", type=_nonnegative(float), default=None)
 
     p = sub.add_parser("chi", help="emit the two-blue-cliques coloring chi(a,b) as kcol")
     p.add_argument("--a", type=int, required=True)
@@ -349,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mult", help="exact minimum monochromatic copies over colorings of K_n")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_board_size, required=True)
     p.add_argument("--resume-from", default=None, help="file holding a resume token")
     add_budget(p)
     p.add_argument("--threads", type=_thread_count, default=1)
@@ -358,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ramsey-number", help="least n forcing a monochromatic copy")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=_positive_int, default=12)
     add_budget(p)
     add_out(p)
     p.set_defaults(func=_cmd_ramsey_number)
 
     p = sub.add_parser("threshold", help="multiplicity at the ramsey number")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=_positive_int, default=12)
     add_budget(p)
     p.add_argument("--threads", type=_thread_count, default=1)
     add_out(p)
@@ -389,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-claim", help="seeded structured-instance battery for one claim verifier")
     p.add_argument("--claim", required=True,
                    choices=("common-neighbor", "bridged-cliques", "alternating", "two-matching"))
-    p.add_argument("--instances", type=_instance_count, default=200)
+    p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", action="store_true")
     add_out(p)
@@ -399,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True,
                    choices=("countpath2-p1", "countpath2-p2", "countcycle1"))
     p.add_argument("--grid", default="default", choices=("default",))
-    p.add_argument("--instances", type=_instance_count, default=None,
+    p.add_argument("--instances", type=_positive_int, default=None,
                    help="override instances per cell")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", action="store_true")

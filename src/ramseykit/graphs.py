@@ -1,11 +1,12 @@
 """Bitset graphs, red/blue colorings of K_n, and exact subgraph-copy counting.
 
-Everything downstream verifies against the counters in this module, so they
-are deliberately redundant: paths and cycles have a layered subset-DP
-census (hosts up to 16 vertices) and a second counter with a node budget
-for larger hosts, anchored backtracking for paths and a per-anchor
-(mask, end) DP for cycles, and the tests cross-check them against a naive
-enumeration oracle and the depth-first cycle counter.
+Every path and cycle count in the package comes from one layered
+(mask, end) walk DP, count_walks: copies of paths and cycles here, and the
+transversal paths of regular.py. Each caller gives it one allowed vertex
+mask per step, an optional closing vertex and an optional node budget,
+charged as a depth-first search over the same walks would charge it.
+The tests check it against a naive enumeration oracle and against the
+depth-first counters kept in tests/helpers.py, budget included.
 
 A "copy" of a pattern H in a host G is a subgraph of G isomorphic to H,
 counted once per subgraph (automorphism-deduplicated): the complete graph
@@ -14,7 +15,6 @@ K_k contains exactly (k-1)!/2 copies of the k-cycle.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Optional
@@ -27,9 +27,6 @@ MAX_VERTICES = 64
 # General subgraph counting (kind="explicit") is exponential in the pattern;
 # larger patterns are out of scope.
 EXPLICIT_PATTERN_CAP = 8
-
-# Hosts up to this size use the subset-DP census for paths/cycles.
-_DP_HOST_CAP = 16
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -300,22 +297,21 @@ class TwoColoring:
 # ---------------------------------------------------------------------------
 
 
-def count_copies(g: SimpleGraph, h: PatternGraph, budget: Optional[int] = None) -> int:
+def count_copies(g: SimpleGraph, h: PatternGraph) -> int:
     """Exact number of subgraphs of g isomorphic to h.
 
-    A pattern larger than the host gives zero. budget caps backtracking
-    node visits for the large-host fallbacks (BudgetExceededError beyond).
+    Paths and cycles are counted by the walk DP of count_walks (each is
+    walked once per direction), stars in closed form, cliques and explicit
+    patterns by backtracking. A pattern larger than the host gives zero.
     """
     if h.order > g.n:
         return 0
     if h.kind == "cycle":
-        if g.n <= _DP_HOST_CAP:
-            return _cycle_census(g, h.k)[h.k]
-        return _count_cycles_backtrack(g, h.k, budget)
+        return _count_cycles_backtrack(g, h.k)
     if h.kind == "path":
-        if g.n <= _DP_HOST_CAP:
-            return _path_census(g, h.k)[h.k]
-        return _count_paths_backtrack(g, h.k, budget)
+        walks, _ = count_walks(g.adj, [(1 << g.n) - 1] * h.k)
+        assert walks % 2 == 0
+        return walks // 2
     if h.kind == "star":
         if h.k == 1:
             return g.num_edges()
@@ -323,8 +319,8 @@ def count_copies(g: SimpleGraph, h: PatternGraph, budget: Optional[int] = None) 
     if h.kind == "complete":
         return _count_cliques(g, h.k)
     # explicit
-    emb = _count_embeddings(g, h.graph, budget)
-    aut = _count_embeddings(h.graph, h.graph, None)
+    emb = _count_embeddings(g, h.graph)
+    aut = _count_embeddings(h.graph, h.graph)
     assert emb % aut == 0
     return emb // aut
 
@@ -334,106 +330,117 @@ def mono_counts(c: TwoColoring, h: PatternGraph) -> tuple[int, int]:
     return count_copies(c.red_graph(), h), count_copies(c.blue_graph(), h)
 
 
-@functools.lru_cache(maxsize=256)
-def _cycle_census(g: SimpleGraph, kmax: int) -> tuple[int, ...]:
-    """counts[t] = number of t-cycles, 3 <= t <= kmax (index 0..kmax).
+def count_walks(
+    adj: tuple[int, ...], steps: list[int], close: Optional[int] = None,
+    budget: Optional[int] = None,
+) -> tuple[int, Optional[int]]:
+    """Walks v0 v1 ... vL of distinct vertices, L = len(steps) - 1 >= 1,
+    with each vi in the mask steps[i] and adjacent to v(i-1), and vL
+    adjacent to close when close is given; returns (walks, budget left).
 
-    Layered DP per anchor a = minimum vertex of the cycle: states are
-    (used-vertex mask above a, end vertex); each cycle is met twice, once
-    per direction.
+    Layered DP: layer i maps mask << 6 | end (mask over v0..vi; end = vi
+    < MAX_VERTICES = 64) to its number of walks v0..vi, so the cost is one
+    step per distinct state. Layer L is never built: its walks are counted
+    off layer L-1.
+
+    Budget: one node per prefix v0..vi, 0 <= i <= L, before the close test,
+    which is what a depth-first search over the same walks visits. A
+    layer's node count is its summed ways, and BudgetExceededError is
+    raised exactly when the total passes budget (None means no cap).
+    Lookahead: before building layer d, the node counts of layers d to d+2
+    are added up from layer d-1 without allocating, and checked against the
+    budget left, so a count that will run out stops before it builds its
+    largest frontier.
     """
-    counts = [0] * (kmax + 1)
-    adj = g.adj
-    for a in range(g.n):
-        above = -1 << (a + 1)
-        start_nbrs = adj[a] & above
-        if not start_nbrs:
-            continue
-        # frontier: {(mask, end): ways}; mask excludes the anchor
-        frontier = {(1 << v, v): 1 for v in _bits(start_nbrs)}
-        for length in range(2, kmax + 1):
-            # close cycles of this length (length = mask size + 1)
-            if length >= 3:
-                back = 0
-                for (mask, end), ways in frontier.items():
-                    if adj[end] >> a & 1:
-                        back += ways
-                counts[length] += back
-            if length == kmax:
-                break
-            nxt: dict[tuple[int, int], int] = {}
-            for (mask, end), ways in frontier.items():
-                for w in _bits(adj[end] & above & ~mask):
-                    key = (mask | (1 << w), w)
-                    nxt[key] = nxt.get(key, 0) + ways
-            if not nxt:
-                break
-            frontier = nxt
-    for t in range(3, kmax + 1):
-        assert counts[t] % 2 == 0
-        counts[t] //= 2
-    return tuple(counts)
-
-
-@functools.lru_cache(maxsize=256)
-def _path_census(g: SimpleGraph, kmax: int) -> tuple[int, ...]:
-    """counts[k] = number of k-vertex paths, 2 <= k <= kmax.
-
-    Sequences are grown from every start vertex; each path subgraph is seen
-    once per direction.
-    """
-    counts = [0] * (kmax + 1)
-    adj = g.adj
-    frontier = {(1 << v, v): 1 for v in range(g.n)}
-    for size in range(2, kmax + 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (mask, end), ways in frontier.items():
-            for w in _bits(adj[end] & ~mask):
-                key = (mask | (1 << w), w)
-                nxt[key] = nxt.get(key, 0) + ways
-        counts[size] = sum(nxt.values())
+    last = len(steps) - 1
+    frontier = {(1 << v) << 6 | v: 1 for v in _bits(steps[0])}
+    left = None if budget is None else budget - len(frontier)  # layer 0
+    for d in range(1, last + 1):
+        allowed = steps[d]
+        if left is not None:
+            ahead, layer = _nodes_ahead(adj, frontier, steps[d : d + 3])
+            if ahead > left:
+                raise BudgetExceededError("walk node budget exhausted")
+            left -= layer
+        if d == last:
+            break
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, ways in frontier.items():
+            mask = key >> 6
+            cand = adj[key & 63] & allowed & ~mask
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                nk = (mask | low) << 6 | (low.bit_length() - 1)
+                nxt[nk] = get(nk, 0) + ways
         frontier = nxt
         if not frontier:
-            break
-    for k in range(2, kmax + 1):
-        assert counts[k] % 2 == 0
-        counts[k] //= 2
-    return tuple(counts)
+            return 0, left
+    if close is not None:
+        allowed &= adj[close]
+    walks = 0
+    for key, ways in frontier.items():
+        walks += ways * (adj[key & 63] & allowed & ~(key >> 6)).bit_count()
+    return walks, left
 
 
-class _NodeBudget:
-    __slots__ = ("left",)
+def _nodes_ahead(
+    adj: tuple[int, ...], frontier: dict[int, int], steps: list[int]
+) -> tuple[int, int]:
+    """(node count of the next len(steps) <= 3 layers, that of the first).
 
-    def __init__(self, budget: Optional[int]):
-        self.left = budget
-
-    def spend(self):
-        if self.left is not None:
-            self.left -= 1
-            if self.left < 0:
-                raise BudgetExceededError("backtracking node budget exhausted")
+    From a state (mask, end) the walks go on end-w-x-y, all outside mask,
+    with w in cand = N(end) & steps[0], x in N(w) & steps[1] and y in
+    N(x) & steps[2], y != w. The third layer is summed per x: |N(x) & cand|
+    choices of w times |N(x) & steps[2]| choices of y, less the pairs with
+    y = w.
+    """
+    s1, s2, s3 = (steps + [0, 0])[:3]  # a layer past the last one is empty
+    one = two = three = 0
+    for key, ways in frontier.items():
+        mask = key >> 6
+        cand = adj[key & 63] & s1 & ~mask
+        if not cand:
+            continue
+        one += ways * cand.bit_count()
+        if not s2:
+            continue
+        avail2 = s2 & ~mask
+        n2 = reach = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            row = adj[low.bit_length() - 1]
+            n2 += (row & avail2).bit_count()
+            reach |= row
+            rest ^= low
+        two += ways * n2
+        if s3:
+            avail3 = s3 & ~mask
+            n3 = 0
+            rest = reach & avail2
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                wc = row & cand
+                n3 += wc.bit_count() * (row & avail3).bit_count() - (wc & avail3).bit_count()
+                rest ^= low
+            three += ways * n3
+    return one + two + three, one
 
 
 def _count_cycles_backtrack(g: SimpleGraph, k: int, budget: Optional[int] = None) -> int:
     """Number of k-cycles in g, or BudgetExceededError past a node budget.
 
-    The budget is counted in nodes of the anchored DFS over paths
-    (a, v1, ..., vd), 1 <= d <= k-1, with a the least vertex of the cycle
-    and every vi > a: one node per such path. The count raises exactly when
-    that DFS would visit more than budget nodes (None means no cap).
-
-    The paths are counted by a layered (mask, end) DP per anchor, as in
-    _cycle_census, so the cost is one step per distinct state: layer d maps
-    mask << 6 | end (mask over v1..vd; end < MAX_VERTICES = 64) to its
-    number of paths, and its summed ways is the DFS's node count at depth
-    d. Layer k-1 is never built: its node count and the cycles it closes
-    are read off layer k-2.
-    Lookahead: before building layer d, the node counts of layers d+1 and
-    d+2 are added up from layer d-1 without allocating, and the budget is
-    checked against layers d to d+2, so a count that will run out stops
-    before it builds its largest frontier. Each cycle is found twice, once
-    per direction. The name is that of the depth-first counter this
-    replaced, kept because the benchmark's tracer wraps the function by
+    For each least vertex a, count_walks counts the paths v1 ... v(k-1)
+    above a with v1 and v(k-1) adjacent to a; each cycle is walked twice,
+    once per direction. The budget is counted in nodes of the anchored DFS
+    over paths (a, v1, ..., vd), 1 <= d <= k-1, every vi > a: one node per
+    such path, summed over the anchors, which is count_walks' node rule. The
+    count raises exactly when that DFS would visit more than budget nodes
+    (None means no cap). The name is that of the depth-first counter the
+    DP replaced, kept because the benchmark's tracer wraps the function by
     name; that counter is now the reference in tests/helpers.py.
     """
     adj = g.adj
@@ -442,80 +449,9 @@ def _count_cycles_backtrack(g: SimpleGraph, k: int, budget: Optional[int] = None
     for a in range(g.n):
         above = -1 << (a + 1)
         start = adj[a] & above
-        if not start:
-            continue
-        frontier = {a: 1}  # layer 0: the anchor alone, mask 0, end a
-        ahead = start.bit_count()  # nodes of layer 1
-        for depth in range(1, k - 1):
-            if left is not None:
-                # nodes of layers depth+1 and depth+2 (if depth+2 <= k-1):
-                # paths end-w-x-y with w in cand, x and y in avail
-                two = three = 0
-                deep = depth + 2 < k
-                for key, ways in frontier.items():
-                    avail = above & ~(key >> 6)
-                    cand = adj[key & 63] & avail
-                    s2 = s3 = reach = 0
-                    rest = cand
-                    while rest:
-                        low = rest & -rest
-                        row = adj[low.bit_length() - 1]
-                        s2 += (row & avail).bit_count()
-                        reach |= row
-                        rest ^= low
-                    two += ways * s2
-                    if deep:
-                        # x has |N(x) & cand| choices of w, and then every
-                        # neighbour in avail but w as y
-                        rest = reach & avail
-                        while rest:
-                            low = rest & -rest
-                            row = adj[low.bit_length() - 1]
-                            s3 += ((row & avail).bit_count() - 1) * (row & cand).bit_count()
-                            rest ^= low
-                        three += ways * s3
-                if ahead + two + three > left:
-                    raise BudgetExceededError("backtracking node budget exhausted")
-                left -= ahead
-                ahead = two
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for key, ways in frontier.items():
-                mask = key >> 6
-                cand = adj[key & 63] & above & ~mask
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    nk = (mask | low) << 6 | (low.bit_length() - 1)
-                    nxt[nk] = get(nk, 0) + ways
-            frontier = nxt
-            if not frontier:
-                break
-        if left is not None:
-            left -= ahead  # layer k-1, already checked by the lookahead
-        back = adj[a]
-        for key, ways in frontier.items():
-            total += ways * (adj[key & 63] & above & ~(key >> 6) & back).bit_count()
-    assert total % 2 == 0
-    return total // 2
-
-
-def _count_paths_backtrack(g: SimpleGraph, k: int, budget: Optional[int] = None) -> int:
-    adj = g.adj
-    counter = _NodeBudget(budget)
-    total = 0
-
-    def extend(v: int, used: int, depth: int) -> int:
-        counter.spend()
-        if depth == k:
-            return 1
-        found = 0
-        for w in _bits(adj[v] & ~used):
-            found += extend(w, used | (1 << w), depth + 1)
-        return found
-
-    for s in range(g.n):
-        total += extend(s, 1 << s, 1)
+        if start:
+            walks, left = count_walks(adj, [start] + [above] * (k - 2), a, left)
+            total += walks
     assert total % 2 == 0
     return total // 2
 
@@ -544,7 +480,7 @@ def _count_cliques(g: SimpleGraph, k: int) -> int:
     return rec((1 << g.n) - 1, k)
 
 
-def _count_embeddings(host: SimpleGraph, pat: SimpleGraph, budget: Optional[int]) -> int:
+def _count_embeddings(host: SimpleGraph, pat: SimpleGraph) -> int:
     """Injective maps pattern -> host carrying edges to edges."""
     if pat.n == 0:
         return 1
@@ -563,12 +499,9 @@ def _count_embeddings(host: SimpleGraph, pat: SimpleGraph, budget: Optional[int]
     back_nbrs = []
     for idx, v in enumerate(order):
         back_nbrs.append([order.index(u) for u in _bits(pat.adj[v]) if order.index(u) < idx])
-    counter = _NodeBudget(budget)
-    total = 0
     image = [0] * pat.n
 
     def rec(idx: int, used: int) -> int:
-        counter.spend()
         if idx == pat.n:
             return 1
         cand = ~used & ((1 << host.n) - 1)
@@ -580,8 +513,7 @@ def _count_embeddings(host: SimpleGraph, pat: SimpleGraph, budget: Optional[int]
             found += rec(idx + 1, used | (1 << w))
         return found
 
-    total = rec(0, 0)
-    return total
+    return rec(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +521,7 @@ def _count_embeddings(host: SimpleGraph, pat: SimpleGraph, budget: Optional[int]
 # ---------------------------------------------------------------------------
 
 
-def cycle_spectrum(
-    g: SimpleGraph, max_len: int, budget: Optional[int] = None
-) -> dict[int, tuple[int, ...]]:
+def cycle_spectrum(g: SimpleGraph, max_len: int) -> dict[int, tuple[int, ...]]:
     """Lengths t in [3, max_len] with a t-cycle in g, each with one witness.
 
     Bipartite hosts skip the odd lengths outright; otherwise an anchored DFS
@@ -604,17 +534,14 @@ def cycle_spectrum(
     for t in range(3, max_len + 1):
         if t % 2 == 1 and not odd_possible:
             continue
-        w = _find_cycle_of_length(g, t, budget)
+        w = _find_cycle_of_length(g, t)
         if w is not None:
             out[t] = w
     return out
 
 
-def _find_cycle_of_length(
-    g: SimpleGraph, t: int, budget: Optional[int]
-) -> Optional[tuple[int, ...]]:
+def _find_cycle_of_length(g: SimpleGraph, t: int) -> Optional[tuple[int, ...]]:
     adj = g.adj
-    counter = _NodeBudget(budget)
 
     def bfs_dist(src: int, allowed: int) -> list[int]:
         dist = [-1] * g.n
@@ -636,7 +563,6 @@ def _find_cycle_of_length(
         path = [a]
 
         def dfs(v: int, used: int, depth: int) -> Optional[tuple[int, ...]]:
-            counter.spend()
             if depth == t - 1:
                 return tuple(path) if adj[v] >> a & 1 else None
             for w in _bits(adj[v] & allowed & ~used):

@@ -1,6 +1,10 @@
-"""Regular-pair machinery: density, exact regularity checking, transversal
-path/cycle oracles, and closed-form count lower bounds with a verification
-harness.
+"""Regular-pair machinery: density, exact regularity checking, exact
+transversal path and cycle counts, and closed-form count lower bounds with
+a verification harness.
+
+The exact counts are graphs.count_walks with one class mask per step, and
+capped cycle counts are graphs._count_cycles_backtrack. Both charge a
+node budget the way a depth-first search over the same walks would.
 
 The counting bounds assume parameter regimes (eps below 1e-5, classes of
 size eps^-2) that no desk-scale instance reaches. The harness therefore
@@ -23,11 +27,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import rounding
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _count_cycles_backtrack, count_walks
 
 EXACT_REGULARITY_CAP = 14
-
-DEFAULT_PATH_BUDGET = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -331,48 +333,23 @@ def quasirandom_ring(sizes: Sequence[int], d: float, rng: random.Random) -> Pair
     return PairSystem.build(sizes, edges)
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: Optional[int]):
-        self.left = budget if budget is not None else DEFAULT_PATH_BUDGET
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceededError("transversal path budget exhausted")
-
-
 def count_transversal_paths(
     sys: PairSystem, w0: int, ell: int, budget: Optional[int] = None
 ) -> int:
     """Paths w_0 w_1 ... w_ell with w_i in V_{i mod t}, all vertices distinct.
 
     Counts vertex sequences anchored at w0 (for open paths this equals the
-    subgraph count, the start pins the direction).
+    subgraph count, the start pins the direction). budget caps the nodes of
+    the depth-first search over the sequence prefixes w_0 ... w_i, 0 <= i <=
+    ell (graphs.count_walks; None means no cap).
     """
     if ell < 1:
         raise PreconditionError("path length must be >= 1")
     if w0 not in sys.classes[0]:
         raise PreconditionError("w0 must lie in class V_0")
-    counter = _Budget(budget)
-    t = sys.t
-    adj = sys.graph.adj
-
-    def rec(v: int, used: int, depth: int) -> int:
-        counter.spend()
-        if depth == ell:
-            return 1
-        cls = sys.classes[(depth + 1) % t]
-        total = 0
-        for w in cls:
-            if used >> w & 1:
-                continue
-            if adj[v] >> w & 1:
-                total += rec(w, used | (1 << w), depth + 1)
-        return total
-
-    return rec(w0, 1 << w0, 0)
+    masks = _class_masks(sys)
+    steps = [1 << w0] + [masks[i % sys.t] for i in range(1, ell + 1)]
+    return count_walks(sys.graph.adj, steps, budget=budget)[0]
 
 
 def count_transversal_paths_between(
@@ -384,7 +361,8 @@ def count_transversal_paths_between(
     vertices are distinct and avoid both endpoints. With w0 = w0_prime the
     sequences close into cycles through w0; each class-aligned cycle is
     then seen once per direction whose class pattern matches (twice when
-    t = 2, once for t >= 3).
+    t = 2, once for t >= 3). budget caps the nodes of the depth-first search
+    over the prefixes w_0 ... w_i, 0 <= i <= ell - 1 (None means no cap).
     """
     if ell % sys.t != 0:
         raise PreconditionError(f"ell={ell} not divisible by t={sys.t}")
@@ -392,26 +370,14 @@ def count_transversal_paths_between(
         raise PreconditionError("ell must be >= 2")
     if w0 not in sys.classes[0] or w0_prime not in sys.classes[0]:
         raise PreconditionError("both endpoints must lie in V_0")
-    counter = _Budget(budget)
-    t = sys.t
-    adj = sys.graph.adj
-    target = w0_prime
-    blocked = (1 << w0) | (1 << target)
+    masks = _class_masks(sys)
+    ends = (1 << w0) | (1 << w0_prime)
+    steps = [1 << w0] + [masks[i % sys.t] & ~ends for i in range(1, ell)]
+    return count_walks(sys.graph.adj, steps, w0_prime, budget)[0]
 
-    def rec(v: int, used: int, depth: int) -> int:
-        counter.spend()
-        if depth == ell - 1:
-            return 1 if adj[v] >> target & 1 else 0
-        cls = sys.classes[(depth + 1) % t]
-        total = 0
-        for w in cls:
-            if (used | blocked) >> w & 1:
-                continue
-            if adj[v] >> w & 1:
-                total += rec(w, used | (1 << w), depth + 1)
-        return total
 
-    return rec(w0, 0, 0)
+def _class_masks(sys: PairSystem) -> list[int]:
+    return [sum(1 << v for v in cls) for cls in sys.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +652,6 @@ def _count_cycles_capped(g: SimpleGraph, p: int, budget: int) -> tuple[Optional[
     if p > g.n:
         return 0, True
     try:
-        from .graphs import _count_cycles_backtrack
-
         return _count_cycles_backtrack(g, p, budget), True
     except BudgetExceededError:
         return None, False

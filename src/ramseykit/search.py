@@ -85,7 +85,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError
-from .graphs import PatternGraph, TwoColoring, encode, pair_index
+from .graphs import MAX_VERTICES, PatternGraph, TwoColoring, encode, pair_index
 
 DEFAULT_NODE_BUDGET = 400_000_000
 
@@ -590,6 +590,8 @@ def multiplicity(
     budget = budget or SearchBudget.from_env()
     if n < 1:
         raise PreconditionError("board size must be >= 1")
+    if n > MAX_VERTICES:
+        raise PreconditionError(f"board size {n} exceeds the cap of {MAX_VERTICES} vertices")
     _require_edge(h)
     resume = parse_resume_token(resume_token, h, n) if resume_token else None
     if n < h.order:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
 from .extremal import ExtremalAssessment, extremal_parameter
-from .graphs import SimpleGraph, TwoColoring, cycle_spectrum
+from .graphs import SimpleGraph, TwoColoring, _find_cycle_of_length, cycle_spectrum
 from .regular import RegimeParams, check_regularity, density
 
 REDUCED_DENSITY_FACTOR = 12.0  # reduced edge color floor: d = 12 sqrt(eps)
@@ -376,12 +376,6 @@ class ClassificationOutcome:
         return out
 
 
-def _find_ring(h: SimpleGraph, t: int) -> Optional[tuple[int, ...]]:
-    from .graphs import _find_cycle_of_length
-
-    return _find_cycle_of_length(h, t, None)
-
-
 def main2_classify(
     c: TwoColoring,
     parts: Sequence[Iterable[int]],
@@ -420,7 +414,7 @@ def main2_classify(
         floor_density = CASE1_DENSITY_FACTOR * math.sqrt(p.eps)
         for color in ("red", "blue"):
             hcol = reduced.color_subgraph(color)
-            ring = _find_ring(hcol, t)
+            ring = _find_cycle_of_length(hcol, t)
             if ring is None:
                 continue
             ok = True

@@ -8,7 +8,8 @@ something that cannot share its bugs.
 from itertools import combinations, permutations
 from math import comb
 
-from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring, _NodeBudget, _bits
+from ramseykit.errors import BudgetExceededError
+from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring, _bits
 from ramseykit.search import _bits_to_coloring, _colex_edges, _colex_index
 
 
@@ -182,24 +183,38 @@ def reference_canonical_violated(x: list[int], sigmas, depth: int) -> bool:
     return False
 
 
+class NodeCounter:
+    """Counts DFS nodes; BudgetExceededError once more than budget are spent."""
+
+    def __init__(self, budget=None):
+        self.budget = budget
+        self.spent = 0
+
+    def spend(self):
+        self.spent += 1
+        if self.budget is not None and self.spent > self.budget:
+            raise BudgetExceededError("reference DFS node budget exhausted")
+
+
+def _counter(budget) -> NodeCounter:
+    """The budget argument of the reference DFSs: a node cap, None, or a NodeCounter."""
+    return budget if isinstance(budget, NodeCounter) else NodeCounter(budget)
+
+
+def dfs_nodes(reference, *args) -> int:
+    """Nodes a reference DFS visits on args, the unit of the walk DP's budget."""
+    counter = NodeCounter()
+    reference(*args, budget=counter)
+    return counter.spent
+
+
 def reference_count_cycles_backtrack(g: SimpleGraph, k: int, budget=None) -> int:
     """Anchored DFS over ordered walks; each k-cycle found twice.
 
     One budget node per path (a, v1, ..., vd), 1 <= d <= k-1, with a the
     least vertex; BudgetExceededError once more than budget are visited.
     """
-    return _cycle_dfs(g, k, _NodeBudget(budget))
-
-
-def cycle_dfs_nodes(g: SimpleGraph, k: int) -> int:
-    """Nodes the anchored cycle DFS visits, the unit of the cycle counters' budget."""
-    cap = 1 << 62
-    counter = _NodeBudget(cap)
-    _cycle_dfs(g, k, counter)
-    return cap - counter.left
-
-
-def _cycle_dfs(g: SimpleGraph, k: int, counter: _NodeBudget) -> int:
+    counter = _counter(budget)
     adj = g.adj
     total = 0
 
@@ -217,6 +232,70 @@ def _cycle_dfs(g: SimpleGraph, k: int, counter: _NodeBudget) -> int:
             total += extend(a, v, (1 << a) | (1 << v), 1)
     assert total % 2 == 0
     return total // 2
+
+
+def reference_count_paths_backtrack(g: SimpleGraph, k: int, budget=None) -> int:
+    """DFS from every start over walks of k distinct vertices; each path found twice.
+
+    One budget node per walk of 1 to k vertices.
+    """
+    counter = _counter(budget)
+    adj = g.adj
+
+    def extend(v: int, used: int, depth: int) -> int:
+        counter.spend()
+        if depth == k:
+            return 1
+        return sum(extend(w, used | (1 << w), depth + 1) for w in _bits(adj[v] & ~used))
+
+    total = sum(extend(s, 1 << s, 1) for s in range(g.n))
+    assert total % 2 == 0
+    return total // 2
+
+
+def reference_count_transversal_paths(sys, w0: int, ell: int, budget=None) -> int:
+    """DFS over the sequences w0 w1 ... w_ell, w_i in V_(i mod t), all distinct.
+
+    One budget node per prefix w0 ... w_i, 0 <= i <= ell.
+    """
+    counter = _counter(budget)
+    adj = sys.graph.adj
+
+    def rec(v: int, used: int, depth: int) -> int:
+        counter.spend()
+        if depth == ell:
+            return 1
+        total = 0
+        for w in sys.classes[(depth + 1) % sys.t]:
+            if not used >> w & 1 and adj[v] >> w & 1:
+                total += rec(w, used | (1 << w), depth + 1)
+        return total
+
+    return rec(w0, 1 << w0, 0)
+
+
+def reference_count_transversal_paths_between(sys, w0: int, w0_prime: int, ell: int,
+                                              budget=None) -> int:
+    """DFS over the sequences w0 w1 ... w_(ell-1) w0_prime, interior vertices
+    distinct and off both endpoints.
+
+    One budget node per prefix w0 ... w_i, 0 <= i <= ell - 1.
+    """
+    counter = _counter(budget)
+    adj = sys.graph.adj
+    blocked = (1 << w0) | (1 << w0_prime)
+
+    def rec(v: int, used: int, depth: int) -> int:
+        counter.spend()
+        if depth == ell - 1:
+            return 1 if adj[v] >> w0_prime & 1 else 0
+        total = 0
+        for w in sys.classes[(depth + 1) % sys.t]:
+            if not (used | blocked) >> w & 1 and adj[v] >> w & 1:
+                total += rec(w, used | (1 << w), depth + 1)
+        return total
+
+    return rec(w0, 0, 0)
 
 
 def reference_regularity_defect(g: SimpleGraph, xs, ys) -> float:

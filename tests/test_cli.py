@@ -144,6 +144,31 @@ class TestSearchCommands:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pattern,n", [("C5", "65"), ("K3", "65"), ("K3", "0")])
+    def test_board_size_outside_cap_exits_2(self, capsys, tmp_path, pattern, n):
+        # C5 at n = 65 used to reach the copy-mask enumeration and die there
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["mult", "--pattern", pattern, "--n", n, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --n: must be between 1 and 64, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,flag", [
+        (["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "-5"], "--budget-nodes"),
+        (["mult", "--pattern", "P5", "--n", "7", "--budget-seconds", "-1"], "--budget-seconds"),
+        (["threshold", "--pattern", "P3", "--budget-nodes", "-1"], "--budget-nodes"),
+        (["ramsey-number", "--pattern", "P3", "--n-max", "-3"], "--n-max"),
+        (["threshold", "--pattern", "P3", "--n-max", "0"], "--n-max"),
+    ])
+    def test_negative_numeric_flags_exit_2(self, capsys, tmp_path, args, flag):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ramsey_number_has_no_threads_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ramsey-number", "--pattern", "P4", "--n-max", "5", "--threads", "2"])

@@ -20,13 +20,21 @@ from ramseykit.graphs import (
     pair_index,
     pair_iter,
 )
-from ramseykit.graphs import _count_cycles_backtrack, _count_paths_backtrack
+from ramseykit.graphs import _count_cycles_backtrack, count_walks
+from ramseykit.regular import (
+    count_transversal_paths,
+    count_transversal_paths_between,
+    quasirandom_ring,
+)
 
 from .helpers import (
-    cycle_dfs_nodes,
+    dfs_nodes,
     naive_count_copies,
     random_simple_graph,
     reference_count_cycles_backtrack,
+    reference_count_paths_backtrack,
+    reference_count_transversal_paths,
+    reference_count_transversal_paths_between,
 )
 
 
@@ -88,23 +96,40 @@ class TestOracleEquivalence:
                     assert count_copies(g, h) == naive_count_copies(g, h), (n, h)
 
     def test_dp_and_backtracking_agree(self):
+        # the walk DP against the depth-first references, on hosts of 9 and
+        # of 17 to 20 vertices (the old boundary of a separate small-host census)
         rng = random.Random(23)
-        for _ in range(10):
-            g = random_simple_graph(9, 0.5, rng)
-            for k in range(3, 8):
-                assert count_copies(g, PatternGraph.cycle(k)) == _count_cycles_backtrack(g, k)
-                assert count_copies(g, PatternGraph.path(k)) == _count_paths_backtrack(g, k)
+        for n, p, ks in [(9, 0.5, range(3, 8))] * 10 + [(n, 0.3, range(3, 7)) for n in range(17, 21)]:
+            g = random_simple_graph(n, p, rng)
+            for k in ks:
+                assert count_copies(g, PatternGraph.cycle(k)) == reference_count_cycles_backtrack(g, k)
+                assert count_copies(g, PatternGraph.path(k)) == reference_count_paths_backtrack(g, k)
 
 
-def _capped(count, g, k, budget):
+def _capped(count, *args, budget):
     try:
-        return count(g, k, budget)
+        return count(*args, budget=budget)
     except BudgetExceededError:
         return "budget"
 
 
+def _assert_budget_sweep(count, reference, args, rng):
+    """Same value, or the same BudgetExceededError, at budgets None, 0, 1,
+    the DFS node count N, N - 1 and one drawn from [0, N + 2]."""
+    nodes = dfs_nodes(reference, *args)
+    for budget in (None, 0, 1, nodes, nodes - 1, rng.randint(0, nodes + 2)):
+        got = _capped(count, *args, budget=budget)
+        assert got == _capped(reference, *args, budget=budget), (args, budget)
+    assert _capped(count, *args, budget=nodes) != "budget"
+
+
+def _random_ring(rng):
+    t = rng.randint(2, 4)
+    return quasirandom_ring([rng.randint(1, 4) for _ in range(t)], rng.random(), rng)
+
+
 class TestCappedCycleCount:
-    """The (mask, end) DP against the anchored DFS it replaced, budget included."""
+    """The (mask, end) walk DP against the depth-first counters it replaced, budget included."""
 
     def test_matches_reference_dfs_on_random_hosts(self):
         rng = random.Random(41)
@@ -112,12 +137,31 @@ class TestCappedCycleCount:
             n = rng.randint(2, 9)
             g = random_simple_graph(n, rng.random(), rng)
             k = rng.randint(3, n + 1)
-            nodes = cycle_dfs_nodes(g, k)
-            for budget in (None, 0, 1, rng.randint(0, nodes + 2)):
-                got = _capped(_count_cycles_backtrack, g, k, budget)
-                assert got == _capped(reference_count_cycles_backtrack, g, k, budget), (
-                    g.adj, k, budget,
-                )
+            _assert_budget_sweep(_count_cycles_backtrack, reference_count_cycles_backtrack,
+                                 (g, k), rng)
+
+    def test_path_walks_match_reference_dfs(self):
+        def count_paths(g, k, budget):
+            walks, _ = count_walks(g.adj, [(1 << g.n) - 1] * k, budget=budget)
+            return walks // 2
+
+        rng = random.Random(47)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            g = random_simple_graph(n, rng.random(), rng)
+            _assert_budget_sweep(count_paths, reference_count_paths_backtrack,
+                                 (g, rng.randint(2, n)), rng)
+
+    def test_transversal_counters_match_reference_dfs(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            sys = _random_ring(rng)
+            w0, w1 = rng.choice(sys.classes[0]), rng.choice(sys.classes[0])
+            _assert_budget_sweep(count_transversal_paths, reference_count_transversal_paths,
+                                 (sys, w0, rng.randint(1, 8)), rng)
+            _assert_budget_sweep(count_transversal_paths_between,
+                                 reference_count_transversal_paths_between,
+                                 (sys, w0, w1, sys.t * rng.randint(1, 3)), rng)
 
     def test_budget_is_exact_at_the_dfs_node_count(self):
         rng = random.Random(43)
@@ -126,7 +170,7 @@ class TestCappedCycleCount:
             n = rng.randint(3, 9)
             g = random_simple_graph(n, rng.choice([0.4, 0.7, 1.0]), rng)
             k = rng.randint(3, n)
-            nodes = cycle_dfs_nodes(g, k)
+            nodes = dfs_nodes(reference_count_cycles_backtrack, g, k)
             if nodes == 0:
                 continue
             want = reference_count_cycles_backtrack(g, k)
@@ -140,7 +184,7 @@ class TestCappedCycleCount:
     def test_budget_counts_across_anchors(self):
         # C5 in K5: anchors 0..3 visit 64, 15, 4 and 1 DFS nodes
         g = SimpleGraph.complete(5)
-        assert cycle_dfs_nodes(g, 5) == 84
+        assert dfs_nodes(reference_count_cycles_backtrack, g, 5) == 84
         assert _count_cycles_backtrack(g, 5, 84) == 12
         for budget in (64, 79, 83):
             with pytest.raises(BudgetExceededError):
