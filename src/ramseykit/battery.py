@@ -20,7 +20,7 @@ from .extremal import (
     verify_claim_bridged_cliques,
     verify_claim_common_neighbor,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, vertex_set
 
 CLAIMS = ("common-neighbor", "bridged-cliques", "alternating", "two-matching")
 
@@ -68,7 +68,7 @@ def _gen_common_neighbor(rng: random.Random):
     for e in inner[: rng.randint(1, 3)]:
         edges.add(e)
     f = SimpleGraph.from_edges(n, edges)
-    t_mask = sum(1 << v for v in t_vs)
+    t_mask = vertex_set(t_vs, n, "T")[1]
     s = min(
         (f.adj[u] & f.adj[v] & t_mask).bit_count()
         for i, u in enumerate(s_vs)

@@ -10,6 +10,7 @@ mandatory wherever randomness is involved.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -54,8 +55,10 @@ def _parse_vertex_set(spec: str, flag: str) -> list[int]:
         for chunk in spec.split(","):
             chunk = chunk.strip()
             if "-" in chunk:
-                lo, hi = chunk.split("-")
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, chunk.split("-"))
+                if lo > hi:
+                    raise PreconditionError(f"{flag}: reversed range {chunk!r} in {spec!r}")
+                out.extend(range(lo, hi + 1))
             elif chunk:
                 out.append(int(chunk))
     except ValueError:
@@ -272,6 +275,8 @@ def _cmd_classify(args) -> int:
             m = int(args.parts.split("M=", 1)[1])
         except (IndexError, ValueError):
             raise PreconditionError("--parts: expected auto-random:M=<count>")
+        if not 1 <= m <= coloring.n:
+            raise PreconditionError(f"--parts: auto-random needs 1 <= M <= {coloring.n}, got {m}")
         rng = random.Random(args.seed)
         order = list(range(coloring.n))
         rng.shuffle(order)
@@ -442,9 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except KcolParseError as err:

@@ -40,6 +40,7 @@ from .graphs import (
     TwoColoring,
     count_copies,
     pair_index,
+    vertex_set,
 )
 
 EXACT_PARTITION_CAP = 24  # 2^(n-1) bipartitions; memory ~2^n ints per color
@@ -68,44 +69,22 @@ def chi(a: int, b: int) -> TwoColoring:
 # ---------------------------------------------------------------------------
 
 
-def _as_set(vertices: Iterable[int], n: int, name: str) -> tuple[int, ...]:
-    vs = tuple(sorted(set(vertices)))
-    if vs and (vs[0] < 0 or vs[-1] >= n):
-        raise PreconditionError(f"{name} contains vertices outside 0..{n-1}")
-    return vs
-
-
-def _mask_of(vertices: Sequence[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _within_edges(g: SimpleGraph, mask: int) -> int:
-    return sum((g.adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
-
-
-def _cross_edges(g: SimpleGraph, mask_a: int, mask_b: int) -> int:
-    return sum((g.adj[v] & mask_b).bit_count() for v in range(g.n) if mask_a >> v & 1)
-
-
 def within_density(g: SimpleGraph, vertices: Iterable[int]) -> Fraction:
     """Pair-normalized density e(S)/C(|S|,2); 1 for fewer than two vertices."""
-    vs = _as_set(vertices, g.n, "S")
+    vs, mask = vertex_set(vertices, g.n, "S")
     if len(vs) < 2:
         return Fraction(1)
-    return Fraction(_within_edges(g, _mask_of(vs)), comb(len(vs), 2))
+    return Fraction(sum((g.adj[v] & mask).bit_count() for v in vs) // 2, comb(len(vs), 2))
 
 
 def cross_density(g: SimpleGraph, a_set: Iterable[int], b_set: Iterable[int]) -> Fraction:
-    va = _as_set(a_set, g.n, "A")
-    vb = _as_set(b_set, g.n, "B")
-    if not va or not vb:
+    va, ma = vertex_set(a_set, g.n, "A")
+    vb, mb = vertex_set(b_set, g.n, "B")
+    if not ma or not mb:
         raise PreconditionError("cross density needs two nonempty sets")
-    if set(va) & set(vb):
+    if ma & mb:
         raise PreconditionError("cross density needs disjoint sets")
-    return Fraction(_cross_edges(g, _mask_of(va), _mask_of(vb)), len(va) * len(vb))
+    return Fraction(sum((g.adj[v] & mb).bit_count() for v in va), len(va) * len(vb))
 
 
 def extremal_inequalities(
@@ -118,9 +97,9 @@ def extremal_inequalities(
     convention lhs >= rhs.
     """
     n = c.n
-    va = _as_set(a_set, n, "A")
-    vb = _as_set(b_set, n, "B")
-    if not va or not vb or set(va) & set(vb) or len(va) + len(vb) != n:
+    va, ma = vertex_set(a_set, n, "A")
+    vb, mb = vertex_set(b_set, n, "B")
+    if not ma or not mb or ma & mb or len(va) + len(vb) != n:
         raise PreconditionError("A, B must partition the vertex set and be nonempty")
     if within_color not in ("red", "blue"):
         raise PreconditionError("within_color must be 'red' or 'blue'")
@@ -154,8 +133,8 @@ def partition_parameter(
 ) -> float:
     """Smallest lambda making the five inequalities hold for this partition."""
     n = c.n
-    va = _as_set(a_set, n, "A")
-    vb = tuple(v for v in range(n) if v not in set(va))
+    va, ma = vertex_set(a_set, n, "A")
+    vb = tuple(v for v in range(n) if not ma >> v & 1)
     if not va or not vb:
         raise PreconditionError("both parts must be nonempty")
     g_in = c.red_graph() if within_color == "red" else c.blue_graph()
@@ -316,15 +295,14 @@ def cleanup(
     size and degree guarantees are re-verified before returning.
     """
     n = c.n
-    va = _as_set(a_set, n, "A")
-    vb = _as_set(b_set, n, "B")
+    va, ma = vertex_set(a_set, n, "A")
+    vb, mb = vertex_set(b_set, n, "B")
     rows = extremal_inequalities(c, va, vb, lam, "red")
     for name, ok, lhs, rhs in rows:
         if "density" in name and not ok:
             raise PreconditionError(f"{name}: {lhs:.6f} < {rhs:.6f}")
     gr, gb = c.red_graph(), c.blue_graph()
     root = math.sqrt(lam)
-    ma, mb = _mask_of(va), _mask_of(vb)
 
     def bad(vs, own_mask, other_mask, own_size, other_size):
         out = []
@@ -337,43 +315,24 @@ def cleanup(
 
     x = bad(va, ma, mb, len(va), len(vb))
     y = bad(vb, mb, ma, len(vb), len(va))
-    a_prime = tuple(v for v in va if v not in set(x))
-    b_prime = tuple(v for v in vb if v not in set(y))
+    a_prime, map_ = vertex_set(set(va) - set(x), n, "A'")
+    b_prime, mbp = vertex_set(set(vb) - set(y), n, "B'")
     checks = [
         (len(x) <= 2 * root * len(va) + 1e-9, "|X| <= 2 sqrt(lam) |A|"),
         (len(y) <= 2 * root * len(vb) + 1e-9, "|Y| <= 2 sqrt(lam) |B|"),
         (len(a_prime) >= (1 - 2 * root) * len(va) - 1e-9, "|A'| >= (1 - 2 sqrt(lam)) |A|"),
         (len(b_prime) >= (1 - 2 * root) * len(vb) - 1e-9, "|B'| >= (1 - 2 sqrt(lam)) |B|"),
     ]
-    map_, mbp = _mask_of(a_prime), _mask_of(b_prime)
-    floor_a_in = (1 - 3 * root) * len(va)
-    floor_b_in = (1 - 3 * root) * len(vb)
-    for v in a_prime:
-        checks.append(
-            (
-                (gr.adj[v] & map_).bit_count() >= floor_a_in - 1e-9,
-                f"red degree of {v} in A'",
-            )
-        )
-        checks.append(
-            (
-                (gb.adj[v] & mbp).bit_count() >= floor_b_in - 1e-9,
-                f"blue degree of {v} into B'",
-            )
-        )
-    for v in b_prime:
-        checks.append(
-            (
-                (gr.adj[v] & mbp).bit_count() >= floor_b_in - 1e-9,
-                f"red degree of {v} in B'",
-            )
-        )
-        checks.append(
-            (
-                (gb.adj[v] & map_).bit_count() >= floor_a_in - 1e-9,
-                f"blue degree of {v} into A'",
-            )
-        )
+    floor = {"A'": (1 - 3 * root) * len(va), "B'": (1 - 3 * root) * len(vb)}
+    for own, part, own_mask, other, other_mask in (
+        ("A'", a_prime, map_, "B'", mbp),
+        ("B'", b_prime, mbp, "A'", map_),
+    ):
+        for v in part:
+            red_in = (gr.adj[v] & own_mask).bit_count()
+            blue_out = (gb.adj[v] & other_mask).bit_count()
+            checks.append((red_in >= floor[own] - 1e-9, f"red degree of {v} in {own}"))
+            checks.append((blue_out >= floor[other] - 1e-9, f"blue degree of {v} into {other}"))
     for ok, what in checks:
         if not ok:
             raise PreconditionError(f"cleanup guarantee failed: {what}")
@@ -424,13 +383,12 @@ def verify_claim_common_neighbor(
     s is taken as the worst common-neighborhood size in T over pairs of S;
     an edge inside S must exist.
     """
-    vs = _as_set(s_set, f.n, "S")
-    vt = _as_set(t_set, f.n, "T")
-    if set(vs) & set(vt):
+    vs, s_mask = vertex_set(s_set, f.n, "S")
+    vt, t_mask = vertex_set(t_set, f.n, "T")
+    if s_mask & t_mask:
         raise HypothesisError("S and T must be disjoint")
     if len(vs) < 2:
         raise HypothesisError("S needs at least two vertices")
-    t_mask = _mask_of(vt)
     s = None
     worst = None
     for i, u in enumerate(vs):
@@ -492,16 +450,15 @@ def verify_claim_bridged_cliques(
     l: int,
 ) -> ClaimVerification:
     """Two cliques joined by two disjoint short paths force many l-cycles."""
-    vs = _as_set(s_set, f.n, "S")
-    vt = _as_set(t_set, f.n, "T")
-    if set(vs) & set(vt):
+    vs, sm = vertex_set(s_set, f.n, "S")
+    vt, tm = vertex_set(t_set, f.n, "T")
+    if sm & tm:
         raise HypothesisError("S and T must be disjoint")
     for name, part in (("S", vs), ("T", vt)):
         for i, u in enumerate(part):
             for v in part[i + 1 :]:
                 if not f.has_edge(u, v):
                     raise HypothesisError(f"{name} is not a clique: missing ({u}, {v})")
-    sm, tm = _mask_of(vs), _mask_of(vt)
     _check_bridge(f, p1, sm, tm, "P1")
     _check_bridge(f, p2, sm, tm, "P2")
     if set(p1) & set(p2):
@@ -531,13 +488,12 @@ def verify_claim_alternating(
     l: int,
 ) -> ClaimVerification:
     """Near-complete bipartite S-T plus an external two-path force l-cycles."""
-    vs = _as_set(s_set, f.n, "S")
-    vt = _as_set(t_set, f.n, "T")
-    if set(vs) & set(vt):
+    vs, sm = vertex_set(s_set, f.n, "S")
+    vt, tm = vertex_set(t_set, f.n, "T")
+    if sm & tm:
         raise HypothesisError("S and T must be disjoint")
     if w not in vs:
         raise HypothesisError("w must lie in S")
-    tm = _mask_of(vt)
     for u in vs:
         if u == w:
             continue
@@ -549,7 +505,7 @@ def verify_claim_alternating(
         raise HypothesisError("w has no neighbor in T")
     if len(p_prime) != 3:
         raise HypothesisError("P' must be a path of length exactly two")
-    _check_bridge(f, p_prime, _mask_of(vs), tm, "P'")
+    _check_bridge(f, p_prime, sm, tm, "P'")
     if l % 2 == 0:
         raise PreconditionError("cycle length l must be odd")
     if not 7 <= l <= min(2 * len(vs) + 1, 2 * len(vt) + 1):
@@ -609,9 +565,9 @@ def two_matching_reduction(
     exist no such vertex does, and TwoMatchingExistsError carries them
     (the caller's signal to switch to the bridged-cliques argument).
     """
-    vs = _as_set(s_set, f.n, "S")
-    vt = _as_set(t_set, f.n, "T")
-    if set(vs) & set(vt):
+    vs, sm = vertex_set(s_set, f.n, "S")
+    vt, tm = vertex_set(t_set, f.n, "T")
+    if sm & tm:
         raise PreconditionError("S and T must be disjoint")
     rows = [sum(1 << j for j, t in enumerate(vt) if f.has_edge(u, t)) for u in vs]
     verdict = _two_matching_core(rows)
@@ -697,8 +653,8 @@ def case2_lower_bound(
         raise PreconditionError(f"need n = 2k-1 = {2*k-1}, got {n}")
     if k % 2 == 0 or k < 3:
         raise PreconditionError("k must be an odd integer >= 3")
-    va = _as_set(a_set, n, "A")
-    vb = _as_set(b_set, n, "B")
+    va = vertex_set(a_set, n, "A")[0]
+    vb = vertex_set(b_set, n, "B")[0]
 
     def rows_ok(color):
         rows = extremal_inequalities(c, va, vb, lam, color)
@@ -730,7 +686,7 @@ def case2_lower_bound(
         return {"red": "blue", "blue": "red"}[label]
 
     def fire_common_neighbor(s_vs, t_vs, edge, stage: str) -> CaseTwoCertificate:
-        t_mask = _mask_of(t_vs)
+        t_mask = vertex_set(t_vs, n, "T")[1]
         s = min(
             _common_in(gb, u, v, t_mask)
             for i, u in enumerate(s_vs)

@@ -45,6 +45,19 @@ def pair_iter(n: int) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
+def vertex_set(vertices: Iterable[int], n: int, name: str) -> tuple[tuple[int, ...], int]:
+    """The vertices sorted and de-duplicated, with their bitmask.
+
+    The one validator of vertex-set inputs: a vertex outside 0..n-1 raises
+    PreconditionError naming the set. Emptiness and disjointness are the
+    caller's to test, on the masks.
+    """
+    vs = tuple(sorted(set(vertices)))
+    if vs and (vs[0] < 0 or vs[-1] >= n):
+        raise PreconditionError(f"{name} has vertices outside 0..{n-1}")
+    return vs, sum(1 << v for v in vs)
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1 with bitset adjacency rows."""

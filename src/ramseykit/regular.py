@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import rounding
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import SimpleGraph, _count_cycles_backtrack, count_walks
+from .graphs import SimpleGraph, _count_cycles_backtrack, count_walks, vertex_set
 
 EXACT_REGULARITY_CAP = 14
 
@@ -37,13 +36,22 @@ EXACT_REGULARITY_CAP = 14
 # ---------------------------------------------------------------------------
 
 
-def _as_tuple(vertices: Iterable[int], n: int, name: str) -> tuple[int, ...]:
-    vs = tuple(sorted(set(vertices)))
-    if not vs:
-        raise PreconditionError(f"{name} must be nonempty")
-    if vs[0] < 0 or vs[-1] >= n:
-        raise PreconditionError(f"{name} has vertices outside 0..{n-1}")
-    return vs
+def _pair(g: SimpleGraph, xs, ys, y_name: str = "Y", identical_ok: bool = False):
+    """X and Y through graphs.vertex_set, nonempty and disjoint (or, with
+    identical_ok, identical): (vx, mx, vy, my)."""
+    vx, mx = vertex_set(xs, g.n, "X")
+    vy, my = vertex_set(ys, g.n, y_name)
+    if not mx or not my:
+        raise PreconditionError(f"X and {y_name} must be nonempty")
+    if mx & my and not (identical_ok and mx == my):
+        either = " or identical" if identical_ok else ""
+        raise PreconditionError(f"X and {y_name} must be disjoint{either}")
+    return vx, mx, vy, my
+
+
+def _edges_into(g: SimpleGraph, vs: Iterable[int], mask: int) -> int:
+    """Edges from the vertices vs into the vertex mask."""
+    return sum((g.adj[v] & mask).bit_count() for v in vs)
 
 
 def density(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> float:
@@ -51,17 +59,8 @@ def density(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> float:
 
     X and Y must be either disjoint or identical.
     """
-    vx = _as_tuple(xs, g.n, "X")
-    vy = _as_tuple(ys, g.n, "Y")
-    if vx == vy:
-        mask = sum(1 << v for v in vx)
-        e2 = sum((g.adj[v] & mask).bit_count() for v in vx)  # = 2 e(X)
-        return float(Fraction(e2, len(vx) ** 2))
-    if set(vx) & set(vy):
-        raise PreconditionError("X and Y must be disjoint or identical")
-    my = sum(1 << v for v in vy)
-    e = sum((g.adj[v] & my).bit_count() for v in vx)
-    return float(Fraction(e, len(vx) * len(vy)))
+    vx, _, vy, my = _pair(g, xs, ys, identical_ok=True)
+    return _edges_into(g, vx, my) / (len(vx) * len(vy))
 
 
 @dataclass(frozen=True)
@@ -71,110 +70,25 @@ class RegularityResult:
     deviation: Optional[float] = None
 
 
-def _degrees_into(g: SimpleGraph, umask: int, ys: Sequence[int]) -> list[int]:
-    return [(g.adj[y] & umask).bit_count() for y in ys]
+def _deviation_table(g: SimpleGraph, vx: Sequence[int], vy: Sequence[int], my: int):
+    """The one exact subset scan: the worst deviation of every (|U|, |V|) cell.
 
-
-def check_regularity(
-    g: SimpleGraph,
-    xs: Iterable[int],
-    ys: Iterable[int],
-    eps: float,
-    mode: str = "exact",
-    samples: int = 200,
-    seed: Optional[int] = None,
-) -> RegularityResult:
-    """Decide eps-regularity of the disjoint pair (X, Y) in g.
-
-    Exact mode enumerates every U subset X above the size floor and, for
-    each, the extremal V of every admissible size (the densest/sparsest V
-    of size m consists of the m largest/smallest degrees into U), so it is
-    a full decision procedure for |X|, |Y| <= 14. Randomized mode samples
-    floor-size subset pairs and can only answer "irregular" (with witness)
-    or "unknown".
-    """
-    vx = _as_tuple(xs, g.n, "X")
-    vy = _as_tuple(ys, g.n, "Y")
-    if set(vx) & set(vy):
-        raise PreconditionError("X and Y must be disjoint")
-    if not 0 < eps < 1:
-        raise PreconditionError("eps must lie in (0, 1)")
-    d = Fraction(
-        sum((g.adj[x] & sum(1 << y for y in vy)).bit_count() for x in vx),
-        len(vx) * len(vy),
-    )
-    u0 = max(1, math.ceil(eps * len(vx) - 1e-12))
-    v0 = max(1, math.ceil(eps * len(vy) - 1e-12))
-    if mode == "randomized":
-        if seed is None:
-            raise PreconditionError("randomized mode requires a seed")
-        rng = random.Random(seed)
-        for _ in range(samples):
-            u = tuple(sorted(rng.sample(vx, u0)))
-            v = tuple(sorted(rng.sample(vy, v0)))
-            mv = sum(1 << w for w in v)
-            e = sum((g.adj[x] & mv).bit_count() for x in u)
-            dev = abs(float(Fraction(e, len(u) * len(v)) - d))
-            if dev > eps + 1e-15:
-                return RegularityResult("irregular", (u, v), dev)
-        return RegularityResult("unknown")
-    if mode != "exact":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if len(vx) > EXACT_REGULARITY_CAP or len(vy) > EXACT_REGULARITY_CAP:
-        raise PreconditionError(
-            f"exact mode supports side sizes <= {EXACT_REGULARITY_CAP}"
-        )
-    for umask_bits in range(1, 1 << len(vx)):
-        usize = umask_bits.bit_count()
-        if usize < u0:
-            continue
-        umask = 0
-        for b in range(len(vx)):
-            if umask_bits >> b & 1:
-                umask |= 1 << vx[b]
-        degs = _degrees_into(g, umask, vy)
-        order = sorted(range(len(vy)), key=lambda idx: degs[idx])
-        sorted_degs = [degs[idx] for idx in order]
-        prefix = [0]
-        for dg in sorted_degs:
-            prefix.append(prefix[-1] + dg)
-        total = prefix[-1]
-        for m in range(v0, len(vy) + 1):
-            lo_e = prefix[m]
-            hi_e = total - prefix[len(vy) - m]
-            denom = usize * m
-            for e_val, pick in ((hi_e, order[len(vy) - m :]), (lo_e, order[:m])):
-                dev = abs(Fraction(e_val, denom) - d)
-                if float(dev) > eps + 1e-15:
-                    u = tuple(vx[b] for b in range(len(vx)) if umask_bits >> b & 1)
-                    v = tuple(sorted(vy[idx] for idx in pick))
-                    return RegularityResult("irregular", (u, v), float(dev))
-    return RegularityResult("regular")
-
-
-def regularity_defect(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> float:
-    """The infimum eps for which (X, Y) is eps-regular (may be unattained).
-
-    Built from the full table of worst deviations by subset-size pair,
-    intersected with the size-floor geometry ceil(eps|X|), ceil(eps|Y|).
     With E = e(X, Y), the deviation of U, V with e edges between them is
     |e/(|U| m) - E/(nx ny)| = |e nx ny - E |U| m| / (|U| m nx ny), m = |V|,
-    whose denominator is fixed per (|U|, m) cell, so each cell keeps its
-    largest integer numerator and is divided once at the end. Integer true
-    division rounds correctly and rounding is monotone, so every cell gets
-    the same float as the largest of its exactly computed deviations.
+    whose denominator is fixed per (|U|, m) cell. Each U is scanned once:
+    the densest and sparsest V of size m are the m largest and smallest
+    degrees into U, so worst[i][m] keeps the largest integer numerator over
+    |U| = i, and arg[i][m] the vertex mask of the first U reaching it
+    (written only when the cell's maximum improves).
     """
-    vx = _as_tuple(xs, g.n, "X")
-    vy = _as_tuple(ys, g.n, "Y")
-    if set(vx) & set(vy):
-        raise PreconditionError("X and Y must be disjoint")
-    if len(vx) > EXACT_REGULARITY_CAP or len(vy) > EXACT_REGULARITY_CAP:
-        raise PreconditionError(f"defect supports side sizes <= {EXACT_REGULARITY_CAP}")
     nx, ny = len(vx), len(vy)
+    if nx > EXACT_REGULARITY_CAP or ny > EXACT_REGULARITY_CAP:
+        raise PreconditionError(f"exact regularity supports side sizes <= {EXACT_REGULARITY_CAP}")
     nxy = nx * ny
-    edges = sum((g.adj[x] & sum(1 << y for y in vy)).bit_count() for x in vx)
+    edges = _edges_into(g, vx, my)
     cols = [g.adj[y] for y in vy]
-    worst = [[0] * (ny + 1) for _ in range(nx + 1)]  # largest numerator per cell
+    worst = [[0] * (ny + 1) for _ in range(nx + 1)]
+    arg = [[0] * (ny + 1) for _ in range(nx + 1)]
     umasks = [0] * (1 << nx)  # umasks[bits] = the vertices of vx picked by bits
     for umask_bits in range(1, 1 << nx):
         low = umask_bits & -umask_bits
@@ -191,6 +105,82 @@ def regularity_defect(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> f
             num = max(hi_e * nxy - target, target - lo_e * nxy)
             if num > row[m]:
                 row[m] = num
+                arg[usize][m] = umask
+    return worst, arg, edges
+
+
+def check_regularity(
+    g: SimpleGraph,
+    xs: Iterable[int],
+    ys: Iterable[int],
+    eps: float,
+    mode: str = "exact",
+    samples: int = 200,
+    seed: Optional[int] = None,
+) -> RegularityResult:
+    """Decide eps-regularity of the disjoint pair (X, Y) in g.
+
+    Exact mode reads the deviation table of _deviation_table, a full
+    decision procedure for |X|, |Y| <= EXACT_REGULARITY_CAP: the pair is
+    irregular iff a cell with |U| >= u0 and |V| >= v0 has a deviation above
+    eps. The witness comes from the worst such cell: its U, and the |V|
+    highest- or lowest-degree vertices of Y into U. Randomized mode samples
+    floor-size subset pairs and can only answer "irregular" (with witness)
+    or "unknown". Every deviation is an integer ratio divided once, so it is
+    correctly rounded.
+    """
+    vx, _, vy, my = _pair(g, xs, ys)
+    if not 0 < eps < 1:
+        raise PreconditionError("eps must lie in (0, 1)")
+    nx, ny = len(vx), len(vy)
+    nxy = nx * ny
+    u0 = max(1, math.ceil(eps * nx - 1e-12))
+    v0 = max(1, math.ceil(eps * ny - 1e-12))
+    if mode == "randomized":
+        if seed is None:
+            raise PreconditionError("randomized mode requires a seed")
+        rng = random.Random(seed)
+        target = _edges_into(g, vx, my) * u0 * v0
+        for _ in range(samples):
+            u = tuple(sorted(rng.sample(vx, u0)))
+            v, mv = vertex_set(rng.sample(vy, v0), g.n, "V")
+            dev = abs(_edges_into(g, u, mv) * nxy - target) / (u0 * v0 * nxy)
+            if dev > eps:
+                return RegularityResult("irregular", (u, v), dev)
+        return RegularityResult("unknown")
+    if mode != "exact":
+        raise PreconditionError(f"unknown mode {mode!r}")
+    worst, arg, edges = _deviation_table(g, vx, vy, my)
+    dev, i, m = max(
+        (worst[i][m] / (i * m * nxy), i, m)
+        for i in range(u0, nx + 1)
+        for m in range(v0, ny + 1)
+    )
+    if not dev > eps:
+        return RegularityResult("regular")
+    umask = arg[i][m]
+    degs = [(g.adj[y] & umask).bit_count() for y in vy]
+    order = sorted(range(ny), key=degs.__getitem__)
+    hi, lo = order[ny - m :], order[:m]
+    target = edges * i * m
+    pick = hi if sum(degs[k] for k in hi) * nxy - target == worst[i][m] else lo
+    u = tuple(x for x in vx if umask >> x & 1)
+    return RegularityResult("irregular", (u, tuple(sorted(vy[k] for k in pick))), dev)
+
+
+def regularity_defect(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> float:
+    """The infimum eps for which (X, Y) is eps-regular (may be unattained).
+
+    Built from the deviation table of _deviation_table, intersected with
+    the size-floor geometry ceil(eps|X|), ceil(eps|Y|). Each cell's largest
+    numerator is divided once; integer true division rounds correctly and
+    rounding is monotone, so every cell gets the same float as the largest
+    of its exactly computed deviations.
+    """
+    vx, _, vy, my = _pair(g, xs, ys)
+    worst = _deviation_table(g, vx, vy, my)[0]
+    nx, ny = len(vx), len(vy)
+    nxy = nx * ny
     # suffix maxima: S[i][j] = worst deviation over sizes >= (i, j)
     suffix = [[0.0] * (ny + 2) for _ in range(nx + 2)]
     for i in range(nx, 0, -1):
@@ -215,9 +205,7 @@ def degree_exception_counts(
     g: SimpleGraph, xs: Iterable[int], y_sub: Iterable[int], d: float, eps: float
 ) -> tuple[int, int]:
     """Vertices of X with degree into Y' above (d+eps)|Y'| / below (d-eps)|Y'|."""
-    vx = _as_tuple(xs, g.n, "X")
-    vy = _as_tuple(y_sub, g.n, "Y'")
-    my = sum(1 << y for y in vy)
+    vx, _, vy, my = _pair(g, xs, y_sub, "Y'")
     hi = lo = 0
     for x in vx:
         deg = (g.adj[x] & my).bit_count()
@@ -247,16 +235,20 @@ class PairSystem:
 
     classes: tuple[tuple[int, ...], ...]
     graph: SimpleGraph
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = len(self.classes)
         if t < 2:
             raise PreconditionError("a pair system needs at least 2 classes")
-        seen: set[int] = set()
-        for cls in self.classes:
-            if set(cls) & seen:
+        masks, seen = [], 0
+        for i, cls in enumerate(self.classes):
+            mask = vertex_set(cls, self.graph.n, f"class {i}")[1]
+            if mask & seen:
                 raise PreconditionError("classes must be pairwise disjoint")
-            seen.update(cls)
+            masks.append(mask)
+            seen |= mask
+        object.__setattr__(self, "masks", tuple(masks))
         cls_of = self.class_of
         for u, v in self.graph.edges():
             cu, cv = cls_of.get(u), cls_of.get(v)
@@ -347,8 +339,7 @@ def count_transversal_paths(
         raise PreconditionError("path length must be >= 1")
     if w0 not in sys.classes[0]:
         raise PreconditionError("w0 must lie in class V_0")
-    masks = _class_masks(sys)
-    steps = [1 << w0] + [masks[i % sys.t] for i in range(1, ell + 1)]
+    steps = [1 << w0] + [sys.masks[i % sys.t] for i in range(1, ell + 1)]
     return count_walks(sys.graph.adj, steps, budget=budget)[0]
 
 
@@ -370,14 +361,9 @@ def count_transversal_paths_between(
         raise PreconditionError("ell must be >= 2")
     if w0 not in sys.classes[0] or w0_prime not in sys.classes[0]:
         raise PreconditionError("both endpoints must lie in V_0")
-    masks = _class_masks(sys)
     ends = (1 << w0) | (1 << w0_prime)
-    steps = [1 << w0] + [masks[i % sys.t] & ~ends for i in range(1, ell)]
+    steps = [1 << w0] + [sys.masks[i % sys.t] & ~ends for i in range(1, ell)]
     return count_walks(sys.graph.adj, steps, w0_prime, budget)[0]
-
-
-def _class_masks(sys: PairSystem) -> list[int]:
-    return [sum(1 << v for v in cls) for cls in sys.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +623,9 @@ def _measure(sys: PairSystem) -> tuple[float, float]:
 
 
 def _qualifying_vertex(sys: PairSystem, cls_idx: int, nbr_cls: int, floor: float):
-    cls = sys.classes[cls_idx]
-    nbrs = sys.classes[nbr_cls]
-    mask = sum(1 << v for v in nbrs)
+    mask = sys.masks[nbr_cls]
     best, best_deg = None, -1
-    for v in cls:
+    for v in sys.classes[cls_idx]:
         deg = (sys.graph.adj[v] & mask).bit_count()
         if deg > best_deg:
             best, best_deg = v, deg
@@ -713,8 +697,7 @@ def _verify_one(
         w0, ok0 = _qualifying_vertex(sys, 0, 1 % t, (d_min - eps_hat) * len(sys.classes[1 % t]))
         cls0 = [v for v in sys.classes[0] if v != w0]
         w0p = rng.choice(cls0) if cls0 else w0
-        mask_last = sum(1 << v for v in sys.classes[t - 1])
-        degp = (sys.graph.adj[w0p] & mask_last).bit_count()
+        degp = (sys.graph.adj[w0p] & sys.masks[t - 1]).bit_count()
         ok1 = degp >= (d_min - eps_hat) * len(sys.classes[t - 1]) - 1e-12
         if not (ok0 and ok1):
             return LemmaRow(

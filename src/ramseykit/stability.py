@@ -18,8 +18,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
 from .extremal import ExtremalAssessment, extremal_parameter
-from .graphs import SimpleGraph, TwoColoring, _find_cycle_of_length, cycle_spectrum
-from .regular import RegimeParams, check_regularity, density
+from .graphs import SimpleGraph, TwoColoring, _find_cycle_of_length, cycle_spectrum, vertex_set
+from .regular import EXACT_REGULARITY_CAP, RegimeParams, check_regularity, density
 
 REDUCED_DENSITY_FACTOR = 12.0  # reduced edge color floor: d = 12 sqrt(eps)
 CASE1_DENSITY_FACTOR = 11.0  # witness pairs are asserted at 11 sqrt(eps)
@@ -65,20 +65,6 @@ class ReducedGraph:
         }
 
 
-def _normalize_parts(parts: Sequence[Iterable[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(sorted(set(p))) for p in parts)
-    seen: set[int] = set()
-    for p in out:
-        if not p:
-            raise PreconditionError("empty part")
-        if set(p) & seen:
-            raise PreconditionError("parts must be disjoint")
-        seen.update(p)
-    if seen - set(range(n)):
-        raise PreconditionError("part vertices outside the coloring")
-    return out
-
-
 def build_reduced(
     c: TwoColoring,
     parts: Sequence[Iterable[int]],
@@ -94,9 +80,22 @@ def build_reduced(
     are left uncolored. Red- and blue-regularity coincide inside a colored
     K_n, so regularity is checked once, on the red bipartite graph. With
     randomized checking, pairs with no violation witness are treated as
-    regular and reported unproven.
+    regular and reported unproven. Each part goes through graphs.vertex_set;
+    an empty partition, an empty part or two parts that meet raise
+    PreconditionError.
     """
-    pts = _normalize_parts(parts, c.n)
+    pts, seen = [], 0
+    for i, part in enumerate(parts):
+        vs, mask = vertex_set(part, c.n, f"part {i}")
+        if not mask:
+            raise PreconditionError(f"part {i} is empty")
+        if mask & seen:
+            raise PreconditionError(f"part {i} meets an earlier part")
+        pts.append(vs)
+        seen |= mask
+    if not pts:
+        raise PreconditionError("the partition needs at least one part")
+    pts = tuple(pts)
     sizes = sorted(len(x) for x in pts)
     equitable = sizes[-1] - sizes[0] <= 1
     # construction rule d = 12 sqrt(eps); an explicit floor in p overrides
@@ -389,7 +388,9 @@ def main2_classify(
     Case 1 holds when the reduced graph has a monochromatic odd cycle of
     the window length t; the emitted ring is re-verified pairwise
     (regularity at eps, color density at 11 sqrt(eps), the build threshold
-    12 sqrt(eps) being what the construction used). Case 2 compares the
+    12 sqrt(eps) being what the construction used); a ring pair with a part
+    above EXACT_REGULARITY_CAP, which only randomized checking lets through,
+    gets no exact re-check and is named in the flags. Case 2 compares the
     exact (or seeded local-search) extremality parameter against
     300 sqrt(alpha). Neither structure certifiable means an honest
     inconclusive.
@@ -418,21 +419,25 @@ def main2_classify(
             if ring is None:
                 continue
             ok = True
+            unverified = []
             g_color = c.red_graph() if color == "red" else c.blue_graph()
             for a, b in zip(ring, ring[1:] + ring[:1]):
                 pa, pb = reduced.parts[a], reduced.parts[b]
                 if density(g_color, pa, pb) < floor_density - 1e-12:
                     ok = False
                     break
-                if len(pa) <= 14 and len(pb) <= 14:
-                    res = check_regularity(g_color, pa, pb, p.eps, mode="exact")
-                    if res.verdict == "irregular":
-                        ok = False
-                        break
+                if max(len(pa), len(pb)) > EXACT_REGULARITY_CAP:
+                    unverified.append(
+                        f"ring pair ({a},{b}) not verified regular: "
+                        f"a part exceeds the exact cap of {EXACT_REGULARITY_CAP}"
+                    )
+                elif check_regularity(g_color, pa, pb, p.eps, mode="exact").verdict == "irregular":
+                    ok = False
+                    break
             if ok:
                 return ClassificationOutcome(
                     "case1", t=t, color=color, ring_parts=ring,
-                    flags=tuple(flags), diagnostics=diagnostics,
+                    flags=tuple(flags + unverified), diagnostics=diagnostics,
                 )
         diagnostics["case1"] = "no verified monochromatic ring of length t"
     lam_cap = 300 * math.sqrt(alpha)

@@ -9,7 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ramseykit.cli import main
+from ramseykit import cli
+from ramseykit.cli import build_parser, main
 from ramseykit.extremal import chi
 from ramseykit.graphs import PatternGraph, decode, encode, mono_counts
 
@@ -289,6 +290,35 @@ class TestAnalysisCommands:
         validate(json.loads(proc.stdout))
 
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_classify_auto_random_below_one_exits_2(self, capsys, tmp_path, m):
+        kcol = tmp_path / "chi54.kcol"
+        kcol.write_text(encode(chi(5, 4)))
+        code = main(["classify", "--parts", f"auto-random:M={m}", "--eps", "0.1",
+                     "--seed", "1", "--in", str(kcol)])
+        assert code == 2
+        assert "--parts" in capsys.readouterr().err
+
+    def test_build_reduced_rejects_empty_part_list(self):
+        from ramseykit.errors import PreconditionError
+        from ramseykit.regular import RegimeParams
+        from ramseykit.stability import build_reduced
+
+        with pytest.raises(PreconditionError, match="at least one part"):
+            build_reduced(chi(5, 4), [], RegimeParams(eps=0.1, d=0.0, t=2, mode="explorer"))
+
+    @pytest.mark.parametrize("args,flag", [
+        (["case2", "--k", "5", "--lambda", "0.1", "--A", "3-1,0"], "--A"),
+        (["classify", "--eps", "0.1", "--parts", "5-3,0-4;6-8"], "--parts"),
+    ])
+    def test_reversed_range_exits_2(self, capsys, tmp_path, args, flag):
+        kcol = tmp_path / "chi54.kcol"
+        kcol.write_text(encode(chi(5, 4)))
+        assert main(args + ["--in", str(kcol)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "reversed range" in err
+
+
 class TestMainEntry:
     def test_in_process_main(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -297,3 +327,23 @@ class TestMainEntry:
         report = json.loads(out.read_text())
         validate(report)
         assert report["result"]["value"] == 0
+
+    def test_parser_built_once_per_process(self, monkeypatch, tmp_path):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            kcol, out = tmp_path / "chi54.kcol", tmp_path / "count.json"
+            assert main(["chi", "--a", "5", "--b", "4", "--out", str(kcol)]) == 0
+            assert main(["count", "--pattern", "C5", "--in", str(kcol), "--out", str(out)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert decode(kcol.read_text()) == chi(5, 4)
+        red, blue = mono_counts(chi(5, 4), PatternGraph.cycle(5))
+        assert json.loads(out.read_text())["result"]["total"] == red + blue
+        assert len(builds) == 1

@@ -19,13 +19,21 @@ from ramseykit.graphs import (
     mono_counts,
     pair_index,
     pair_iter,
+    vertex_set,
 )
+from ramseykit.extremal import chi, cross_density, two_matching_reduction
 from ramseykit.graphs import _count_cycles_backtrack, count_walks
 from ramseykit.regular import (
+    RegimeParams,
+    check_regularity,
     count_transversal_paths,
     count_transversal_paths_between,
+    degree_exception_counts,
+    density,
     quasirandom_ring,
+    regularity_defect,
 )
+from ramseykit.stability import build_reduced
 
 from .helpers import (
     dfs_nodes,
@@ -295,3 +303,53 @@ class TestRepresentation:
         assert PatternGraph.parse("K1,3") == PatternGraph.star(3)
         with pytest.raises(PreconditionError):
             PatternGraph.parse("X9")
+
+
+_K33 = SimpleGraph.complete_bipartite(3, 3)
+# Each public entry point that takes vertex sets, called with a list of them.
+_ENTRY_POINTS = {
+    "density": lambda sets: density(_K33, *sets),
+    "check_regularity": lambda sets: check_regularity(_K33, *sets, 0.3),
+    "regularity_defect": lambda sets: regularity_defect(_K33, *sets),
+    "degree_exception_counts": lambda sets: degree_exception_counts(_K33, *sets, 0.5, 0.1),
+    "cross_density": lambda sets: cross_density(_K33, *sets),
+    "two_matching_reduction": lambda sets: two_matching_reduction(_K33, *sets),
+    "build_reduced": lambda sets: build_reduced(
+        chi(3, 3), sets, RegimeParams(eps=0.1, d=0.0, t=2, mode="explorer")
+    ),
+}
+_BAD_SETS = {
+    "out-of-range": [[0, 1, 6], [3, 4]],
+    "overlapping": [[0, 1, 2], [2, 3]],
+    "empty-set": [[], [3, 4]],
+    "empty-part-list": [],
+}
+
+
+class TestVertexSet:
+    def test_sorts_dedupes_and_masks(self):
+        assert vertex_set([5, 1, 5, 3], 6, "S") == ((1, 3, 5), 0b101010)
+        assert vertex_set(range(0), 6, "S") == ((), 0)
+
+    @pytest.mark.parametrize("vertices", [[0, 6], [-1, 2]])
+    def test_range_error_names_the_set(self, vertices):
+        with pytest.raises(PreconditionError, match="S has vertices outside 0..5"):
+            vertex_set(vertices, 6, "S")
+
+    @pytest.mark.parametrize(
+        "entry,case",
+        [
+            (entry, case)
+            for entry in _ENTRY_POINTS
+            for case in _BAD_SETS
+            # S-T with no edge needs no vertex, so an empty S is valid there;
+            # only build_reduced takes a list of sets
+            if not (entry == "two_matching_reduction" and case == "empty-set")
+            and (case != "empty-part-list" or entry == "build_reduced")
+        ],
+    )
+    def test_public_entry_points_reject(self, entry, case):
+        with pytest.raises(PreconditionError) as err:
+            _ENTRY_POINTS[entry](_BAD_SETS[case])
+        if case == "out-of-range":
+            assert "outside 0..5" in str(err.value)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,23 @@ from ramseykit.regular import (
 )
 
 from .helpers import definitional_regularity, random_simple_graph, reference_regularity_defect
+
+
+def _edges_between(g: SimpleGraph, us, vs) -> int:
+    return sum(g.has_edge(u, v) for u in us for v in vs)
+
+
+def assert_witness(g: SimpleGraph, xs, ys, eps: float, res) -> None:
+    """The witness (U, V) of an irregular verdict, recounted from scratch."""
+    xs, ys = list(xs), list(ys)
+    u, v = res.witness
+    assert set(u) <= set(xs) and set(v) <= set(ys)
+    assert len(u) >= max(1, math.ceil(eps * len(xs) - 1e-12))
+    assert len(v) >= max(1, math.ceil(eps * len(ys) - 1e-12))
+    d = Fraction(_edges_between(g, xs, ys), len(xs) * len(ys))
+    dev = abs(float(Fraction(_edges_between(g, u, v), len(u) * len(v)) - d))
+    assert res.deviation == dev
+    assert dev > eps
 
 
 class TestDensity:
@@ -78,6 +96,56 @@ class TestRegularityChecker:
                 res = check_regularity(g, range(3), range(3, 6), eps)
                 direct = definitional_regularity(g, range(3), range(3, 6), eps)
                 assert (res.verdict == "regular") == (direct is None), (code, eps)
+                if res.verdict == "irregular":
+                    assert_witness(g, range(3), range(3, 6), eps, res)
+
+    @pytest.mark.parametrize("nx,ny", [(3, 4), (4, 3)])
+    def test_matches_definitional_evaluation_exhaustively(self, nx, ny):
+        xs, ys = range(nx), range(nx, nx + ny)
+        for code in range(1 << (nx * ny)):
+            g = SimpleGraph.from_edges(
+                nx + ny,
+                [(i, nx + j) for i in range(nx) for j in range(ny) if code >> (ny * i + j) & 1],
+            )
+            # eps at deviations of g itself: one vertex pair's, and each
+            # witness's, where the verdict turns on the strict comparison
+            d = Fraction(_edges_between(g, xs, ys), nx * ny)
+            epsilons = [0.2, 0.5, abs(float(int(g.has_edge(0, nx)) - d))]
+            for eps in epsilons:
+                if not 0 < eps < 1:
+                    continue
+                res = check_regularity(g, xs, ys, eps)
+                direct = definitional_regularity(g, xs, ys, eps)
+                assert (res.verdict == "regular") == (direct is None), (code, eps)
+                if res.verdict == "irregular":
+                    assert_witness(g, xs, ys, eps, res)
+                    if len(epsilons) < 6:
+                        epsilons.append(res.deviation)
+
+    def test_verdict_is_the_strict_comparison_without_slack(self):
+        # K_{2,2} minus a perfect matching: every single-vertex pair deviates
+        # by exactly 1/2 from d = 1/2, and the floors stay at 1 up to eps = 1/2
+        sys = complete_minus_matching_ring([2, 2])
+        xs, ys = sys.classes
+        assert check_regularity(sys.graph, xs, ys, 0.5).verdict == "regular"
+        res = check_regularity(sys.graph, xs, ys, math.nextafter(0.5, 0.0))
+        assert res.verdict == "irregular" and res.deviation == 0.5
+        assert_witness(sys.graph, xs, ys, math.nextafter(0.5, 0.0), res)
+
+    def test_witness_recounts_on_random_pairs(self):
+        rng = random.Random(17)
+        found = 0
+        for _ in range(300):
+            nx, ny = rng.randint(1, 7), rng.randint(1, 7)
+            g = random_simple_graph(nx + ny, rng.random(), rng)
+            xs, ys = range(nx), range(nx, nx + ny)
+            for eps in (0.05, 0.15, 0.3, rng.random()):
+                for kw in ({}, {"mode": "randomized", "samples": 20, "seed": 3}):
+                    res = check_regularity(g, xs, ys, eps, **kw)
+                    if res.verdict == "irregular":
+                        assert_witness(g, xs, ys, eps, res)
+                        found += 1
+        assert found > 100
 
     def test_randomized_mode_finds_gross_violations(self):
         g = SimpleGraph.from_edges(8, [(i, j) for i in range(2) for j in range(4, 8)])

@@ -8,7 +8,7 @@ import pytest
 from ramseykit.errors import PreconditionError
 from ramseykit.extremal import chi
 from ramseykit.graphs import SimpleGraph, TwoColoring, pair_index
-from ramseykit.regular import RegimeParams
+from ramseykit.regular import EXACT_REGULARITY_CAP, RegimeParams
 from ramseykit.stability import build_reduced, main2_classify, ns_check
 
 
@@ -191,3 +191,24 @@ class TestClassifier:
         p = RegimeParams(eps=1e-4, d=0.0, t=2, mode="paper")
         res = main2_classify(chi(5, 4), [range(7), range(7, 9)], p)
         assert any("equitable" in f for f in res.flags)
+
+    def test_ring_pair_above_exact_cap_is_flagged(self):
+        # red across three parts, blue inside: a red triangle in the reduced
+        # graph whose parts exceed EXACT_REGULARITY_CAP, so randomized mode
+        # accepts the ring without an exact re-check and must say so
+        size = EXACT_REGULARITY_CAP + 1
+        n = 3 * size
+        mask = 0
+        for a in range(n):
+            for b in range(a + 1, n):
+                if a // size != b // size:
+                    mask |= 1 << pair_index(a, b, n)
+        parts = [range(i * size, (i + 1) * size) for i in range(3)]
+        p = RegimeParams(eps=1e-3, d=0.0, t=3, mode="explorer")
+        res = main2_classify(TwoColoring(n, mask), parts, p, reg_mode="randomized", seed=4)
+        assert res.case == "case1" and res.color == "red"
+        unverified = [f for f in res.flags if "not verified" in f]
+        assert len(unverified) == 3
+        ring = list(res.ring_parts)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            assert any(f"({a},{b})" in f for f in unverified)
