@@ -132,13 +132,18 @@ def partition_parameter(
     c: TwoColoring, a_set: Iterable[int], within_color: str
 ) -> float:
     """Smallest lambda making the five inequalities hold for this partition."""
-    n = c.n
+    if within_color == "red":
+        return _partition_lambda(c.red_graph(), c.blue_graph(), a_set)
+    return _partition_lambda(c.blue_graph(), c.red_graph(), a_set)
+
+
+def _partition_lambda(g_in: SimpleGraph, g_out: SimpleGraph, a_set: Iterable[int]) -> float:
+    """partition_parameter on the within-part and cross colour graphs."""
+    n = g_in.n
     va, ma = vertex_set(a_set, n, "A")
     vb = tuple(v for v in range(n) if not ma >> v & 1)
     if not va or not vb:
         raise PreconditionError("both parts must be nonempty")
-    g_in = c.red_graph() if within_color == "red" else c.blue_graph()
-    g_out = c.blue_graph() if within_color == "red" else c.red_graph()
     terms = [
         0.5 - len(va) / n,
         0.5 - len(vb) / n,
@@ -237,6 +242,8 @@ def _extremal_exact(c: TwoColoring) -> ExtremalAssessment:
 def _extremal_local(c: TwoColoring, seed: int, restarts: int) -> ExtremalAssessment:
     n = c.n
     rng = random.Random(seed)
+    gr, gb = c.red_graph(), c.blue_graph()
+    graphs = {"red": (gr, gb), "blue": (gb, gr)}
     best = (math.inf, None, None)
     starts = [list(range(n // 2))]
     for _ in range(restarts - 1):
@@ -244,8 +251,9 @@ def _extremal_local(c: TwoColoring, seed: int, restarts: int) -> ExtremalAssessm
         starts.append(rng.sample(range(n), size))
     for start in starts:
         for role in ("red", "blue"):
+            g_in, g_out = graphs[role]
             a_cur = set(start) or {0}
-            lam_cur = partition_parameter(c, a_cur, role)
+            lam_cur = _partition_lambda(g_in, g_out, a_cur)
             improved = True
             while improved:
                 improved = False
@@ -254,7 +262,7 @@ def _extremal_local(c: TwoColoring, seed: int, restarts: int) -> ExtremalAssessm
                     cand.symmetric_difference_update({v})
                     if not cand or len(cand) == n:
                         continue
-                    lam_new = partition_parameter(c, cand, role)
+                    lam_new = _partition_lambda(g_in, g_out, cand)
                     if lam_new < lam_cur - 1e-15:
                         a_cur, lam_cur = cand, lam_new
                         improved = True

@@ -247,34 +247,58 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
     return out.reshape(words, -1).T
 
 
-# bit_length(x) == searchsorted(_LOW_ONES, x) for uint64 x
-_LOW_ONES = np.array([(1 << i) - 1 for i in range(65)], dtype=np.uint64)
 # Buckets of at least this many masks are counted with numpy, smaller ones
 # with a Python loop; see the module docstring for the measurement.
 VECTOR_MIN_MASKS = 96
 _WORD = (1 << 64) - 1
 
 
+def _last_edges(masks: np.ndarray) -> np.ndarray:
+    """The last colex edge of each mask, as uint16.
+
+    The top set bit of the highest nonzero word: its upper or lower 32-bit
+    half goes through float64, which holds it exactly, and frexp gives the
+    bit length. Temporaries stay within a few arrays of one word per mask.
+    """
+    top, base = masks[:, 0], np.full(len(masks), -1, dtype=np.int16)
+    for w in range(1, masks.shape[1]):
+        col = masks[:, w]
+        nonzero = col != 0
+        top = np.where(nonzero, col, top)
+        base[nonzero] = 64 * w - 1
+    upper = top >> np.uint64(32) != 0
+    half = np.where(upper, top >> np.uint64(32), top).astype(np.float64)
+    last = np.frexp(half)[1]
+    last[upper] += 32
+    last += base
+    return last.astype(np.uint16)
+
+
 def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
-    """Masks bucketed by their last colex edge.
+    """Masks bucketed by their last colex edge, in row order within a bucket.
 
     Bucket d is a list of Python ints below VECTOR_MIN_MASKS masks, else a
     tuple of contiguous uint64 arrays, one per word up to word d // 64.
+    The stable sort of the uint16 keys is numpy's radix sort.
     """
-    last = np.full(len(masks), -1, dtype=np.int64)
-    for w in range(masks.shape[1]):
-        col = masks[:, w]
-        last = np.where(col != 0, 64 * w + np.searchsorted(_LOW_ONES, col) - 1, last)
+    last = _last_edges(masks)
     order = np.argsort(last, kind="stable")
-    masks, last = masks[order], last[order]
-    bounds = np.searchsorted(last, np.arange(num_edges + 1))
+    bounds = np.searchsorted(last[order], np.arange(num_edges + 1))
+    # word w of the sorted masks, from the first bucket that keeps it: bucket
+    # arrays are views into these columns
+    starts = bounds[:num_edges:64]
+    columns = [masks[order[s:], w] for w, s in enumerate(starts)]
     by_last: list = []
     for d in range(num_edges):
-        rows = masks[bounds[d]:bounds[d + 1], : d // 64 + 1]
-        if len(rows) >= VECTOR_MIN_MASKS:
-            by_last.append(tuple(np.ascontiguousarray(rows[:, w]) for w in range(rows.shape[1])))
+        lo, hi = bounds[d], bounds[d + 1]
+        words = [col[lo - s:hi - s] for col, s in zip(columns[: d // 64 + 1], starts)]
+        if hi - lo >= VECTOR_MIN_MASKS:
+            by_last.append(tuple(words))
         else:
-            by_last.append([sum(int(x) << 64 * w for w, x in enumerate(r)) for r in rows.tolist()])
+            ints = [0] * (hi - lo)
+            for w, col in enumerate(words):
+                ints = [x | y << 64 * w for x, y in zip(ints, col.tolist())]
+            by_last.append(ints)
     return by_last
 
 

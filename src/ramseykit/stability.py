@@ -65,6 +65,26 @@ class ReducedGraph:
         }
 
 
+def disjoint_parts(parts: Sequence[Iterable[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """Each part through graphs.vertex_set, sorted and de-duplicated.
+
+    An empty partition, an empty part or two parts that meet raise
+    PreconditionError.
+    """
+    pts, seen = [], 0
+    for i, part in enumerate(parts):
+        vs, mask = vertex_set(part, n, f"part {i}")
+        if not mask:
+            raise PreconditionError(f"part {i} is empty")
+        if mask & seen:
+            raise PreconditionError(f"part {i} meets an earlier part")
+        pts.append(vs)
+        seen |= mask
+    if not pts:
+        raise PreconditionError("the partition needs at least one part")
+    return tuple(pts)
+
+
 def build_reduced(
     c: TwoColoring,
     parts: Sequence[Iterable[int]],
@@ -80,22 +100,9 @@ def build_reduced(
     are left uncolored. Red- and blue-regularity coincide inside a colored
     K_n, so regularity is checked once, on the red bipartite graph. With
     randomized checking, pairs with no violation witness are treated as
-    regular and reported unproven. Each part goes through graphs.vertex_set;
-    an empty partition, an empty part or two parts that meet raise
-    PreconditionError.
+    regular and reported unproven. The parts go through disjoint_parts.
     """
-    pts, seen = [], 0
-    for i, part in enumerate(parts):
-        vs, mask = vertex_set(part, c.n, f"part {i}")
-        if not mask:
-            raise PreconditionError(f"part {i} is empty")
-        if mask & seen:
-            raise PreconditionError(f"part {i} meets an earlier part")
-        pts.append(vs)
-        seen |= mask
-    if not pts:
-        raise PreconditionError("the partition needs at least one part")
-    pts = tuple(pts)
+    pts = disjoint_parts(parts, c.n)
     sizes = sorted(len(x) for x in pts)
     equitable = sizes[-1] - sizes[0] <= 1
     # construction rule d = 12 sqrt(eps); an explicit floor in p overrides

@@ -126,6 +126,15 @@ def mask_rows_as_ints(rows) -> list[int]:
     return sorted(sum(int(x) << 64 * w for w, x in enumerate(row)) for row in rows.tolist())
 
 
+def reference_by_last(rows, num_edges: int) -> list[list[int]]:
+    """Row masks as Python ints, bucketed by their highest set bit, in row order."""
+    buckets: list[list[int]] = [[] for _ in range(num_edges)]
+    for row in rows.tolist():
+        mask = sum(int(x) << 64 * w for w, x in enumerate(row))
+        buckets[mask.bit_length() - 1].append(mask)
+    return buckets
+
+
 def multiplicity_bruteforce(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     """Unpruned enumeration of all 2^C(n,2) colorings (soundness oracle)."""
     E = comb(n, 2)

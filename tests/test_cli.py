@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report schema, pipe composition, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -319,6 +320,32 @@ class TestAnalysisCommands:
         assert flag in err and "reversed range" in err
 
 
+class TestDiagnosticsNameTheFlag:
+    @pytest.mark.parametrize("args,flag,problem", [
+        (["classify", "--eps", "0.1", "--parts", "0-4;3-8"], "--parts", "part 1 meets an earlier part"),
+        (["classify", "--eps", "0.1", "--parts", "0-4;5-9"], "--parts", "part 1 has vertices outside 0..8"),
+        (["case2", "--k", "5", "--lambda", "0.1", "--A", "0-4,12"], "--A", "A has vertices outside 0..8"),
+    ])
+    def test_library_validation_names_flag(self, capsys, tmp_path, args, flag, problem):
+        kcol, out = tmp_path / "chi54.kcol", tmp_path / "r.json"
+        kcol.write_text(encode(chi(5, 4)))
+        assert main(args + ["--in", str(kcol), "--out", str(out)]) == 2
+        assert f": {flag}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,flag", [
+        (["count", "--pattern", "C5", "--in"], "--in"),
+        (["encode", "--in"], "--in"),
+        (["mult", "--pattern", "P4", "--n", "5", "--resume-from"], "--resume-from"),
+    ])
+    def test_missing_input_file_names_flag(self, capsys, tmp_path, args, flag):
+        missing, out = tmp_path / "missing.txt", tmp_path / "r.json"
+        assert main(args + [str(missing), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f": {flag}: [Errno 2] No such file or directory: {str(missing)!r}" in err
+        assert not out.exists()
+
+
 class TestMainEntry:
     def test_in_process_main(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -331,19 +358,91 @@ class TestMainEntry:
     def test_parser_built_once_per_process(self, monkeypatch, tmp_path):
         builds = []
 
-        def counting_build():
-            builds.append(1)
-            return build_parser()
+        def counting_build(command=None):
+            builds.append(command)
+            return build_parser(command)
 
         monkeypatch.setattr(cli, "build_parser", counting_build)
         cli._parser.cache_clear()
         try:
             kcol, out = tmp_path / "chi54.kcol", tmp_path / "count.json"
             assert main(["chi", "--a", "5", "--b", "4", "--out", str(kcol)]) == 0
-            assert main(["count", "--pattern", "C5", "--in", str(kcol), "--out", str(out)]) == 0
+            for _ in range(2):
+                assert main(["count", "--pattern", "C5", "--in", str(kcol), "--out", str(out)]) == 0
         finally:
             cli._parser.cache_clear()
         assert decode(kcol.read_text()) == chi(5, 4)
         red, blue = mono_counts(chi(5, 4), PatternGraph.cycle(5))
         assert json.loads(out.read_text())["result"]["total"] == red + blue
-        assert len(builds) == 1
+        assert builds == ["chi", "count"]
+
+    def test_named_subcommand_builds_one_subparser(self, monkeypatch, tmp_path):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add(action, name, **kwargs):
+            added.append(name)
+            return add_parser(action, name, **kwargs)
+
+        kcol, out = tmp_path / "chi54.kcol", tmp_path / "count.json"
+        kcol.write_text(encode(chi(5, 4)))
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add)
+        cli._parser.cache_clear()
+        try:
+            assert main(["count", "--pattern", "C5", "--in", str(kcol), "--out", str(out)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert added == ["count"]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """What parse_args does with argv: the namespace, or the exit code and output."""
+    capsys.readouterr()
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+    @pytest.mark.parametrize("tail", [["-h"], [], ["--out"]], ids=["help", "bare", "no-value"])
+    def test_one_subcommand_parser_matches_full(self, capsys, command, tail):
+        # bare: the missing-required-flag error, or the defaults where none is required
+        full = _parse_outcome(build_parser(), [command] + tail, capsys)
+        one = _parse_outcome(build_parser(command), [command] + tail, capsys)
+        assert one == full
+        if tail == ["-h"]:
+            assert full[0] == 0 and full[1].startswith(f"usage: ramsey {command} [-h]")
+
+    def test_unrecognized_flag_error_quotes_full_usage(self, capsys):
+        want = _parse_outcome(build_parser(), ["decode", "--bogus"], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--bogus"])
+        err = capsys.readouterr().err
+        assert (exc.value.code, err) == (2, want[2])
+        assert "{chi,count,encode,decode,mult,ramsey-number," in err.replace("\n", "").replace(" ", "")
+        assert err.endswith("ramsey: error: unrecognized arguments: --bogus\n")
+
+    def test_top_level_texts(self, capsys):
+        names = list(cli.SUBCOMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "ramsey: error: the following arguments are required: command\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        packed = "".join(capsys.readouterr().out.split())  # help lines wrap with the terminal
+        assert "ExactthresholdRamseymultiplicitytoolkitforsmallgraphs" in packed
+        for name, (help_line, _, _) in cli.SUBCOMMANDS.items():
+            assert name + "".join(help_line.split()) in packed
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        choices = ", ".join(repr(name) for name in names)
+        assert capsys.readouterr().err.endswith(
+            f"ramsey: error: argument command: invalid choice: 'bogus' (choose from {choices})\n")
+        assert len(names) == 12

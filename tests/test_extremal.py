@@ -89,6 +89,16 @@ class TestExtremalParameter:
             local = extremal_parameter(c, mode="local-search", seed=11).lambda_star
             assert local >= exact - 1e-12
 
+    def test_local_search_pinned_on_random_30_vertex_coloring(self):
+        # values from the search that rebuilt both colour graphs per flip
+        rng = random.Random(2021)
+        c = TwoColoring(30, rng.getrandbits(435))
+        a = extremal_parameter(c, mode="local-search", seed=1)
+        assert a.lambda_star == 0.38735177865612647  # 1 - 155/253, red inside B
+        assert a.color_role == "red"
+        assert a.partition[0] == (5, 6, 13, 18, 19, 25, 28)
+        assert a.partition[1] == tuple(v for v in range(30) if v not in a.partition[0])
+
     def test_below_lambda_star_some_inequality_fails(self):
         c = chi(5, 4)
         a = extremal_parameter(c)

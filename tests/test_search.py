@@ -10,7 +10,9 @@ from ramseykit.errors import PreconditionError
 from ramseykit.graphs import PatternGraph, SimpleGraph, mono_counts
 from ramseykit.search import (
     SearchBudget,
+    VECTOR_MIN_MASKS,
     _Engine,
+    _group_by_last,
     _seed_colorings,
     _seed_incumbent,
     enumerate_copy_masks,
@@ -23,6 +25,7 @@ from ramseykit.search import (
 from .helpers import (
     mask_rows_as_ints,
     multiplicity_bruteforce,
+    reference_by_last,
     reference_canonical_violated,
     reference_copy_masks,
     reference_transposition_sigmas,
@@ -100,6 +103,21 @@ class TestSoundness:
         masks = enumerate_copy_masks(h, n)
         assert masks.shape[1] == -(-comb(n, 2) // 64)
         assert mask_rows_as_ints(masks) == reference_copy_masks(h, n)
+
+    @pytest.mark.parametrize("h,n", MASK_CASES + [(P.complete(3), 20), (P.path(3), 30)],
+                             ids=lambda x: getattr(x, "kind", x))
+    def test_buckets_match_reference(self, h, n):
+        # 190 and 435 edges: three and seven words per mask
+        masks = enumerate_copy_masks(h, n)
+        want = reference_by_last(masks, comb(n, 2))
+        for d, (bucket, rows) in enumerate(zip(_group_by_last(masks, comb(n, 2)), want)):
+            if len(rows) < VECTOR_MIN_MASKS:
+                assert bucket == rows
+                continue
+            assert len(bucket) == d // 64 + 1
+            assert all(word.flags.c_contiguous for word in bucket)
+            got = [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in zip(*bucket)]
+            assert got == rows
 
 
 def goodman_k3(n: int) -> int:
