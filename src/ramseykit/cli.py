@@ -239,7 +239,9 @@ def _cmd_case2(args) -> int:
     a_set = _parse_vertex_set(args.a_set, "--A")
     with _flag("--A"):
         a_set = vertex_set(a_set, coloring.n, "A")[0]
-    b_set = [v for v in range(coloring.n) if v not in set(a_set)]
+        b_set = [v for v in range(coloring.n) if v not in set(a_set)]
+        if not b_set:
+            raise PreconditionError(f"A covers all {coloring.n} vertices, leaving B empty")
     cert = case2_lower_bound(coloring, args.k, a_set, b_set, args.lam)
     emit(envelope("case2_certificate", cert.as_dict(), manifest), args.out)
     return 0

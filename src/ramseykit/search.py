@@ -45,18 +45,22 @@ edge prunes, at a fraction of the cost (K3@9 on 2 cores, Python 3.11:
 0.9 s, against 4.1 s with the full rescan).
 
 Seeding. The incumbent starts from the fewest monochromatic copies among
-all-blue and chi(a, n - a), a <= n/2, counted with numpy against the same
-copy masks the search counts, so seed and search agree on what a copy is.
-Ties go to the earlier candidate in that order.
+all blue (a = 0) and chi(a, n - a), a <= n/2; ties go to the earlier
+candidate. A sorted k'-subset meets the clique {0..a-1} of chi(a, n - a)
+in its first t vertices, so the count is sum_t C(a,t) C(n-a,k'-t) mono_t,
+where mono_t counts the template copies (below) monochromatic under the
+split of 0..k'-1 at t. No masks are needed, so a zero-copy question that a
+seed settles builds none.
 
-Copy enumeration. The distinct copies of the pattern on vertices 0..k-1
+Copy enumeration. The distinct copies of the pattern on vertices 0..k'-1
 form a template of local edge lists; it is mapped through the colex table
-of every k-subset of K_n, one template edge column at a time, in small
-integer dtypes. Different subsets give different copies, so no global
-deduplication is needed (isolated vertices of an explicit pattern are
-dropped first, since they would make subsets repeat copies; multiplicity
-multiplies its count back by the ways to place them, so its value counts
-subgraphs, as graphs.count_copies does).
+of every k'-subset of K_n, one template edge column at a time. Different
+subsets give different copies, so no global deduplication is needed
+(isolated vertices of an explicit pattern are dropped first, since they
+would make subsets repeat copies; multiplicity multiplies its count back
+by the ways to place them, so its value counts subgraphs, as
+graphs.count_copies does). The rows come sorted by last edge, so the
+buckets are slices of their word columns.
 
 Jobs, budgets and resume tokens. A job runs the engine below a forced
 prefix of edge colours against the incumbent with a node cap; stopped by
@@ -75,6 +79,7 @@ stored count may be stale or forged, a recounted coloring bounds the minimum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -218,9 +223,10 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
     """Every copy of h inside K_n as a bitmask over colex edge indices.
 
     Row r holds copy r in W = ceil(C(n,2) / 64) little-endian uint64 words:
-    colex edge e is bit e % 64 of word e // 64. Rows come in no particular
-    order. The local copies of h on K_k are mapped through the colex table
-    of every k-subset of vertices, one pattern edge at a time.
+    colex edge e is bit e % 64 of word e // 64, each word a contiguous
+    column. Rows come sorted by last colex edge: a subset map is increasing,
+    so it keeps colex order, and a copy's last edge is the image of its last
+    local pair.
     """
     k = h.order
     E = comb(n, 2)
@@ -229,22 +235,25 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
         return np.zeros((0, words), dtype=np.uint64)
     k, local = _local_copies(h)
     subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-    # colex index of every local pair (a, b), a < b, inside every subset
+    # row p: the colex index of local pair p = (a, b), a < b, inside every subset
     table = np.stack(
         [subsets[:, b] * (subsets[:, b] - 1) // 2 + subsets[:, a]
-         for b in range(k) for a in range(b)],
-        axis=1,
+         for b in range(k) for a in range(b)]
     ).astype(np.uint8 if E <= 256 else np.uint16)
     local = np.array(local, dtype=np.intp)
-    out = np.zeros((words, len(subsets), len(local)), dtype=np.uint64)
-    one = np.uint64(1)
-    for column in local.T:
-        edge = table[:, column]
-        bit = one << (edge & 63).astype(np.uint64)
-        word = edge >> 6
-        for w in range(words):
-            out[w] |= np.where(word == w, bit, 0)
-    return out.reshape(words, -1).T
+    # row c * len(subsets) + s is copy c on subset s; the stable sort of
+    # small unsigned keys is numpy's radix sort
+    order = np.argsort(table[local[:, -1]].ravel(), kind="stable")
+    pair_bit = np.uint64(1) << (table & 63).astype(np.uint64)
+    out = np.empty((words, len(order)), dtype=np.uint64)
+    for w in range(words):
+        bits = np.where(table >> 6 == w, pair_bit, 0)
+        copy = bits[local[:, 0]]
+        for column in local.T[1:]:
+            copy |= bits[column]
+        # mode="clip" lets take write into out= unbuffered; every index is in range
+        np.take(copy.ravel(), order, out=out[w], mode="clip")
+    return out.T
 
 
 # Buckets of at least this many masks are counted with numpy, smaller ones
@@ -253,52 +262,32 @@ VECTOR_MIN_MASKS = 96
 _WORD = (1 << 64) - 1
 
 
-def _last_edges(masks: np.ndarray) -> np.ndarray:
-    """The last colex edge of each mask, as uint16.
-
-    The top set bit of the highest nonzero word: its upper or lower 32-bit
-    half goes through float64, which holds it exactly, and frexp gives the
-    bit length. Temporaries stay within a few arrays of one word per mask.
-    """
-    top, base = masks[:, 0], np.full(len(masks), -1, dtype=np.int16)
-    for w in range(1, masks.shape[1]):
-        col = masks[:, w]
-        nonzero = col != 0
-        top = np.where(nonzero, col, top)
-        base[nonzero] = 64 * w - 1
-    upper = top >> np.uint64(32) != 0
-    half = np.where(upper, top >> np.uint64(32), top).astype(np.float64)
-    last = np.frexp(half)[1]
-    last[upper] += 32
-    last += base
-    return last.astype(np.uint16)
-
-
 def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
-    """Masks bucketed by their last colex edge, in row order within a bucket.
+    """Masks sorted by last colex edge, sliced into one bucket per edge.
 
     Bucket d is a list of Python ints below VECTOR_MIN_MASKS masks, else a
-    tuple of contiguous uint64 arrays, one per word up to word d // 64.
-    The stable sort of the uint16 keys is numpy's radix sort.
+    tuple of contiguous uint64 views, one per word up to word d // 64. The
+    bucket bounds come from one binary search per edge, all run together:
+    on sorted rows, "some bit at edge d or above" holds on a suffix.
     """
-    last = _last_edges(masks)
-    order = np.argsort(last, kind="stable")
-    bounds = np.searchsorted(last[order], np.arange(num_edges + 1))
-    # word w of the sorted masks, from the first bucket that keeps it: bucket
-    # arrays are views into these columns
-    starts = bounds[:num_edges:64]
-    columns = [masks[order[s:], w] for w, s in enumerate(starts)]
+    rows = len(masks)
+    # the bits of each word at edge d or above
+    shift = np.clip(np.arange(num_edges)[:, None] - 64 * np.arange(masks.shape[1]), 0, 64)
+    high = np.array([[_WORD >> s << s for s in row] for row in shift.tolist()], dtype=np.uint64)
+    lo, hi = np.zeros(num_edges, dtype=np.intp), np.full(num_edges, rows)
+    for _ in range(rows.bit_length()):
+        mid = (lo + hi) // 2
+        above = (mid == rows) | (masks[np.minimum(mid, rows - 1)] & high).any(axis=1)
+        lo, hi = np.where(above, lo, mid + 1), np.where(above, mid, hi)
+    bounds = hi.tolist() + [rows]
     by_last: list = []
     for d in range(num_edges):
         lo, hi = bounds[d], bounds[d + 1]
-        words = [col[lo - s:hi - s] for col, s in zip(columns[: d // 64 + 1], starts)]
         if hi - lo >= VECTOR_MIN_MASKS:
-            by_last.append(tuple(words))
+            by_last.append(tuple(masks[lo:hi, w] for w in range(d // 64 + 1)))
         else:
-            ints = [0] * (hi - lo)
-            for w, col in enumerate(words):
-                ints = [x | y << 64 * w for x, y in zip(ints, col.tolist())]
-            by_last.append(ints)
+            by_last.append([sum(x << 64 * w for w, x in enumerate(row))
+                            for row in masks[lo:hi, :d // 64 + 1].tolist()])
     return by_last
 
 
@@ -482,12 +471,26 @@ def _mono_count(masks: np.ndarray, bits: list[int]) -> int:
     return len(masks) - int(np.count_nonzero(both))
 
 
-def _seed_incumbent(masks: np.ndarray, n: int) -> tuple[int, TwoColoring]:
+def _seed_counts(h: PatternGraph, n: int) -> list[int]:
+    """The copies of h monochromatic under each of _seed_colorings(n), n >= h.order.
+
+    In closed form from the template (see Seeding in the module docstring).
+    """
+    k, local = _local_copies(h)
+    ends = np.array(_colex_edges(k))[np.array(local)]
+    mono = []  # per split t: the template copies with no edge or every edge across it
+    for t in range(k + 1):
+        across = np.count_nonzero((ends[..., 0] < t) & (ends[..., 1] >= t), axis=1)
+        mono.append(int(np.count_nonzero((across == 0) | (across == ends.shape[1]))))
+    return [sum(comb(a, t) * comb(n - a, k - t) * mono[t] for t in range(k + 1))
+            for a in range(n // 2 + 1)]
+
+
+def _seed_incumbent(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     """The first seed coloring with the fewest monochromatic copies, and that count."""
-    seeds = _seed_colorings(n)
-    counts = [_mono_count(masks, _coloring_to_bits(cand)) for cand in seeds]
+    counts = _seed_counts(h, n)
     first = counts.index(min(counts))
-    return counts[first], seeds[first]
+    return counts[first], _seed_colorings(n)[first]
 
 
 def _require_edge(h: PatternGraph) -> None:
@@ -621,8 +624,8 @@ def multiplicity(
     if n < h.order:
         return MultiplicityReport(h, n, 0, TwoColoring(n, 0), SearchStats(leaves=1), exact=True)
 
-    masks = enumerate_copy_masks(h, n)
-    seed_val, seed = _seed_incumbent(masks, n)
+    seed_val, seed = _seed_incumbent(h, n)
+    masks = _board_masks(h, n)
     # the engine prunes at `best` copies: one above the seed until a leaf
     # sets it, so that a leaf tying the seed is still reached
     best, bits, jobs = seed_val + 1, _coloring_to_bits(seed), [[]]
@@ -639,6 +642,19 @@ def multiplicity(
     value = min(best, seed_val) * _subgraphs_per_copy(h, n)
     token = _resume_token(h, n, bits, jobs) if jobs else None
     return MultiplicityReport(h, n, value, _bits_to_coloring(n, bits), stats, not jobs, token)
+
+
+@functools.lru_cache(maxsize=1)
+def _board_masks(h: PatternGraph, n: int) -> np.ndarray:
+    """The copy masks of the last board built.
+
+    threshold_multiplicity searches its n = r(h) board twice, first for a
+    zero coloring and then for the minimum; both take the masks from here,
+    read-only since every caller shares them.
+    """
+    masks = enumerate_copy_masks(h, n)
+    masks.flags.writeable = False
+    return masks
 
 
 def _subgraphs_per_copy(h: PatternGraph, n: int) -> int:
@@ -667,12 +683,12 @@ def find_zero_coloring(
     _require_edge(h)
     if n < h.order:
         return TwoColoring(n, 0), SearchStats(leaves=1), True
-    # quick win: chi-style candidates avoid many patterns outright
-    masks = enumerate_copy_masks(h, n)
-    count, seed = _seed_incumbent(masks, n)
+    # quick win: chi-style candidates avoid many patterns outright, before any mask is built
+    count, seed = _seed_incumbent(h, n)
     if count == 0:
         return seed, SearchStats(leaves=1), True
-    best, bits, stats, jobs = _drain(_Engine(masks, n, use_symmetry), [[]], 1, None, budget)
+    engine = _Engine(_board_masks(h, n), n, use_symmetry)
+    best, bits, stats, jobs = _drain(engine, [[]], 1, None, budget)
     if best == 0:
         return _bits_to_coloring(n, bits), stats, True
     return None, stats, not jobs

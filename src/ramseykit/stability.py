@@ -68,8 +68,8 @@ class ReducedGraph:
 def disjoint_parts(parts: Sequence[Iterable[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """Each part through graphs.vertex_set, sorted and de-duplicated.
 
-    An empty partition, an empty part or two parts that meet raise
-    PreconditionError.
+    An empty partition, an empty part, two parts that meet or parts that
+    leave a vertex of 0..n-1 out raise PreconditionError.
     """
     pts, seen = [], 0
     for i, part in enumerate(parts):
@@ -82,6 +82,9 @@ def disjoint_parts(parts: Sequence[Iterable[int]], n: int) -> tuple[tuple[int, .
         seen |= mask
     if not pts:
         raise PreconditionError("the partition needs at least one part")
+    missed = [v for v in range(n) if not seen >> v & 1]
+    if missed:
+        raise PreconditionError(f"the parts leave out vertices {missed}")
     return tuple(pts)
 
 

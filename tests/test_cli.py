@@ -325,6 +325,10 @@ class TestDiagnosticsNameTheFlag:
         (["classify", "--eps", "0.1", "--parts", "0-4;3-8"], "--parts", "part 1 meets an earlier part"),
         (["classify", "--eps", "0.1", "--parts", "0-4;5-9"], "--parts", "part 1 has vertices outside 0..8"),
         (["case2", "--k", "5", "--lambda", "0.1", "--A", "0-4,12"], "--A", "A has vertices outside 0..8"),
+        (["case2", "--k", "5", "--lambda", "0.1", "--A", "0-8"], "--A",
+         "A covers all 9 vertices, leaving B empty"),
+        (["classify", "--eps", "0.1", "--parts", "0-2;5-7"], "--parts",
+         "the parts leave out vertices [3, 4, 8]"),
     ])
     def test_library_validation_names_flag(self, capsys, tmp_path, args, flag, problem):
         kcol, out = tmp_path / "chi54.kcol", tmp_path / "r.json"

@@ -12,8 +12,11 @@ from ramseykit.search import (
     SearchBudget,
     VECTOR_MIN_MASKS,
     _Engine,
+    _coloring_to_bits,
     _group_by_last,
+    _mono_count,
     _seed_colorings,
+    _seed_counts,
     _seed_incumbent,
     enumerate_copy_masks,
     find_zero_coloring,
@@ -103,6 +106,15 @@ class TestSoundness:
         masks = enumerate_copy_masks(h, n)
         assert masks.shape[1] == -(-comb(n, 2) // 64)
         assert mask_rows_as_ints(masks) == reference_copy_masks(h, n)
+
+    @pytest.mark.parametrize("h,n", MASK_CASES, ids=lambda x: getattr(x, "kind", x))
+    def test_rows_come_in_last_edge_order(self, h, n):
+        masks = enumerate_copy_masks(h, n)
+        assert all(masks[:, w].flags.c_contiguous for w in range(masks.shape[1]))
+        rows = [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in masks.tolist()]
+        # the reference buckets keep row order, so read in turn they give the
+        # rows back only if the rows are sorted by last edge
+        assert [m for bucket in reference_by_last(masks, comb(n, 2)) for m in bucket] == rows
 
     @pytest.mark.parametrize("h,n", MASK_CASES + [(P.complete(3), 20), (P.path(3), 30)],
                              ids=lambda x: getattr(x, "kind", x))
@@ -226,7 +238,47 @@ class TestSeeds:
         seeds = _seed_colorings(n)
         counts = [sum(mono_counts(c, h)) for c in seeds]
         first = counts.index(min(counts))
-        assert _seed_incumbent(enumerate_copy_masks(h, n), n) == (counts[first], seeds[first])
+        assert _seed_incumbent(h, n) == (counts[first], seeds[first])
+
+
+class TestSeedCounts:
+    # a board below the pattern's order never reaches the seeds
+    @pytest.mark.parametrize("h,n", [(h, n) for h, n in TestSoundness.MASK_CASES if n >= h.order]
+                             + [(P.cycle(7), 12),
+                                # an edge and a P3: two components
+                                (P.explicit(SimpleGraph.from_edges(5, [(0, 1), (2, 3), (3, 4)])), 8)],
+                             ids=lambda x: getattr(x, "kind", x))
+    def test_closed_form_equals_mask_counts(self, h, n):
+        masks = enumerate_copy_masks(h, n)
+        want = [_mono_count(masks, _coloring_to_bits(c)) for c in _seed_colorings(n)]
+        assert _seed_counts(h, n) == want
+
+
+def _recorded_enumerations(monkeypatch):
+    """Record the board size of every copy-mask enumeration from a cleared board cache."""
+    boards = []
+
+    def recording(h, n):
+        boards.append(n)
+        return enumerate_copy_masks(h, n)
+
+    monkeypatch.setattr(search, "enumerate_copy_masks", recording)
+    search._board_masks.cache_clear()
+    return boards
+
+
+class TestBoardBuilds:
+    def test_a_board_a_seed_settles_builds_no_masks(self, monkeypatch):
+        boards = _recorded_enumerations(monkeypatch)
+        rn = ramsey_number(P.cycle(7), 12)
+        assert (rn.value, rn.exact) == (None, True)
+        assert boards == []
+
+    def test_threshold_builds_the_ramsey_board_once(self, monkeypatch):
+        boards = _recorded_enumerations(monkeypatch)
+        report = threshold_multiplicity(P.cycle(5))
+        assert (report.n, report.value, report.exact) == (9, 12, True)
+        assert boards == [9]
 
 
 class TestKnownValues:

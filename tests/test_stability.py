@@ -9,7 +9,7 @@ from ramseykit.errors import PreconditionError
 from ramseykit.extremal import chi
 from ramseykit.graphs import SimpleGraph, TwoColoring, pair_index
 from ramseykit.regular import EXACT_REGULARITY_CAP, RegimeParams
-from ramseykit.stability import build_reduced, main2_classify, ns_check
+from ramseykit.stability import build_reduced, disjoint_parts, main2_classify, ns_check
 
 
 def ring_blowup(t_parts: int, size: int) -> tuple[TwoColoring, list[list[int]]]:
@@ -50,6 +50,11 @@ class TestBuildReduced:
         rg = build_reduced(c, parts, p)
         both = rg.red_edges & rg.blue_edges
         assert len(both) >= 4
+
+    def test_parts_must_cover_every_vertex(self):
+        assert disjoint_parts([[1, 0], [2, 3]], 4) == ((0, 1), (2, 3))
+        with pytest.raises(PreconditionError, match=r"leave out vertices \[2\]"):
+            disjoint_parts([[0, 1], [3]], 4)
 
     def test_singleton_part_with_exact_mode_rejected(self):
         p = RegimeParams(eps=0.1, d=0.4, t=2, mode="explorer")
