@@ -33,24 +33,30 @@ Canonicity check. A transposition sigma of two vertices prunes a node when
 it maps the assigned prefix to a lex-smaller one: comparing x[e] with
 x[sigma(e)] over its moved edges e in ascending order, the first
 difference has x[sigma(e)] < x[e]. Only the leading run of pairs with
-both edges assigned can be read, and that run depends on the depth alone,
-so the table from _transposition_sigmas lists, per colex edge d, the pairs
-of each sigma that join its run when edge d is assigned. The DFS carries
-an int mask of the sigmas still tied with the identity on their run; at a
-node it reads only the new pairs of the tied sigmas. A first difference in
-the coloring's favour drops sigma from the child's mask for the whole
-subtree, one against it prunes, and an empty mask skips the check. This
-prunes exactly the nodes that rescanning every sigma from its first moved
-edge prunes, at a fraction of the cost (K3@9 on 2 cores, Python 3.11:
-0.9 s, against 4.1 s with the full rescan).
+both edges assigned can be read, and assigning edge d adds to that run
+exactly one comparison per sigma: x[e] against x[d] itself, for an e < d
+(see _transposition_sigmas). The search carries an int mask of the
+sigmas still tied with the identity. With d red, a tied sigma whose e is
+blue prunes the node; with d blue, a tied sigma whose e is red is decided
+in the coloring's favour and leaves the mask for the whole subtree; the
+blue branch never prunes. A row with no tied sigma is skipped with one
+AND. This prunes exactly the nodes that rescanning every sigma from its
+first moved edge prunes (K3@9 on 2 cores, Python 3.11: 0.4 s, against
+2.5 s with the full rescan).
+
+Search loop. One loop walks the tree, with no Python recursion, so the
+depth C(n,2) has no interpreter limit. The state below edge d is the
+copies decided, the tied mask and the blue edge set (red is the rest of
+the edges below d); descending saves it per depth with the branch taken,
+so backtracking restores it with nothing to undo.
 
 Seeding. The incumbent starts from the fewest monochromatic copies among
 all blue (a = 0) and chi(a, n - a), a <= n/2; ties go to the earlier
 candidate. A sorted k'-subset meets the clique {0..a-1} of chi(a, n - a)
 in its first t vertices, so the count is sum_t C(a,t) C(n-a,k'-t) mono_t,
 where mono_t counts the template copies (below) monochromatic under the
-split of 0..k'-1 at t. No masks are needed, so a zero-copy question that a
-seed settles builds none.
+split of 0..k'-1 at t. No masks are needed, so a board that a seed
+colours with no monochromatic copy builds none and reports that seed.
 
 Copy enumeration. The distinct copies of the pattern on vertices 0..k'-1
 form a template of local edge lists; it is mapped through the colex table
@@ -60,7 +66,9 @@ subsets give different copies, so no global deduplication is needed
 would make subsets repeat copies; multiplicity multiplies its count back
 by the ways to place them, so its value counts subgraphs, as
 graphs.count_copies does). The rows come sorted by last edge, so the
-buckets are slices of their word columns.
+buckets are slices of their word columns. A board on which C(n,k') times
+the template's closed-form size exceeds MAX_COPY_ROWS is refused before
+anything is built.
 
 Jobs, budgets and resume tokens. A job runs the engine below a forced
 prefix of edge colours against the incumbent with a node cap; stopped by
@@ -84,7 +92,7 @@ import itertools
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from math import comb, inf
+from math import comb, factorial, inf
 from typing import Optional
 
 import numpy as np
@@ -291,32 +299,24 @@ def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
     return by_last
 
 
-def _transposition_sigmas(n: int) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
-    """The canonicity table: per colex edge d, the comparisons it decides.
+def _transposition_sigmas(n: int) -> list[list[tuple[int, int]]]:
+    """The canonicity table: per colex edge d, the one comparison edge d adds to each sigma.
 
     Transposition s of the vertex pairs (u, v), u < v, in lex order is bit
     1 << s of the tied mask. Its constraint compares x[e] with x[sigma(e)]
     over the moved edges e in ascending order and can read only the leading
-    run whose pairs are all assigned. Row d lists (bit, pairs) for every
-    sigma whose run gains pairs (e, sigma(e)) once edge d is assigned.
-    Pairs with sigma(e) < e are left out: sigma is an involution, so the
-    mirror pair comes earlier in the run and has already compared equal.
+    run whose pairs are all assigned. The moved edges pair up as
+    e = {u, w} < sigma(e) = {v, w}, and every moved edge below e maps below
+    {v, w}, so assigning edge d = {v, w} adds to sigma's run exactly the
+    comparison of x[e] with x[d]; the mirror pair (d, e) comes later in the
+    run, when the two already compare equal. Row d lists (1 << s, 1 << e)
+    for each such sigma: one entry per sigma, with distinct edges e < d.
     """
-    rows: list[list] = [[] for _ in range(comb(n, 2))]
-    edges = _colex_edges(n)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(comb(n, 2))]
     for s, (u, v) in enumerate(itertools.combinations(range(n), 2)):
-        perm = list(range(n))
-        perm[u], perm[v] = v, u
-        joins: dict[int, list[tuple[int, int]]] = {}
-        reach = -1
-        for e, (i, j) in enumerate(edges):
-            f = _colex_index(perm[i], perm[j])
-            if f != e:
-                reach = max(reach, e, f)
-                if e < f:
-                    joins.setdefault(reach, []).append((e, f))
-        for d, pairs in joins.items():
-            rows[d].append((1 << s, tuple(pairs)))
+        for w in range(n):
+            if w != u and w != v:
+                rows[_colex_index(v, w)].append((1 << s, 1 << _colex_index(u, w)))
     return rows
 
 
@@ -325,17 +325,14 @@ def _transposition_sigmas(n: int) -> list[list[tuple[int, tuple[tuple[int, int],
 # ---------------------------------------------------------------------------
 
 
-class _Exhausted(Exception):
-    """A job stopped before branch args[1] at depth args[0]."""
-
-
 class _Engine:
     """Branch-and-bound over colorings of K_n (0 = red, 1 = blue), built once per board."""
 
     def __init__(self, masks: np.ndarray, n: int, use_symmetry: bool = True):
         self.E = comb(n, 2)
         self.by_last = _group_by_last(masks, self.E)
-        self.sigmas = _transposition_sigmas(n) if use_symmetry else []
+        # per edge: the OR of its sigma bits, then its entries
+        self.sigmas = [(sum(s for s, _ in row), row) for row in _transposition_sigmas(n)]
         # all C(n,2) transpositions start tied; without symmetry none is checked
         self.tied = (1 << self.E) - 1 if use_symmetry else 0
 
@@ -346,100 +343,89 @@ class _Engine:
         Returns (best, bits, stats, pending): the best leaf found below cap,
         else (cap, cap_bits), and the prefixes that a stop left untried.
         """
-        self.prefix = prefix
-        self.best, self.best_bits = cap, cap_bits
-        self.max_nodes, self.deadline = max_nodes, deadline
-        self.stats = SearchStats()
-        self.x = x = [0] * self.E
-        self.red = self.blue = 0
-        try:
-            self._dfs(0, 0, self.tied)
-            pending = []
-        except _Exhausted as stop:
-            depth, b = stop.args
-            if depth < len(prefix):
-                pending = [prefix]
-            else:
-                # the stopped node's branches from b on (edge 0 is only ever red),
-                # then the blue branch of each ancestor below the prefix on red
-                pending = [x[:depth] + [c] for c in range(b, 2 if depth else 1)]
-                pending += [x[:i] + [1] for i in reversed(range(max(len(prefix), 1), depth))
-                            if x[i] == 0]
-        return self.best, self.best_bits, self.stats, pending
-
-    def _tied_after(self, depth: int, tied: int) -> int:
-        """The tied mask after edge depth is assigned, or -1 to prune.
-
-        Only the comparisons that edge depth adds are read, and only for
-        the sigmas still tied: x[sigma(e)] < x[e] at the first difference
-        means sigma maps the prefix to a lex-smaller one.
-        """
-        x = self.x
-        for bit, pairs in self.sigmas[depth]:
-            if tied & bit:
-                for e, f in pairs:
-                    if x[e] != x[f]:
-                        if x[e]:
-                            return -1
-                        tied ^= bit
-                        break
-        return tied
-
-    def _dfs(self, depth: int, decided_mono: int, tied: int) -> None:
-        stats = self.stats
-        if depth == self.E:
-            stats.leaves += 1
-            if decided_mono < self.best:
-                self.best = decided_mono
-                self.best_bits = self.x.copy()
-            return
-        if depth < len(self.prefix):
-            branches = (self.prefix[depth],)
-        elif depth == 0:
-            branches = (0,)  # color swap: first edge red WLOG
-        else:
-            branches = (0, 1)
-        for b in branches:
-            # the node is counted before the cap test; the deadline is read every 4096 nodes
-            stats.nodes += 1
-            if stats.nodes > self.max_nodes or (
-                not stats.nodes & 4095 and time.monotonic() > self.deadline
-            ):
-                stats.nodes -= 1
-                raise _Exhausted(depth, b)
-            self.x[depth] = b
+        E, by_last, sigmas = self.E, self.by_last, self.sigmas
+        forced = len(prefix)
+        # the branches per depth: the prefix's colour, red alone at edge 0, else red then blue
+        first = prefix + [0] * (E - forced)
+        last = (prefix or [0]) + [1] * (E - max(forced, 1))
+        # frames[d]: the state below edge d and the branch taken there, saved on descent
+        frames: list = [None] * E
+        nodes = leaves = pruned_bound = pruned_symmetry = 0
+        # the node count at which to test the cap next, and the deadline every 4096 nodes
+        check = min(4096, max_nodes + 1)
+        best, best_blue = cap, None
+        stopped = False
+        depth, b = 0, first[0]
+        # the state below edge depth: copies decided, sigmas tied, blue edge set
+        mono, tied, blue = 0, self.tied, 0
+        while True:
+            nodes += 1
+            if nodes >= check:
+                if nodes > max_nodes or time.monotonic() > deadline:
+                    nodes -= 1
+                    stopped = True
+                    break
+                check = min(nodes + 4096, max_nodes + 1)
             bit = 1 << depth
             # a copy ending at this edge is monochromatic in colour b
             # exactly when none of its edges has the other colour
-            if b == 0:
-                self.red |= bit
-                other = self.blue
-            else:
-                self.blue |= bit
-                other = self.red
-            bucket = self.by_last[depth]
-            total = decided_mono
+            other = blue ^ (bit - 1) if b else blue
+            bucket = by_last[depth]
+            total = mono
             if type(bucket) is list:
                 for cm in bucket:
                     if not cm & other:
                         total += 1
-                        if total >= self.best:
+                        if total >= best:
                             break
             else:
                 hit = bucket[0] & (other & _WORD)
                 for w in range(1, len(bucket)):
                     hit |= bucket[w] & (other >> 64 * w & _WORD)
                 total += len(hit) - int(np.count_nonzero(hit))
-            if total >= self.best:
-                stats.pruned_bound += 1
-            elif (child_tied := self._tied_after(depth, tied) if tied else 0) < 0:
-                stats.pruned_symmetry += 1
+            if total >= best:
+                pruned_bound += 1
             else:
-                self._dfs(depth + 1, total, child_tied)
-            if b == 0:
-                self.red ^= bit
-            else:
-                self.blue ^= bit
+                # each tied sigma of the row compares its edge e with this one:
+                # e in the other colour resolves sigma, against the prefix on red
+                child_tied = tied
+                row_sigmas, row = sigmas[depth]
+                if tied & row_sigmas:
+                    for s, e in row:
+                        if child_tied & s and other & e:
+                            child_tied ^= s
+                if not b and child_tied != tied:
+                    pruned_symmetry += 1
+                elif depth + 1 < E:
+                    frames[depth] = (mono, tied, blue, b)
+                    mono, tied = total, child_tied
+                    if b:
+                        blue |= bit
+                    depth += 1
+                    b = first[depth]
+                    continue
+                else:
+                    # a leaf that passes the bound test improves on best
+                    leaves += 1
+                    best, best_blue = total, blue | b << depth
+            # the next branch: here, else at the deepest ancestor with one left
+            while b == last[depth] and depth:
+                depth -= 1
+                mono, tied, blue, b = frames[depth]
+            if b == last[depth]:
+                break
+            b = 1
+        pending = []
+        if stopped and depth < forced:
+            pending = [prefix]
+        elif stopped:
+            # the stopped node's branches from b on, then the blue branch of
+            # each ancestor below the prefix on red
+            x = [blue >> e & 1 for e in range(depth)]
+            pending = [x + [c] for c in range(b, last[depth] + 1)]
+            pending += [x[:i] + [1] for i in reversed(range(max(forced, 1), depth)) if not x[i]]
+        bits = cap_bits if best_blue is None else [best_blue >> e & 1 for e in range(E)]
+        return best, bits, SearchStats(nodes, leaves, pruned_bound, pruned_symmetry), pending
 
 
 def _bits_to_coloring(n: int, bits: list[int]) -> TwoColoring:
@@ -493,9 +479,37 @@ def _seed_incumbent(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     return counts[first], _seed_colorings(n)[first]
 
 
-def _require_edge(h: PatternGraph) -> None:
+# The most copy masks a search board may hold: 2^25 rows of even one word
+# are 256 MiB, before the sort and bucket copies.
+MAX_COPY_ROWS = 1 << 25
+
+
+def _copy_rows(h: PatternGraph, n: int) -> int:
+    """C(n, k') times the template size: the rows of enumerate_copy_masks(h, n), at most.
+
+    Exact except for a star of order 2 and explicit patterns, whose k'!
+    relabellings may repeat copies.
+    """
+    k = h.order
+    if h.kind == "explicit":
+        k = sum(1 for row in h.graph.adj if row)
+        size = factorial(k)
+    else:
+        size = {"complete": 1, "star": k, "path": factorial(k) // 2,
+                "cycle": factorial(k - 1) // 2}[h.kind]
+    return comb(n, k) * size
+
+
+def _require_board(h: PatternGraph, n: int) -> None:
+    """Refuse an edgeless pattern, and a board whose copy table cannot fit."""
     if h.order < 2 or (h.kind == "explicit" and h.graph.num_edges() == 0):
         raise PreconditionError("search needs a pattern with at least one edge")
+    rows = _copy_rows(h, n)
+    if rows > MAX_COPY_ROWS:
+        raise PreconditionError(
+            f"K_{n} holds up to {rows:,} copies of {h.label()}, more than the "
+            f"{MAX_COPY_ROWS:,} copy masks a search board can hold"
+        )
 
 
 TOKEN_VERSION = "ramsey-resume/2"
@@ -610,7 +624,8 @@ def multiplicity(
     """Exact minimum number of monochromatic copies of h over colorings of K_n.
 
     Exhaustive up to the symmetry reductions described in the module
-    docstring. A board smaller than the pattern trivially has value 0. On
+    docstring. A board smaller than the pattern trivially has value 0, and
+    one that a seed colours with no monochromatic copy reports that seed. On
     budget exhaustion the report is flagged non-exact and carries a resume
     token accepted by a later call; threads > 1 drains with a worker pool.
     """
@@ -619,12 +634,15 @@ def multiplicity(
         raise PreconditionError("board size must be >= 1")
     if n > MAX_VERTICES:
         raise PreconditionError(f"board size {n} exceeds the cap of {MAX_VERTICES} vertices")
-    _require_edge(h)
+    _require_board(h, n)
     resume = parse_resume_token(resume_token, h, n) if resume_token else None
     if n < h.order:
         return MultiplicityReport(h, n, 0, TwoColoring(n, 0), SearchStats(leaves=1), exact=True)
 
     seed_val, seed = _seed_incumbent(h, n)
+    if seed_val == 0:
+        # no coloring does better: the seed settles the board, as in find_zero_coloring
+        return MultiplicityReport(h, n, 0, seed, SearchStats(leaves=1), exact=True)
     masks = _board_masks(h, n)
     # the engine prunes at `best` copies: one above the seed until a leaf
     # sets it, so that a leaf tying the seed is still reached
@@ -680,7 +698,7 @@ def find_zero_coloring(
     the budget ran out before the question was settled.
     """
     budget = budget or SearchBudget.from_env()
-    _require_edge(h)
+    _require_board(h, n)
     if n < h.order:
         return TwoColoring(n, 0), SearchStats(leaves=1), True
     # quick win: chi-style candidates avoid many patterns outright, before any mask is built

@@ -5,12 +5,22 @@ available (full enumeration) so the production code is checked against
 something that cannot share its bugs.
 """
 
+import time
 from itertools import combinations, permutations
-from math import comb
+from math import comb, inf
+
+import numpy as np
 
 from ramseykit.errors import BudgetExceededError
 from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring, _bits
-from ramseykit.search import _bits_to_coloring, _colex_edges, _colex_index
+from ramseykit.search import (
+    _WORD,
+    SearchStats,
+    _bits_to_coloring,
+    _colex_edges,
+    _colex_index,
+    _Engine,
+)
 
 
 def pattern_as_graph(h: PatternGraph) -> SimpleGraph:
@@ -190,6 +200,104 @@ def reference_canonical_violated(x: list[int], sigmas, depth: int) -> bool:
                     return True
                 break
     return False
+
+
+class _Exhausted(Exception):
+    """A job stopped before branch args[1] at depth args[0]."""
+
+
+class ReferenceEngine(_Engine):
+    """The search engine as a recursive DFS with the full-rescan canonicity check.
+
+    Same board, buckets, node order, cap test and pending prefixes as
+    search._Engine, whose flat loop and one-comparison table must prune
+    exactly the nodes this rescan of every transposition prunes. Python
+    recursion limits it to boards of under about 1,000 edges.
+    """
+
+    def __init__(self, masks, n, use_symmetry=True):
+        super().__init__(masks, n, use_symmetry)
+        self.reference_sigmas = reference_transposition_sigmas(n)
+
+    def run(self, prefix, cap, cap_bits, max_nodes, deadline=inf):
+        self.prefix = prefix
+        self.best, self.best_bits = cap, cap_bits
+        self.max_nodes, self.deadline = max_nodes, deadline
+        self.stats = SearchStats()
+        self.x = x = [0] * self.E
+        self.red = self.blue = 0
+        try:
+            self._dfs(0, 0, self.tied)
+            pending = []
+        except _Exhausted as stop:
+            depth, b = stop.args
+            if depth < len(prefix):
+                pending = [prefix]
+            else:
+                # the stopped node's branches from b on (edge 0 is only ever red),
+                # then the blue branch of each ancestor below the prefix on red
+                pending = [x[:depth] + [c] for c in range(b, 2 if depth else 1)]
+                pending += [x[:i] + [1] for i in reversed(range(max(len(prefix), 1), depth))
+                            if x[i] == 0]
+        return self.best, self.best_bits, self.stats, pending
+
+    def _tied_after(self, depth, tied):
+        """tied, or -1 when some transposition maps the first depth + 1 edges lex-lower."""
+        violated = reference_canonical_violated(self.x, self.reference_sigmas, depth + 1)
+        return -1 if violated else tied
+
+    def _dfs(self, depth, decided_mono, tied):
+        stats = self.stats
+        if depth == self.E:
+            stats.leaves += 1
+            if decided_mono < self.best:
+                self.best = decided_mono
+                self.best_bits = self.x.copy()
+            return
+        if depth < len(self.prefix):
+            branches = (self.prefix[depth],)
+        elif depth == 0:
+            branches = (0,)  # color swap: first edge red WLOG
+        else:
+            branches = (0, 1)
+        for b in branches:
+            stats.nodes += 1
+            if stats.nodes > self.max_nodes or (
+                not stats.nodes & 4095 and time.monotonic() > self.deadline
+            ):
+                stats.nodes -= 1
+                raise _Exhausted(depth, b)
+            self.x[depth] = b
+            bit = 1 << depth
+            if b == 0:
+                self.red |= bit
+                other = self.blue
+            else:
+                self.blue |= bit
+                other = self.red
+            bucket = self.by_last[depth]
+            total = decided_mono
+            if type(bucket) is list:
+                for cm in bucket:
+                    if not cm & other:
+                        total += 1
+                        if total >= self.best:
+                            break
+            else:
+                hit = bucket[0] & (other & _WORD)
+                for w in range(1, len(bucket)):
+                    hit |= bucket[w] & (other >> 64 * w & _WORD)
+                total += len(hit) - int(np.count_nonzero(hit))
+            if total >= self.best:
+                stats.pruned_bound += 1
+            elif (child_tied := self._tied_after(depth, tied) if tied else 0) < 0:
+                stats.pruned_symmetry += 1
+            else:
+                self._dfs(depth + 1, total, child_tied)
+            if b == 0:
+                self.red ^= bit
+            else:
+                self.blue ^= bit
 
 
 class NodeCounter:

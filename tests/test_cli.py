@@ -94,6 +94,17 @@ class TestSearchCommands:
         assert report["result"]["exact"] is False
         assert report["result"]["resume_token"]
 
+    def test_deep_board_budget_stop_exits_3(self):
+        # a dive of C(46,2) = 1,035 edges once overflowed the Python stack
+        proc = run_cli(["mult", "--pattern", "P2", "--n", "46", "--budget-nodes", "2000"])
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["result"]["resume_token"]
+
+    def test_copy_table_too_large_exits_2(self):
+        proc = run_cli(["mult", "--pattern", "S40", "--n", "60", "--budget-nodes", "5000"])
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "copies of S40" in proc.stderr
+
     def test_resume_from_file(self, tmp_path):
         # by node 4710 the first leg has improved on the seed's 108 copies;
         # M(P5, 7) = 96, and a resume that loses that incumbent reports 108

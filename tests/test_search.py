@@ -9,15 +9,18 @@ from ramseykit import search
 from ramseykit.errors import PreconditionError
 from ramseykit.graphs import PatternGraph, SimpleGraph, mono_counts
 from ramseykit.search import (
+    MAX_COPY_ROWS,
     SearchBudget,
     VECTOR_MIN_MASKS,
     _Engine,
     _coloring_to_bits,
+    _copy_rows,
     _group_by_last,
     _mono_count,
     _seed_colorings,
     _seed_counts,
     _seed_incumbent,
+    _transposition_sigmas,
     enumerate_copy_masks,
     find_zero_coloring,
     multiplicity,
@@ -26,10 +29,10 @@ from ramseykit.search import (
 )
 
 from .helpers import (
+    ReferenceEngine,
     mask_rows_as_ints,
     multiplicity_bruteforce,
     reference_by_last,
-    reference_canonical_violated,
     reference_copy_masks,
     reference_transposition_sigmas,
     resume_token,
@@ -175,18 +178,6 @@ class TestKernelFingerprints:
         assert sum(mono_counts(report.witness, P.cycle(7))) == 360
 
 
-class _ReferenceEngine(_Engine):
-    """The search engine with the full-scan canonicity check in place of the incremental one."""
-
-    def __init__(self, masks, n, *args, **kwargs):
-        super().__init__(masks, n, *args, **kwargs)
-        self.reference_sigmas = reference_transposition_sigmas(n)
-
-    def _tied_after(self, depth, tied):
-        violated = reference_canonical_violated(self.x, self.reference_sigmas, depth + 1)
-        return -1 if violated else tied
-
-
 def _search_fingerprint(report):
     stats = report.stats
     return (report.value, report.witness, report.exact, report.resume_token,
@@ -194,7 +185,7 @@ def _search_fingerprint(report):
 
 
 class TestCanonicityCheck:
-    """The incremental check prunes exactly the nodes the full rescan prunes."""
+    """The flat loop prunes exactly the nodes the recursive full-rescan engine prunes."""
 
     @pytest.mark.parametrize("h,n,max_nodes", [
         (P.complete(3), 8, None),
@@ -202,25 +193,59 @@ class TestCanonicityCheck:
         (P.path(5), 7, None),
         (P.path(6), 8, None),
         (P.cycle(7), 13, 5000),
+        # stops at the root, early, and deep in the tree
+        (P.path(6), 8, 5),
+        (P.path(6), 8, 100),
+        (P.path(6), 8, 3000),
+        (P.path(6), 8, 10_000),
     ], ids=lambda x: getattr(x, "kind", x))
     def test_matches_full_scan(self, monkeypatch, h, n, max_nodes):
         budget = SearchBudget(max_nodes=max_nodes)
         incremental = multiplicity(h, n, budget)
-        monkeypatch.setattr(search, "_Engine", _ReferenceEngine)
+        monkeypatch.setattr(search, "_Engine", ReferenceEngine)
         full_scan = multiplicity(h, n, budget)
         assert _search_fingerprint(incremental) == _search_fingerprint(full_scan)
 
-    def test_forced_prefix_matches_full_scan(self):
+    @staticmethod
+    def _prefix_runs(prefix, max_nodes):
         h, n = P.path(6), 8
         masks = enumerate_copy_masks(h, n)
         runs = []
-        for engine in (_Engine, _ReferenceEngine):
-            best, bits, stats, pending = engine(masks, n).run([0, 1, 1, 0], 400, None, inf)
+        for engine in (_Engine, ReferenceEngine):
+            best, bits, stats, pending = engine(masks, n).run(prefix, 400, None, max_nodes)
             stats = stats.as_dict()
             del stats["elapsed_seconds"]
             runs.append((best, bits, pending, stats))
+        return runs
+
+    def test_forced_prefix_matches_full_scan(self):
+        runs = self._prefix_runs([0, 1, 1, 0], inf)
         assert runs[0] == runs[1]
         assert runs[0][3]["pruned_symmetry"] > 0
+
+    # the subtree below [0, 0, 1, 0] has 4,300 nodes at this cap; a stop at
+    # 3 nodes falls inside the prefix, which is then handed back whole
+    @pytest.mark.parametrize("max_nodes", [3, 100, 3000])
+    def test_forced_prefix_stops_match_full_scan(self, max_nodes):
+        runs = self._prefix_runs([0, 0, 1, 0], max_nodes)
+        assert runs[0] == runs[1]
+        assert runs[0][2]
+
+
+class TestCanonicityTable:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_one_comparison_per_sigma_against_the_new_edge(self, n):
+        # row d of the reference reading: each pair (e, sigma(e)), e < sigma(e),
+        # of sigma's run joins when the run's highest edge d is assigned
+        want = [[] for _ in range(comb(n, 2))]
+        for s, (moved, sigma) in enumerate(reference_transposition_sigmas(n)):
+            reach = -1
+            for e in moved:
+                reach = max(reach, e, sigma[e])
+                if e < sigma[e]:
+                    assert reach == sigma[e]  # the comparison is against edge d itself
+                    want[reach].append((1 << s, 1 << e))
+        assert _transposition_sigmas(n) == want
 
 
 class TestSeeds:
@@ -273,6 +298,37 @@ class TestBoardBuilds:
         rn = ramsey_number(P.cycle(7), 12)
         assert (rn.value, rn.exact) == (None, True)
         assert boards == []
+
+    def test_a_seed_settled_multiplicity_returns_the_seed(self, monkeypatch):
+        boards = _recorded_enumerations(monkeypatch)
+        report = multiplicity(P.cycle(7), 12)
+        stats = report.stats
+        assert (report.value, report.exact, stats.nodes, stats.leaves) == (0, True, 0, 1)
+        assert sum(mono_counts(report.witness, P.cycle(7))) == 0
+        assert boards == []
+
+    @pytest.mark.parametrize("search_board", [
+        lambda h, n: multiplicity(h, n, SearchBudget(max_nodes=5000)),
+        lambda h, n: find_zero_coloring(h, n),
+    ], ids=["multiplicity", "find_zero_coloring"])
+    def test_a_copy_table_that_cannot_fit_is_refused(self, monkeypatch, search_board):
+        # C(60, 41) * 41 rows, about 8.4e16
+        boards = _recorded_enumerations(monkeypatch)
+        with pytest.raises(PreconditionError, match=f"more than the {MAX_COPY_ROWS:,} copy"):
+            search_board(P.star(40), 60)
+        assert boards == []
+
+    @pytest.mark.parametrize("h,n", TestSoundness.MASK_CASES, ids=lambda x: getattr(x, "kind", x))
+    def test_row_bound_covers_the_copy_table(self, h, n):
+        rows = len(enumerate_copy_masks(h, n))
+        assert _copy_rows(h, n) >= rows
+        if h.kind != "explicit" and h.order > 2:
+            assert _copy_rows(h, n) == rows
+
+    def test_the_benchmark_ladder_fits(self):
+        ladder = [(P.cycle(5), 9), (P.path(6), 8), (P.complete(3), 10), (P.path(7), 9),
+                  (P.cycle(7), 13), (P.path(8), 11)]
+        assert max(_copy_rows(h, n) for h, n in ladder) == comb(11, 8) * 20160 < MAX_COPY_ROWS
 
     def test_threshold_builds_the_ramsey_board_once(self, monkeypatch):
         boards = _recorded_enumerations(monkeypatch)
@@ -417,6 +473,23 @@ class TestResumeSweep:
                 resumed = _cut_and_resume(h, n, cut, threads)
                 assert (resumed.value, resumed.exact) == (full.value, True), (cut, threads)
                 assert sum(mono_counts(resumed.witness, h)) == full.value, (cut, threads)
+
+
+class TestDeepBoards:
+    """One flat loop: a dive of C(n,2) edges needs no Python stack."""
+
+    @pytest.mark.parametrize("n", [46, 64])
+    def test_a_deep_dive_stops_and_resumes(self, n):
+        # every edge is a copy of P2, so no bound prunes and the first dive
+        # runs C(n,2) edges deep: 1,035 at n = 46, 2,016 at n = 64
+        h = P.path(2)
+        first = multiplicity(h, n, SearchBudget(max_nodes=2000))
+        assert (first.value, first.exact, first.stats.nodes) == (comb(n, 2), False, 2000)
+        # a resumed job walks its forced prefix again, up to C(n,2) nodes
+        resumed = multiplicity(h, n, SearchBudget(max_nodes=10_000),
+                               resume_token=first.resume_token)
+        assert (resumed.value, resumed.exact, resumed.stats.nodes) == (comb(n, 2), False, 10_000)
+        assert resumed.resume_token != first.resume_token
 
 
 class TestParallelDrain:
