@@ -6,6 +6,7 @@ Usage: python3 scripts/lemma_grid.py --seed 2026 [--instances 100] [--out-dir re
 """
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import time
@@ -28,9 +29,7 @@ def main() -> int:
     for lemma in LEMMAS:
         spec = GridSpec.default(lemma)
         if args.instances:
-            spec = GridSpec(lemma, spec.t_values, spec.size_lo, spec.size_hi,
-                            instances_per_cell=args.instances,
-                            count_budget=spec.count_budget)
+            spec = dataclasses.replace(spec, instances_per_cell=args.instances)
         t0 = time.monotonic()
         report = verify_counting_lemma(lemma, args.seed, spec)
         tally = report.tally()

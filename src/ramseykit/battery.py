@@ -15,6 +15,7 @@ from typing import Optional
 
 from .errors import PreconditionError, TwoMatchingExistsError
 from .extremal import (
+    fewest_common_neighbors,
     two_matching_reduction,
     verify_claim_alternating,
     verify_claim_bridged_cliques,
@@ -68,12 +69,7 @@ def _gen_common_neighbor(rng: random.Random):
     for e in inner[: rng.randint(1, 3)]:
         edges.add(e)
     f = SimpleGraph.from_edges(n, edges)
-    t_mask = vertex_set(t_vs, n, "T")[1]
-    s = min(
-        (f.adj[u] & f.adj[v] & t_mask).bit_count()
-        for i, u in enumerate(s_vs)
-        for v in s_vs[i + 1 :]
-    )
+    s = fewest_common_neighbors(f, s_vs, vertex_set(t_vs, n, "T")[1])[0]
     choices = [l for l in (3, 5, 7, 9) if l <= min(2 * s + 1, 2 * ns - 1)]
     if not choices:
         return None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import os
 import random
@@ -270,10 +271,7 @@ def _cmd_verify_lemma(args) -> int:
     manifest = _manifest(args, seed=args.seed)
     spec = GridSpec.default(args.lemma)
     if args.instances is not None:
-        spec = GridSpec(
-            args.lemma, spec.t_values, spec.size_lo, spec.size_hi,
-            instances_per_cell=args.instances, count_budget=spec.count_budget,
-        )
+        spec = dataclasses.replace(spec, instances_per_cell=args.instances)
     report = verify_counting_lemma(args.lemma, args.seed, spec)
     if args.csv:
         cols = "family,t,sizes,eps_hat,d,n,length,bound,hypotheses_met,exact,verdict"
@@ -355,7 +353,7 @@ def _board_size(text: str) -> int:
 
 
 def _nonnegative(kind):
-    """--budget-nodes, --budget-seconds: a cap of at least 0."""
+    """--budget-nodes, --budget-seconds, --lambda, --d: a value of at least 0."""
 
     def parse(text: str):
         try:
@@ -418,7 +416,7 @@ def _args_case2(p) -> None:
     _add_in(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--A", dest="a_set", required=True, help="vertex set, e.g. 0-4 or 0,2,5")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_nonnegative(float), required=True)
 
 
 def _args_verify_claim(p) -> None:
@@ -432,7 +430,6 @@ def _args_verify_claim(p) -> None:
 def _args_verify_lemma(p) -> None:
     p.add_argument("--lemma", required=True,
                    choices=("countpath2-p1", "countpath2-p2", "countcycle1"))
-    p.add_argument("--grid", default="default", choices=("default",))
     p.add_argument("--instances", type=_positive_int, default=None,
                    help="override instances per cell")
     p.add_argument("--seed", type=int, required=True)
@@ -443,7 +440,8 @@ def _args_classify(p) -> None:
     _add_in(p)
     p.add_argument("--parts", required=True, help='"auto-random:M=8" or "0-4;5-8"')
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--d", type=float, default=0.0, help="reduced density floor (default 12*sqrt(eps))")
+    p.add_argument("--d", type=_nonnegative(float), default=0.0,
+                   help="reduced density floor (default 12*sqrt(eps))")
     p.add_argument("--reg-mode", choices=("exact", "randomized"), default="exact")
     p.add_argument("--seed", type=int, default=None)
 

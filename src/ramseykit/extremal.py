@@ -4,15 +4,20 @@ The quantities here live on a bipartition (A, B) of a colored K_n: one
 color is dense inside both parts, the other dense across. Within-part
 density is pair-normalized, e(S)/C(|S|,2), so a clique scores exactly 1
 at every size (a singleton scores 1 vacuously); cross density is
-e(A,B)/(|A||B|).
+e(A,B)/(|A||B|). One measure, _lambda, turns |A| and the red edges inside
+A, inside B and across into the extremality parameter; a blue count is
+its pair total minus the red count. The exact scan, local search,
+partition_parameter and extremal_inequalities all read it.
 
 The claim verifiers pair a closed-form cycle-count lower bound with an
 exact brute-force count and report whether the bound holds; the case-2
 decision tree walks the structural analysis of a near-extremal coloring
 on 2k-1 vertices and emits the first certified bound whose hypotheses
-fire. Bounds involving the constant e are evaluated in double precision
-with downward rounding and floored; exact rational arithmetic is used
-where the formula is rational.
+fire. The verifiers, the tree and the claim battery share one
+fewest-common-neighbours helper and one first-missing-edge helper (a blue
+pair inside a part is a missing red edge). Bounds involving the constant
+e are evaluated in double precision with downward rounding and floored;
+exact rational arithmetic is used where the formula is rational.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +48,7 @@ from .graphs import (
     vertex_set,
 )
 
-EXACT_PARTITION_CAP = 24  # 2^(n-1) bipartitions; memory ~2^n ints per color
+EXACT_PARTITION_CAP = 24  # 2^(n-1) bipartitions; one table of 2^n red-edge counts
 
 
 def chi(a: int, b: int) -> TwoColoring:
@@ -65,26 +70,53 @@ def chi(a: int, b: int) -> TwoColoring:
 
 
 # ---------------------------------------------------------------------------
-# Bipartition densities and the extremality parameter
+# The extremality measure
 # ---------------------------------------------------------------------------
 
 
-def within_density(g: SimpleGraph, vertices: Iterable[int]) -> Fraction:
-    """Pair-normalized density e(S)/C(|S|,2); 1 for fewer than two vertices."""
-    vs, mask = vertex_set(vertices, g.n, "S")
-    if len(vs) < 2:
-        return Fraction(1)
-    return Fraction(sum((g.adj[v] & mask).bit_count() for v in vs) // 2, comb(len(vs), 2))
+def _densities(n, a, red_a, red_b, red_x, role):
+    """The role colour's density inside A and inside B, and the other's across.
+
+    The inputs are |A| and the red edges inside A, inside B and across;
+    each blue count is its pair total minus the red count. Scalars or
+    numpy arrays. Each density is one integer count divided once, so every
+    caller gets the same double.
+    """
+    b = n - a
+    pa, pb, px = a * (a - 1) // 2, b * (b - 1) // 2, a * b
+    if role == "red":
+        in_a, in_b, cross = red_a, red_b, px - red_x
+    else:
+        in_a, in_b, cross = pa - red_a, pb - red_b, red_x
+    # a part of fewer than two vertices has no pairs and density 1
+    none_a, none_b = pa == 0, pb == 0
+    return (in_a + none_a) / (pa + none_a), (in_b + none_b) / (pb + none_b), cross / px
 
 
-def cross_density(g: SimpleGraph, a_set: Iterable[int], b_set: Iterable[int]) -> Fraction:
-    va, ma = vertex_set(a_set, g.n, "A")
-    vb, mb = vertex_set(b_set, g.n, "B")
-    if not ma or not mb:
-        raise PreconditionError("cross density needs two nonempty sets")
-    if ma & mb:
-        raise PreconditionError("cross density needs disjoint sets")
-    return Fraction(sum((g.adj[v] & mb).bit_count() for v in va), len(va) * len(vb))
+def _lambda(n, a, red_a, red_b, red_x, role):
+    """The smallest lambda at which the five near-extremality inequalities hold."""
+    d_a, d_b, d_x = _densities(n, a, red_a, red_b, red_x, role)
+    size = np.maximum(0.5 - a / n, 0.5 - (n - a) / n)
+    return np.maximum(np.maximum(size, 1.0 - np.minimum(np.minimum(d_a, d_b), d_x)), 0.0)
+
+
+def _red_counts(red_adj: Sequence[int], a_mask: int) -> tuple[int, int, int]:
+    """Red edges inside A, inside its complement B, and across."""
+    b_mask = ((1 << len(red_adj)) - 1) ^ a_mask
+    in_a = in_b = cross = 0
+    for v, row in enumerate(red_adj):
+        if a_mask >> v & 1:
+            in_a += (row & a_mask).bit_count()
+            cross += (row & b_mask).bit_count()
+        else:
+            in_b += (row & b_mask).bit_count()
+    return in_a // 2, in_b // 2, cross
+
+
+def _partition_lambda(red_adj: Sequence[int], a_mask: int, role: str) -> float:
+    """_lambda of the bipartition whose part A is the vertex mask a_mask."""
+    n = len(red_adj)
+    return float(_lambda(n, a_mask.bit_count(), *_red_counts(red_adj, a_mask), role))
 
 
 def extremal_inequalities(
@@ -103,27 +135,15 @@ def extremal_inequalities(
         raise PreconditionError("A, B must partition the vertex set and be nonempty")
     if within_color not in ("red", "blue"):
         raise PreconditionError("within_color must be 'red' or 'blue'")
-    g_in = c.red_graph() if within_color == "red" else c.blue_graph()
-    g_out = c.blue_graph() if within_color == "red" else c.red_graph()
     cross_color = "blue" if within_color == "red" else "red"
+    counts = _red_counts(c.red_graph().adj, ma)
+    d_a, d_b, d_x = _densities(n, len(va), *counts, within_color)
     rows = [
         ("|A| >= (1/2 - lambda) n", float(len(va)), (0.5 - lam) * n),
         ("|B| >= (1/2 - lambda) n", float(len(vb)), (0.5 - lam) * n),
-        (
-            f"{within_color} density within A >= 1 - lambda",
-            float(within_density(g_in, va)),
-            1.0 - lam,
-        ),
-        (
-            f"{within_color} density within B >= 1 - lambda",
-            float(within_density(g_in, vb)),
-            1.0 - lam,
-        ),
-        (
-            f"cross {cross_color} density below 1-lambda",
-            float(cross_density(g_out, va, vb)),
-            1.0 - lam,
-        ),
+        (f"{within_color} density within A >= 1 - lambda", d_a, 1.0 - lam),
+        (f"{within_color} density within B >= 1 - lambda", d_b, 1.0 - lam),
+        (f"cross {cross_color} density below 1-lambda", d_x, 1.0 - lam),
     ]
     return [(name, lhs >= rhs - 1e-12, lhs, rhs) for name, lhs, rhs in rows]
 
@@ -132,26 +152,10 @@ def partition_parameter(
     c: TwoColoring, a_set: Iterable[int], within_color: str
 ) -> float:
     """Smallest lambda making the five inequalities hold for this partition."""
-    if within_color == "red":
-        return _partition_lambda(c.red_graph(), c.blue_graph(), a_set)
-    return _partition_lambda(c.blue_graph(), c.red_graph(), a_set)
-
-
-def _partition_lambda(g_in: SimpleGraph, g_out: SimpleGraph, a_set: Iterable[int]) -> float:
-    """partition_parameter on the within-part and cross colour graphs."""
-    n = g_in.n
-    va, ma = vertex_set(a_set, n, "A")
-    vb = tuple(v for v in range(n) if not ma >> v & 1)
-    if not va or not vb:
+    a_mask = vertex_set(a_set, c.n, "A")[1]
+    if not a_mask or a_mask == (1 << c.n) - 1:
         raise PreconditionError("both parts must be nonempty")
-    terms = [
-        0.5 - len(va) / n,
-        0.5 - len(vb) / n,
-        1.0 - float(within_density(g_in, va)),
-        1.0 - float(within_density(g_in, vb)),
-        1.0 - float(cross_density(g_out, va, vb)),
-    ]
-    return max(0.0, max(terms))
+    return _partition_lambda(c.red_graph().adj, a_mask, within_color)
 
 
 @dataclass(frozen=True)
@@ -186,11 +190,10 @@ def extremal_parameter(
 ) -> ExtremalAssessment:
     """Smallest lambda for which the coloring is extremal, with the partition.
 
-    Exact mode scans all bipartitions through per-color subset edge tables
-    (n <= 24); local-search mode hill-climbs from seeded random partitions
-    and returns an upper bound on lambda_star. Every density involved is a
-    ratio of integers with denominator at most n^2 choose 2-ish, so float64
-    comparison is exact at these scales.
+    Exact mode scans all bipartitions through one subset table of red edge
+    counts (n <= 24); local-search mode hill-climbs from seeded random
+    partitions and returns an upper bound on lambda_star. Both read the
+    one measure _lambda on red-edge counts.
     """
     n = c.n
     if n < 2:
@@ -208,42 +211,35 @@ def extremal_parameter(
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
+def _assessment(n: int, lam: float, a_mask: int, role: str, mode: str) -> ExtremalAssessment:
+    a_vs = tuple(v for v in range(n) if a_mask >> v & 1)
+    b_vs = tuple(v for v in range(n) if not a_mask >> v & 1)
+    return ExtremalAssessment(n, lam, (a_vs, b_vs), role, mode)
+
+
 def _extremal_exact(c: TwoColoring) -> ExtremalAssessment:
     n = c.n
-    gr, gb = c.red_graph(), c.blue_graph()
-    er = _subset_edge_table(gr)
-    eb = _subset_edge_table(gb)
+    red = _subset_edge_table(c.red_graph())
     full = (1 << n) - 1
     masks = np.arange(1, 1 << n, 2, dtype=np.int64)  # vertex 0 in A
     masks = masks[masks != full]
-    comp = full ^ masks
-    a = _popcount(masks).astype(np.float64)
-    b = float(n) - a
-    pa = np.maximum(a * (a - 1) / 2.0, 1.0)
-    pb = np.maximum(b * (b - 1) / 2.0, 1.0)
-    size_terms = np.maximum(0.5 - a / n, 0.5 - b / n)
+    red_a, red_b = red[masks], red[full ^ masks]
+    red_x = red[full] - red_a - red_b
+    a = _popcount(masks)
     best = (math.inf, None, None)
-    for role, e_in, e_out in (("red", er, eb), ("blue", eb, er)):
-        total_out = e_out[full]
-        din_a = np.where(a >= 2, e_in[masks] / pa, 1.0)
-        din_b = np.where(b >= 2, e_in[comp] / pb, 1.0)
-        dcross = (total_out - e_out[masks] - e_out[comp]) / (a * b)
-        lam = np.maximum(size_terms, 1.0 - np.minimum(np.minimum(din_a, din_b), dcross))
-        lam = np.maximum(lam, 0.0)
+    for role in ("red", "blue"):
+        lam = _lambda(n, a, red_a, red_b, red_x, role)
         i = int(np.argmin(lam))
         if lam[i] < best[0]:
             best = (float(lam[i]), int(masks[i]), role)
-    lam_star, a_mask, role = best
-    a_vs = tuple(v for v in range(n) if a_mask >> v & 1)
-    b_vs = tuple(v for v in range(n) if not a_mask >> v & 1)
-    return ExtremalAssessment(n, lam_star, (a_vs, b_vs), role, "exact")
+    return _assessment(n, *best, "exact")
 
 
 def _extremal_local(c: TwoColoring, seed: int, restarts: int) -> ExtremalAssessment:
     n = c.n
     rng = random.Random(seed)
-    gr, gb = c.red_graph(), c.blue_graph()
-    graphs = {"red": (gr, gb), "blue": (gb, gr)}
+    red = c.red_graph().adj
+    full = (1 << n) - 1
     best = (math.inf, None, None)
     starts = [list(range(n // 2))]
     for _ in range(restarts - 1):
@@ -251,26 +247,22 @@ def _extremal_local(c: TwoColoring, seed: int, restarts: int) -> ExtremalAssessm
         starts.append(rng.sample(range(n), size))
     for start in starts:
         for role in ("red", "blue"):
-            g_in, g_out = graphs[role]
-            a_cur = set(start) or {0}
-            lam_cur = _partition_lambda(g_in, g_out, a_cur)
+            a_cur = sum(1 << v for v in start) or 1
+            lam_cur = _partition_lambda(red, a_cur, role)
             improved = True
             while improved:
                 improved = False
                 for v in range(n):
-                    cand = set(a_cur)
-                    cand.symmetric_difference_update({v})
-                    if not cand or len(cand) == n:
+                    cand = a_cur ^ (1 << v)
+                    if not cand or cand == full:
                         continue
-                    lam_new = _partition_lambda(g_in, g_out, cand)
+                    lam_new = _partition_lambda(red, cand, role)
                     if lam_new < lam_cur - 1e-15:
                         a_cur, lam_cur = cand, lam_new
                         improved = True
             if lam_cur < best[0]:
-                best = (lam_cur, tuple(sorted(a_cur)), role)
-    lam_star, a_vs, role = best
-    b_vs = tuple(v for v in range(n) if v not in set(a_vs))
-    return ExtremalAssessment(n, lam_star, (a_vs, b_vs), role, "local-search")
+                best = (lam_cur, a_cur, role)
+    return _assessment(n, *best, "local-search")
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +301,17 @@ def cleanup(
     for name, ok, lhs, rhs in rows:
         if "density" in name and not ok:
             raise PreconditionError(f"{name}: {lhs:.6f} < {rhs:.6f}")
-    gr, gb = c.red_graph(), c.blue_graph()
+    red = c.red_graph().adj
     root = math.sqrt(lam)
+
+    def degrees(v, own_mask, other_mask):
+        # red degree inside the own part; blue degree = pairs into the other part - red
+        return (red[v] & own_mask).bit_count(), (~red[v] & other_mask).bit_count()
 
     def bad(vs, own_mask, other_mask, own_size, other_size):
         out = []
         for v in vs:
-            red_in = (gr.adj[v] & own_mask).bit_count()
-            blue_out = (gb.adj[v] & other_mask).bit_count()
+            red_in, blue_out = degrees(v, own_mask, other_mask)
             if red_in <= (1 - root) * (own_size - 1) or blue_out <= (1 - root) * other_size:
                 out.append(v)
         return tuple(out)
@@ -337,8 +332,7 @@ def cleanup(
         ("B'", b_prime, mbp, "A'", map_),
     ):
         for v in part:
-            red_in = (gr.adj[v] & own_mask).bit_count()
-            blue_out = (gb.adj[v] & other_mask).bit_count()
+            red_in, blue_out = degrees(v, own_mask, other_mask)
             checks.append((red_in >= floor[own] - 1e-9, f"red degree of {v} in {own}"))
             checks.append((blue_out >= floor[other] - 1e-9, f"blue degree of {v} into {other}"))
     for ok, what in checks:
@@ -379,8 +373,24 @@ def claim_common_neighbor_bound(s: int, s_size: int, l: int) -> int:
     return math.floor(val)
 
 
-def _common_in(g: SimpleGraph, u: int, v: int, t_mask: int) -> int:
-    return (g.adj[u] & g.adj[v] & t_mask).bit_count()
+def fewest_common_neighbors(
+    g: SimpleGraph, s_vs: Sequence[int], t_mask: int
+) -> tuple[int, tuple[int, int]]:
+    """The fewest common neighbours in T over pairs of S, and the first such pair."""
+    return min(
+        ((g.adj[u] & g.adj[v] & t_mask).bit_count(), (u, v))
+        for i, u in enumerate(s_vs)
+        for v in s_vs[i + 1 :]
+    )
+
+
+def _first_missing_edge(g: SimpleGraph, vs: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first pair of vs that is not an edge of g; None when vs is a clique."""
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            if not g.adj[u] >> v & 1:
+                return u, v
+    return None
 
 
 def verify_claim_common_neighbor(
@@ -397,17 +407,8 @@ def verify_claim_common_neighbor(
         raise HypothesisError("S and T must be disjoint")
     if len(vs) < 2:
         raise HypothesisError("S needs at least two vertices")
-    s = None
-    worst = None
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            cn = _common_in(f, u, v, t_mask)
-            if s is None or cn < s:
-                s, worst = cn, (u, v)
-    edge = next(
-        ((u, v) for i, u in enumerate(vs) for v in vs[i + 1 :] if f.has_edge(u, v)), None
-    )
-    if edge is None:
+    s, worst = fewest_common_neighbors(f, vs, t_mask)
+    if not any(f.adj[v] & s_mask for v in vs):
         raise HypothesisError("no edge inside S")
     if not 3 <= l <= min(2 * s + 1, 2 * len(vs) - 1):
         raise PreconditionError(
@@ -463,10 +464,9 @@ def verify_claim_bridged_cliques(
     if sm & tm:
         raise HypothesisError("S and T must be disjoint")
     for name, part in (("S", vs), ("T", vt)):
-        for i, u in enumerate(part):
-            for v in part[i + 1 :]:
-                if not f.has_edge(u, v):
-                    raise HypothesisError(f"{name} is not a clique: missing ({u}, {v})")
+        missing = _first_missing_edge(f, part)
+        if missing is not None:
+            raise HypothesisError(f"{name} is not a clique: missing {missing}")
     _check_bridge(f, p1, sm, tm, "P1")
     _check_bridge(f, p2, sm, tm, "P2")
     if set(p1) & set(p2):
@@ -663,130 +663,61 @@ def case2_lower_bound(
         raise PreconditionError("k must be an odd integer >= 3")
     va = vertex_set(a_set, n, "A")[0]
     vb = vertex_set(b_set, n, "B")[0]
-
-    def rows_ok(color):
-        rows = extremal_inequalities(c, va, vb, lam, color)
-        return all(ok for _, ok, _, _ in rows), rows
-
-    ok_red, rows_red = rows_ok("red")
-    swapped = False
-    work = c
-    if not ok_red:
-        ok_blue, rows_blue = rows_ok("blue")
-        if ok_blue:
-            work = c.swapped()
-            swapped = True
-        else:
-            broken = next(name for name, ok, _, _ in rows_red if not ok)
-            raise PreconditionError(
-                f"(A,B) is not extremal at lambda={lam} in either color role: {broken}"
-            )
+    rows_red = extremal_inequalities(c, va, vb, lam, "red")
+    broken = next((name for name, ok, _, _ in rows_red if not ok), None)
+    swapped = broken is not None
+    if swapped and not all(ok for _, ok, _, _ in extremal_inequalities(c, va, vb, lam, "blue")):
+        raise PreconditionError(
+            f"(A,B) is not extremal at lambda={lam} in either color role: {broken}"
+        )
+    work = c.swapped() if swapped else c
     trace = []
     gr, gb = work.red_graph(), work.blue_graph()
     clean = cleanup(work, va, vb, lam)
     ap, bp = clean.a_prime, clean.b_prime
     trace.append(f"cleanup: |A'|={len(ap)} |B'|={len(bp)} |X|={len(clean.x)} |Y|={len(clean.y)}")
 
-    def mono_color(label: str) -> str:
+    def certify(stage, event, bound, claim, color, **witness) -> CaseTwoCertificate:
         # color names in the certificate refer to the ORIGINAL coloring
-        if not swapped:
-            return label
-        return {"red": "blue", "blue": "red"}[label]
+        witness["cycle_color"] = {"red": "blue", "blue": "red"}[color] if swapped else color
+        trace.append(f"{stage}: {event}")
+        return CaseTwoCertificate(bound, claim, witness, swapped, tuple(trace))
+
+    def outside_range(stage: str, structure: str, detail: str = ""):
+        return DecisionTreeExhaustedError(
+            f"{stage}: {structure} present but k={k} outside claim range{detail}"
+        )
 
     def fire_common_neighbor(s_vs, t_vs, edge, stage: str) -> CaseTwoCertificate:
-        t_mask = vertex_set(t_vs, n, "T")[1]
-        s = min(
-            _common_in(gb, u, v, t_mask)
-            for i, u in enumerate(s_vs)
-            for v in s_vs[i + 1 :]
-        )
+        s = fewest_common_neighbors(gb, s_vs, vertex_set(t_vs, n, "T")[1])[0]
         if not 3 <= k <= min(2 * s + 1, 2 * len(s_vs) - 1):
-            raise DecisionTreeExhaustedError(
-                f"{stage}: blue edge present but k={k} outside claim range "
-                f"(s={s}, |S|={len(s_vs)})"
-            )
+            raise outside_range(stage, "blue edge", f" (s={s}, |S|={len(s_vs)})")
         bound = claim_common_neighbor_bound(s, len(s_vs), k)
-        trace.append(f"{stage}: fired with s={s}, |S|={len(s_vs)}")
-        return CaseTwoCertificate(
-            bound,
-            "blue-edge-in-clique",
-            {
-                "S": s_vs,
-                "T": t_vs,
-                "edge": edge,
-                "s": s,
-                "cycle_color": mono_color("blue"),
-            },
-            swapped,
-            tuple(trace),
-        )
-
-    def blue_edge_in(part):
-        for i, u in enumerate(part):
-            for v in part[i + 1 :]:
-                if gb.has_edge(u, v):
-                    return (u, v)
-        return None
+        return certify(stage, f"fired with s={s}, |S|={len(s_vs)}", bound,
+                       "blue-edge-in-clique", "blue", S=s_vs, T=t_vs, edge=edge, s=s)
 
     def fire_bridges(s_vs, t_vs, pair, stage: str) -> CaseTwoCertificate:
         if not 7 <= k <= min(2 * len(s_vs) - 1, 2 * len(t_vs) - 1):
-            raise DecisionTreeExhaustedError(
-                f"{stage}: two disjoint red bridges present but k={k} outside "
-                f"claim range (|S|={len(s_vs)}, |T|={len(t_vs)})"
-            )
-        _, threshold = bridged_cliques_bound(k)
-        trace.append(f"{stage}: fired with P1={pair[0]}, P2={pair[1]}")
-        return CaseTwoCertificate(
-            threshold,
-            "two-red-bridges",
-            {
-                "S": s_vs,
-                "T": t_vs,
-                "P1": pair[0],
-                "P2": pair[1],
-                "cycle_color": mono_color("red"),
-            },
-            swapped,
-            tuple(trace),
-        )
+            raise outside_range(stage, "two disjoint red bridges",
+                                f" (|S|={len(s_vs)}, |T|={len(t_vs)})")
+        p1, p2 = pair
+        return certify(stage, f"fired with P1={p1}, P2={p2}", bridged_cliques_bound(k)[1],
+                       "two-red-bridges", "red", S=s_vs, T=t_vs, P1=p1, P2=p2)
 
     def fire_two_path(s_vs, t_vs, w, p_prime, stage: str) -> CaseTwoCertificate:
         if not 7 <= k <= min(2 * len(s_vs) + 1, 2 * len(t_vs) + 1):
-            raise DecisionTreeExhaustedError(
-                f"{stage}: blue two-path present but k={k} outside claim range"
-            )
-        _, threshold = alternating_bound(k)
-        trace.append(f"{stage}: fired with P'={p_prime}")
-        return CaseTwoCertificate(
-            threshold,
-            "blue-two-path",
-            {
-                "S": s_vs,
-                "T": t_vs,
-                "w": w,
-                "P_prime": p_prime,
-                "cycle_color": mono_color("blue"),
-            },
-            swapped,
-            tuple(trace),
-        )
+            raise outside_range(stage, "blue two-path")
+        return certify(stage, f"fired with P'={p_prime}", alternating_bound(k)[1],
+                       "blue-two-path", "blue", S=s_vs, T=t_vs, w=w, P_prime=p_prime)
 
     def fire_red_clique(clique, stage: str) -> CaseTwoCertificate:
-        for i, u in enumerate(clique):
-            for v in clique[i + 1 :]:
-                assert gr.has_edge(u, v), "internal: fallback set is not a red clique"
-        trace.append(f"{stage}: red clique of order {len(clique)}")
-        return CaseTwoCertificate(
-            factorial(k - 1) // 2,
-            "red-clique-K_k",
-            {"clique": clique, "cycle_color": mono_color("red")},
-            swapped,
-            tuple(trace),
-        )
+        assert _first_missing_edge(gr, clique) is None, "internal: fallback is not a red clique"
+        return certify(stage, f"red clique of order {len(clique)}", factorial(k - 1) // 2,
+                       "red-clique-K_k", "red", clique=clique)
 
-    # Stage 1: a blue edge inside a cleaned part
+    # Stage 1: a blue edge inside a cleaned part, that is a missing red edge
     for part, other in ((ap, bp), (bp, ap)):
-        edge = blue_edge_in(part)
+        edge = _first_missing_edge(gr, part)
         if edge is not None:
             return fire_common_neighbor(part, other, edge, "stage-1")
     trace.append("stage-1: A', B' are red cliques")
@@ -856,7 +787,7 @@ def case2_lower_bound(
 
     # Stage 7: a blue edge inside a merged part
     for part, core in ((at, b3), (bt, a3)):
-        edge = blue_edge_in(part)
+        edge = _first_missing_edge(gr, part)
         if edge is not None:
             if not core:
                 raise DecisionTreeExhaustedError("stage-7: empty opposite core")

@@ -124,18 +124,11 @@ class SimpleGraph:
             for u in _bits(self.adj[v] >> (v + 1) << (v + 1)):
                 yield v, u
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
-
     def permuted(self, perm: list[int]) -> "SimpleGraph":
         """Relabel: vertex v of the result is vertex perm[v] of self."""
         return SimpleGraph.from_edges(
             self.n, ((perm.index(u), perm.index(v)) for u, v in self.edges())
         )
-
-    def complement(self) -> "SimpleGraph":
-        full = (1 << self.n) - 1
-        return SimpleGraph(self.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj)))
 
     def bipartition(self) -> Optional[tuple[int, int]]:
         """Two-color the vertices if possible; returns side masks or None."""
@@ -295,14 +288,6 @@ class TwoColoring:
             if self.is_red(perm[i], perm[j]):
                 mask |= 1 << pair_index(i, j, self.n)
         return TwoColoring(self.n, mask)
-
-    @staticmethod
-    def from_red_graph(g: SimpleGraph) -> "TwoColoring":
-        mask = 0
-        for idx, (i, j) in enumerate(pair_iter(g.n)):
-            if g.has_edge(i, j):
-                mask |= 1 << idx
-        return TwoColoring(g.n, mask)
 
 
 # ---------------------------------------------------------------------------

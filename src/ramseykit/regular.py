@@ -287,42 +287,33 @@ class PairSystem:
         return min(len(c) for c in self.classes)
 
 
-def complete_ring(sizes: Sequence[int]) -> PairSystem:
+def _ring(sizes: Sequence[int], keep) -> PairSystem:
+    """Classes of the given sizes in a ring; between cyclically consecutive
+    classes i and j, the a-th vertex of V_i and the b-th of V_j are joined
+    when keep(a, b)."""
     t = len(sizes)
-    edges = []
     offs = [sum(sizes[:i]) for i in range(t)]
-    for i in range(1 if t == 2 else t):
-        j = (i + 1) % t
-        for a in range(sizes[i]):
-            for b in range(sizes[j]):
-                edges.append((offs[i] + a, offs[j] + b))
+    edges = [
+        (offs[i] + a, offs[j] + b)
+        for i in range(1 if t == 2 else t)
+        for j in [(i + 1) % t]
+        for a in range(sizes[i])
+        for b in range(sizes[j])
+        if keep(a, b)
+    ]
     return PairSystem.build(sizes, edges)
+
+
+def complete_ring(sizes: Sequence[int]) -> PairSystem:
+    return _ring(sizes, lambda a, b: True)
 
 
 def complete_minus_matching_ring(sizes: Sequence[int]) -> PairSystem:
-    t = len(sizes)
-    edges = []
-    offs = [sum(sizes[:i]) for i in range(t)]
-    for i in range(1 if t == 2 else t):
-        j = (i + 1) % t
-        for a in range(sizes[i]):
-            for b in range(sizes[j]):
-                if a != b:  # drop the natural matching
-                    edges.append((offs[i] + a, offs[j] + b))
-    return PairSystem.build(sizes, edges)
+    return _ring(sizes, lambda a, b: a != b)  # drop the natural matching
 
 
 def quasirandom_ring(sizes: Sequence[int], d: float, rng: random.Random) -> PairSystem:
-    t = len(sizes)
-    edges = []
-    offs = [sum(sizes[:i]) for i in range(t)]
-    for i in range(1 if t == 2 else t):
-        j = (i + 1) % t
-        for a in range(sizes[i]):
-            for b in range(sizes[j]):
-                if rng.random() < d:
-                    edges.append((offs[i] + a, offs[j] + b))
-    return PairSystem.build(sizes, edges)
+    return _ring(sizes, lambda a, b: rng.random() < d)
 
 
 def count_transversal_paths(
@@ -537,9 +528,7 @@ class GridSpec:
 
     @staticmethod
     def default(lemma: str) -> "GridSpec":
-        if lemma == "countpath2-p1":
-            return GridSpec(lemma, (2, 3), 4, 10)
-        if lemma == "countpath2-p2":
+        if lemma in ("countpath2-p1", "countpath2-p2"):
             return GridSpec(lemma, (2, 3), 4, 10)
         if lemma == "countcycle1":
             return GridSpec(lemma, (3,), 4, 6)
@@ -675,48 +664,17 @@ def _verify_one(
     eps_hat, d_min = _measure(sys)
     n = sys.min_class_size()
     params = RegimeParams(eps=eps_hat, d=d_min, t=t, mode="explorer")
-    note = ""
-    if lemma == "countpath2-p1":
-        ell = rng.randint(2, 5)
-        ev = transversal_path_bound_fixed_start(params, n, ell)
-        w0, ok = _qualifying_vertex(sys, 0, 1 % t, (d_min - eps_hat) * len(sys.classes[1 % t]))
-        if not ok:
-            return LemmaRow(
-                family, t, tuple(map(len, sys.classes)), eps_hat, d_min, n, ell,
-                ev.value, False, None, True, "vacuous", "no qualifying start vertex",
-            )
-        exact = count_transversal_paths(sys, w0, ell, budget=spec.count_budget * 10)
-        verdict = ("pass" if exact >= ev.value else "FAIL") if ev.met else "vacuous"
-        return LemmaRow(
-            family, t, tuple(map(len, sys.classes)), eps_hat, d_min, n, ell,
-            ev.value, ev.met, exact, True, verdict, note,
-        )
-    if lemma == "countpath2-p2":
-        ell = t * rng.choice((2, 3)) if t == 2 else 2 * t
-        ev = transversal_path_bound_fixed_ends(params, n, ell)
-        w0, ok0 = _qualifying_vertex(sys, 0, 1 % t, (d_min - eps_hat) * len(sys.classes[1 % t]))
-        cls0 = [v for v in sys.classes[0] if v != w0]
-        w0p = rng.choice(cls0) if cls0 else w0
-        degp = (sys.graph.adj[w0p] & sys.masks[t - 1]).bit_count()
-        ok1 = degp >= (d_min - eps_hat) * len(sys.classes[t - 1]) - 1e-12
-        if not (ok0 and ok1):
-            return LemmaRow(
-                family, t, tuple(map(len, sys.classes)), eps_hat, d_min, n, ell,
-                ev.value, False, None, True, "vacuous", "no qualifying end vertices",
-            )
-        exact = count_transversal_paths_between(sys, w0, w0p, ell, budget=spec.count_budget * 10)
-        verdict = ("pass" if exact >= ev.value else "FAIL") if ev.met else "vacuous"
-        return LemmaRow(
-            family, t, tuple(map(len, sys.classes)), eps_hat, d_min, n, ell,
-            ev.value, ev.met, exact, True, verdict, note,
-        )
-    # countcycle1
-    p_candidates = [p for p in (2 * t + 7, 2 * t + 9) if p % 2 == 1]
-    p = rng.choice(p_candidates) if p_candidates else 2 * t + 7
-    ev = ring_cycle_bound(params, n, p)
-    exact, complete = _count_cycles_capped(sys.graph, p, spec.count_budget)
-    if ev.met:
-        if exact is not None and complete:
+    exact, complete, note = None, True, ""
+    if lemma == "countcycle1":
+        length = rng.choice((2 * t + 7, 2 * t + 9))  # odd, as the bound needs
+        ev = ring_cycle_bound(params, n, length)
+        met = ev.met
+        exact, complete = _count_cycles_capped(sys.graph, length, spec.count_budget)
+        if not met:
+            verdict = "vacuous"
+            if not complete:
+                note = "count budget-truncated"
+        elif exact is not None and complete:
             verdict = "pass" if exact >= ev.value else "FAIL"
         elif ev.value <= 0.0:
             verdict = "pass"  # a count is always >= 0
@@ -724,10 +682,30 @@ def _verify_one(
         else:
             verdict = "undecided-budget"
     else:
-        verdict = "vacuous"
-        if not complete:
-            note = "count budget-truncated"
+        w0, ok = _qualifying_vertex(sys, 0, 1 % t, (d_min - eps_hat) * len(sys.classes[1 % t]))
+        if lemma == "countpath2-p1":
+            length = rng.randint(2, 5)
+            ev = transversal_path_bound_fixed_start(params, n, length)
+            end, why = None, "no qualifying start vertex"
+        else:
+            length = t * rng.choice((2, 3)) if t == 2 else 2 * t
+            ev = transversal_path_bound_fixed_ends(params, n, length)
+            cls0 = [v for v in sys.classes[0] if v != w0]
+            end = rng.choice(cls0) if cls0 else w0
+            degp = (sys.graph.adj[end] & sys.masks[t - 1]).bit_count()
+            ok = ok and degp >= (d_min - eps_hat) * len(sys.classes[t - 1]) - 1e-12
+            why = "no qualifying end vertices"
+        met = ok and ev.met
+        if not ok:
+            verdict, note = "vacuous", why
+        else:
+            budget = spec.count_budget * 10
+            if end is None:
+                exact = count_transversal_paths(sys, w0, length, budget=budget)
+            else:
+                exact = count_transversal_paths_between(sys, w0, end, length, budget=budget)
+            verdict = ("pass" if exact >= ev.value else "FAIL") if met else "vacuous"
     return LemmaRow(
-        family, t, tuple(map(len, sys.classes)), eps_hat, d_min, n, p,
-        ev.value, ev.met, exact, complete, verdict, note,
+        family, t, tuple(map(len, sys.classes)), eps_hat, d_min, n, length,
+        ev.value, met, exact, complete, verdict, note,
     )

@@ -44,9 +44,6 @@ class ReducedGraph:
     def M(self) -> int:
         return len(self.parts)
 
-    def part_map(self) -> dict[int, int]:
-        return {v: i for i, part in enumerate(self.parts) for v in part}
-
     def color_subgraph(self, color: str) -> SimpleGraph:
         edges = self.red_edges if color == "red" else self.blue_edges
         return SimpleGraph.from_edges(self.M, edges)

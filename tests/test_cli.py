@@ -360,6 +360,23 @@ class TestDiagnosticsNameTheFlag:
         assert f": {flag}: [Errno 2] No such file or directory: {str(missing)!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("args,flag", [
+        (["case2", "--k", "5", "--A", "0-4", "--lambda"], "--lambda"),
+        (["classify", "--parts", "0-4;5-8", "--eps", "0.0001", "--d"], "--d"),
+    ])
+    def test_nan_or_negative_lambda_and_floor_exit_2(self, capsys, tmp_path, args, flag, value):
+        # --d used to read nan or a negative floor as the default, and --lambda
+        # used to stop with a non-extremality message naming no flag
+        kcol = tmp_path / "c.kcol"
+        kcol.write_text(encode(chi(5, 4)))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(args + [value, "--in", str(kcol), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMainEntry:
     def test_in_process_main(self, capsys, tmp_path):

@@ -17,6 +17,7 @@ from ramseykit.extremal import (
     chi,
     claim_common_neighbor_bound,
     cleanup,
+    extremal_inequalities,
     extremal_parameter,
     partition_parameter,
     two_matching_reduction,
@@ -106,6 +107,26 @@ class TestExtremalParameter:
             for a_mask_set in ({0, 1, 2}, {0, 1, 2, 3, 4}, {0, 5, 6}):
                 lam_p = partition_parameter(c, a_mask_set, role)
                 assert lam_p >= a.lambda_star - 1e-12
+
+    def test_exact_scan_is_the_least_partition_parameter(self):
+        # one measure behind the exact scan, the per-partition parameter and
+        # the inequality rows: over every bipartition and both roles, the
+        # scan's minimum is bit for bit the least partition_parameter, and
+        # each partition's rows hold at its own parameter
+        rng = random.Random(2027)
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            c = TwoColoring(n, rng.getrandbits(n * (n - 1) // 2))
+            lams = []
+            for a_mask in range(1, (1 << n) - 1):
+                a_set = [v for v in range(n) if a_mask >> v & 1]
+                b_set = [v for v in range(n) if not a_mask >> v & 1]
+                for role in ("red", "blue"):
+                    lam = partition_parameter(c, a_set, role)
+                    lams.append(lam)
+                    rows = extremal_inequalities(c, a_set, b_set, lam, role)
+                    assert all(ok for _, ok, _, _ in rows), (n, a_set, role, rows)
+            assert extremal_parameter(c).lambda_star == min(lams)
 
     def test_single_vertex_errors(self):
         with pytest.raises(PreconditionError):

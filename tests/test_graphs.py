@@ -21,7 +21,7 @@ from ramseykit.graphs import (
     pair_iter,
     vertex_set,
 )
-from ramseykit.extremal import chi, cross_density, two_matching_reduction
+from ramseykit.extremal import chi, extremal_inequalities, two_matching_reduction
 from ramseykit.graphs import _count_cycles_backtrack, count_walks
 from ramseykit.regular import (
     RegimeParams,
@@ -312,7 +312,7 @@ _ENTRY_POINTS = {
     "check_regularity": lambda sets: check_regularity(_K33, *sets, 0.3),
     "regularity_defect": lambda sets: regularity_defect(_K33, *sets),
     "degree_exception_counts": lambda sets: degree_exception_counts(_K33, *sets, 0.5, 0.1),
-    "cross_density": lambda sets: cross_density(_K33, *sets),
+    "extremal_inequalities": lambda sets: extremal_inequalities(chi(3, 3), *sets, 0.1, "red"),
     "two_matching_reduction": lambda sets: two_matching_reduction(_K33, *sets),
     "build_reduced": lambda sets: build_reduced(
         chi(3, 3), sets, RegimeParams(eps=0.1, d=0.0, t=2, mode="explorer")
