@@ -49,6 +49,7 @@ from .graphs import (
 )
 
 EXACT_PARTITION_CAP = 24  # 2^(n-1) bipartitions; one table of 2^n red-edge counts
+_SCAN_CHUNK = 1 << 16  # bipartitions per step of the exact scan
 
 
 def chi(a: int, b: int) -> TwoColoring:
@@ -177,11 +178,16 @@ def _subset_edge_table(g: SimpleGraph) -> np.ndarray:
     """edges[S] = number of g-edges inside vertex subset S, all S."""
     n = g.n
     table = np.zeros(1 << n, dtype=np.int32)
-    # subsets keyed by lowest bit v depend on subsets over higher bits only
+    # subsets keyed by lowest bit v depend on subsets over higher bits only:
+    # row h of the view below holds h << (v + 1) in column 0 and, in column
+    # 1 << v, the same set with v added
     for v in range(n - 1, -1, -1):
-        highs = np.arange(0, 1 << (n - v - 1), dtype=np.int64) << (v + 1)
-        adj_high = np.int64(g.adj[v] & ~((1 << (v + 1)) - 1))
-        table[highs | (1 << v)] = table[highs] + _popcount(highs & adj_high)
+        rows = table.reshape(-1, 2 << v)
+        nbrs = np.uint64(g.adj[v] >> (v + 1))
+        for lo in range(0, len(rows), _SCAN_CHUNK):
+            highs = np.arange(lo, min(lo + _SCAN_CHUNK, len(rows)), dtype=np.uint64)
+            block = rows[lo : lo + len(highs)]
+            block[:, 1 << v] = block[:, 0] + np.bitwise_count(highs & nbrs)
     return table
 
 
@@ -218,21 +224,24 @@ def _assessment(n: int, lam: float, a_mask: int, role: str, mode: str) -> Extrem
 
 
 def _extremal_exact(c: TwoColoring) -> ExtremalAssessment:
+    """The least lambda over every bipartition with vertex 0 in A, scanned in
+    chunks of _SCAN_CHUNK masks so that only the subset table is full-length.
+    Ties go to the first mask in ascending order, and red before blue."""
     n = c.n
     red = _subset_edge_table(c.red_graph())
     full = (1 << n) - 1
-    masks = np.arange(1, 1 << n, 2, dtype=np.int64)  # vertex 0 in A
-    masks = masks[masks != full]
-    red_a, red_b = red[masks], red[full ^ masks]
-    red_x = red[full] - red_a - red_b
-    a = _popcount(masks)
-    best = (math.inf, None, None)
-    for role in ("red", "blue"):
-        lam = _lambda(n, a, red_a, red_b, red_x, role)
-        i = int(np.argmin(lam))
-        if lam[i] < best[0]:
-            best = (float(lam[i]), int(masks[i]), role)
-    return _assessment(n, *best, "exact")
+    best = [(math.inf, None, role) for role in ("red", "blue")]
+    for lo in range(1, full, 2 * _SCAN_CHUNK):
+        masks = np.arange(lo, min(lo + 2 * _SCAN_CHUNK, full), 2, dtype=np.int64)
+        red_a, red_b = red[masks], red[full ^ masks]
+        red_x = red[full] - red_a - red_b
+        a = _popcount(masks)
+        for r, (lam_r, _, role) in enumerate(best):
+            lam = _lambda(n, a, red_a, red_b, red_x, role)
+            i = int(np.argmin(lam))
+            if lam[i] < lam_r:
+                best[r] = (float(lam[i]), int(masks[i]), role)
+    return _assessment(n, *min(best, key=lambda b: b[0]), "exact")
 
 
 def _extremal_local(c: TwoColoring, seed: int, restarts: int) -> ExtremalAssessment:
@@ -443,8 +452,15 @@ def _check_bridge(
             raise HypothesisError(f"{name} interior vertex {v} lies in S or T")
 
 
+def _claim_length(l: int) -> None:
+    """The claim bounds hold for cycle lengths l >= 7 only."""
+    if l < 7:
+        raise PreconditionError(f"cycle length l={l} outside the claim bounds' range l >= 7")
+
+
 def bridged_cliques_bound(l: int) -> tuple[float, int]:
     """(((l-1)/2 - 3)/e)^(l-6) with downward rounding; threshold floors at 0."""
+    _claim_length(l)
     base = rounding.div_down((l - 1) / 2 - 3, math.e)
     val = rounding.pow_down(base, l - 6)
     return val, max(0, math.floor(val))
@@ -482,6 +498,7 @@ def verify_claim_bridged_cliques(
 
 def alternating_bound(l: int) -> tuple[float, int]:
     """((l-5)/2e)^(l-5) with downward rounding; threshold floors at 0."""
+    _claim_length(l)
     base = rounding.div_down(l - 5, 2 * math.e)
     val = rounding.pow_down(base, l - 5)
     return val, max(0, math.floor(val))

@@ -2,9 +2,12 @@
 transversal path and cycle counts, and closed-form count lower bounds with
 a verification harness.
 
-The exact counts are graphs.count_walks with one class mask per step, and
-capped cycle counts are graphs._count_cycles_backtrack. Both charge a
-node budget the way a depth-first search over the same walks would.
+The exact counts are graphs.count_walks, the numpy walk DP over vertex-set
+rows (one integer matmul per layer), with one class mask per step; capped
+cycle counts are graphs._count_cycles_backtrack, the same DP over every
+least-vertex anchor at once. Both charge a node budget the way a
+depth-first search over the same walks would, and look three layers
+ahead so that a count that will run out stops early.
 
 The counting bounds assume parameter regimes (eps below 1e-5, classes of
 size eps^-2) that no desk-scale instance reaches. The harness therefore

@@ -12,7 +12,10 @@ from ramseykit.errors import (
     PreconditionError,
     TwoMatchingExistsError,
 )
+from ramseykit import extremal
 from ramseykit.extremal import (
+    alternating_bound,
+    bridged_cliques_bound,
     case2_lower_bound,
     chi,
     claim_common_neighbor_bound,
@@ -128,6 +131,27 @@ class TestExtremalParameter:
                     assert all(ok for _, ok, _, _ in rows), (n, a_set, role, rows)
             assert extremal_parameter(c).lambda_star == min(lams)
 
+    def test_chunked_scan_keeps_the_first_minimum(self, monkeypatch):
+        # a scan in chunks of 5 masks returns what one pass over every mask
+        # does: the least partition_parameter, at the first mask in
+        # ascending order (vertex 0 in A), red before blue
+        monkeypatch.setattr(extremal, "_SCAN_CHUNK", 5)
+        rng = random.Random(2029)
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            c = TwoColoring(n, rng.getrandbits(n * (n - 1) // 2))
+            if rng.random() < 0.3:
+                c = chi(n // 2, n - n // 2)
+            best = None
+            for role in ("red", "blue"):
+                for a_mask in range(1, (1 << n) - 1, 2):
+                    lam = partition_parameter(c, [v for v in range(n) if a_mask >> v & 1], role)
+                    if best is None or lam < best[0]:
+                        best = (lam, a_mask, role)
+            got = extremal_parameter(c)
+            a_set = tuple(v for v in range(n) if best[1] >> v & 1)
+            assert (got.lambda_star, got.partition[0], got.color_role) == (best[0], a_set, best[2])
+
     def test_single_vertex_errors(self):
         with pytest.raises(PreconditionError):
             extremal_parameter(TwoColoring(1, 0))
@@ -183,6 +207,16 @@ class TestClaimBounds:
         assert claim_common_neighbor_bound(5, 5, 5) == 48
         assert claim_common_neighbor_bound(1, 2, 3) == 1
         assert claim_common_neighbor_bound(4, 4, 7) == 8
+
+    @pytest.mark.parametrize("l", range(3, 9))
+    def test_cycle_bounds_need_l_at_least_7(self, l):
+        for bound in (bridged_cliques_bound, alternating_bound):
+            if l < 7:
+                with pytest.raises(PreconditionError, match="l >= 7"):
+                    bound(l)
+            else:
+                val, threshold = bound(l)
+                assert 0 <= threshold <= val
 
     def test_range_validation(self):
         with pytest.raises(PreconditionError):

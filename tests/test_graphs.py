@@ -1,8 +1,9 @@
 """Graph core: exact copy counting, cycle spectrum, kcol round-trips."""
 
 import random
-from math import comb
+from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from ramseykit.graphs import (
     vertex_set,
 )
 from ramseykit.extremal import chi, extremal_inequalities, two_matching_reduction
-from ramseykit.graphs import _count_cycles_backtrack, count_walks
+from ramseykit.graphs import _count_cycles_backtrack, _total, count_walks
 from ramseykit.regular import (
     RegimeParams,
     check_regularity,
@@ -197,6 +198,74 @@ class TestCappedCycleCount:
         for budget in (64, 79, 83):
             with pytest.raises(BudgetExceededError):
                 _count_cycles_backtrack(g, 5, budget)
+
+    def test_budget_sweep_on_ring_hosts_of_10_to_16_vertices(self):
+        # rings of classes like countcycle1's hosts, on 10 to 16 vertices
+        # and k up to 15; a host whose DFS passes 40,000 nodes is redrawn
+        rng = random.Random(59)
+        cycles = 0
+        for n in range(10, 17):
+            for k in sorted({5, 9, 13, 15, n - 1, n} & set(range(3, 16))):
+                for _ in range(20):
+                    t = rng.choice((3, 5))
+                    sizes = [n // t + (i < n % t) for i in range(t)]
+                    g = quasirandom_ring(sizes, rng.uniform(0.3, 0.9), rng).graph
+                    try:
+                        cycles += reference_count_cycles_backtrack(g, k, budget=40_000)
+                    except BudgetExceededError:
+                        continue
+                    _assert_budget_sweep(_count_cycles_backtrack,
+                                         reference_count_cycles_backtrack, (g, k), rng)
+                    break
+        assert cycles > 0
+
+
+def _path_graph(n: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+class TestWalkKernelExactness:
+    """Counts past the int64 cells of the walk DP, on vertex 63, and in closed form."""
+
+    def test_python_int_cells_past_17_vertex_rows(self):
+        # rows of more than 17 vertices hold Python ints; the one C25 of the
+        # 25-cycle and the one P25 of the 25-vertex path need rows of 25
+        assert count_copies(SimpleGraph.cycle(25), PatternGraph.cycle(25)) == 1
+        assert count_copies(_path_graph(25), PatternGraph.path(25)) == 1
+        assert count_copies(SimpleGraph.cycle(25), PatternGraph.path(25)) == 25
+        rng = random.Random(61)
+        _assert_budget_sweep(_count_cycles_backtrack, reference_count_cycles_backtrack,
+                             (SimpleGraph.cycle(25), 25), rng)
+
+    def test_totals_past_int64_are_exact(self):
+        # int64 cells whose sum passes 2^63 are summed as Python ints
+        cells = np.full((2, 3), 1 << 61, np.int64)
+        assert _total(cells, 1 << 61) == 6 << 61
+
+    def test_vertex_63(self):
+        # vertex sets are uint64 masks; bit 63 is vertex 63 of a 64-vertex host
+        assert count_copies(SimpleGraph.cycle(64), PatternGraph.cycle(64)) == 1
+        assert count_copies(_path_graph(64), PatternGraph.path(64)) == 1
+        assert count_copies(SimpleGraph.cycle(64), PatternGraph.path(7)) == 64
+        rng = random.Random(67)
+        g = random_simple_graph(64, 0.08, rng)
+        for k in (3, 4, 5):
+            _assert_budget_sweep(_count_cycles_backtrack, reference_count_cycles_backtrack,
+                                 (g, k), rng)
+            assert count_copies(g, PatternGraph.path(k)) == reference_count_paths_backtrack(g, k)
+        # a walk that must end on vertex 63, closing at vertex 0
+        triangle = SimpleGraph.from_edges(64, [(0, 63), (62, 63), (0, 62)])
+        assert count_walks(triangle.adj, [1 << 62, 1 << 63], close=0) == (1, None)
+
+    def test_closed_forms_on_complete_graphs(self):
+        for n in range(1, 13):
+            g = SimpleGraph.complete(n)
+            for k in range(3, n + 1):
+                cycles = comb(n, k) * factorial(k - 1) // 2
+                assert count_copies(g, PatternGraph.cycle(k)) == cycles
+            for k in range(2, n + 1):
+                paths = factorial(n) // (2 * factorial(n - k))
+                assert count_copies(g, PatternGraph.path(k)) == paths
 
 
 class TestMonoCounts:
