@@ -42,7 +42,7 @@ from .graphs import (
     mono_counts,
     vertex_set,
 )
-from .reports import RunManifest, emit, envelope
+from .reports import RunManifest, emit, envelope, write_text
 from .search import (
     SearchBudget,
     multiplicity,
@@ -67,14 +67,6 @@ def _read_input(path: str) -> bytes:
         return sys.stdin.buffer.read()
     with _flag("--in"), open(path, "rb") as fh:
         return fh.read()
-
-
-def _write_text(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _parse_vertex_set(spec: str, flag: str) -> list[int]:
@@ -125,7 +117,7 @@ def _load_coloring(args, manifest: RunManifest) -> TwoColoring:
 def _cmd_chi(args) -> int:
     from .extremal import chi
 
-    _write_text(encode(chi(args.a, args.b)), args.out)
+    write_text(encode(chi(args.a, args.b)), args.out)
     return 0
 
 
@@ -160,7 +152,7 @@ def _cmd_encode(args) -> int:
     mask = 0
     for i, j in pairs:
         mask |= 1 << pair_index(i, j, n)
-    _write_text(encode(TwoColoring(n, mask)), args.out)
+    write_text(encode(TwoColoring(n, mask)), args.out)
     return 0
 
 
@@ -259,7 +251,7 @@ def _cmd_verify_claim(args) -> int:
             lines.append(
                 f"{args.claim},{f.get('instance')},{f.get('threshold')},{f.get('exact')}"
             )
-        _write_text("\n".join(lines) + "\n", args.out)
+        write_text("\n".join(lines) + "\n", args.out)
         return 0 if report.all_passed else 1
     emit(envelope("claim_verification", report.as_dict(), manifest), args.out)
     return 0 if report.all_passed else 1
@@ -282,7 +274,7 @@ def _cmd_verify_lemma(args) -> int:
                 f"{r.d:.6f},{r.n},{r.length},{r.bound:.6g},{r.hypotheses_met},"
                 f"{'' if r.exact is None else r.exact},{r.verdict}"
             )
-        _write_text("\n".join(lines) + "\n", args.out)
+        write_text("\n".join(lines) + "\n", args.out)
     else:
         emit(envelope("lemma_verification", report.as_dict(), manifest), args.out)
     return 0 if report.tally().get("FAIL", 0) == 0 else 1
@@ -312,7 +304,7 @@ def _cmd_classify(args) -> int:
         parts = [_parse_vertex_set(p, "--parts") for p in args.parts.split(";")]
     with _flag("--parts"):
         parts = disjoint_parts(parts, coloring.n)
-    params = RegimeParams(eps=args.eps, d=args.d, t=0, mode="explorer")
+    params = RegimeParams(eps=args.eps, d=args.d, t=0)
     outcome = main2_classify(coloring, parts, params, reg_mode=args.reg_mode, seed=args.seed)
     emit(envelope("classification", outcome.as_dict(), manifest), args.out)
     return 0
@@ -352,19 +344,24 @@ def _board_size(text: str) -> int:
     return value
 
 
-def _nonnegative(kind):
-    """--budget-nodes, --budget-seconds, --lambda, --d: a value of at least 0."""
+def _bounded(kind, ok, bound: str):
+    """An argparse type: a `kind` value for which `ok` holds, else "<bound>, got X"."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not value >= 0:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+        if not ok(value):  # the comparisons in `ok` also reject nan
+            raise argparse.ArgumentTypeError(f"{bound}, got {text}")
         return value
 
     return parse
+
+
+def _nonnegative(kind):
+    """--budget-nodes, --budget-seconds, --lambda, --d: a value of at least 0."""
+    return _bounded(kind, lambda v: v >= 0, "must be at least 0")
 
 
 def _add_in(p) -> None:
@@ -439,7 +436,8 @@ def _args_verify_lemma(p) -> None:
 def _args_classify(p) -> None:
     _add_in(p)
     p.add_argument("--parts", required=True, help='"auto-random:M=8" or "0-4;5-8"')
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_bounded(float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+                   required=True)
     p.add_argument("--d", type=_nonnegative(float), default=0.0,
                    help="reduced density floor (default 12*sqrt(eps))")
     p.add_argument("--reg-mode", choices=("exact", "randomized"), default="exact")

@@ -50,6 +50,7 @@ from .graphs import (
 
 EXACT_PARTITION_CAP = 24  # 2^(n-1) bipartitions; one table of 2^n red-edge counts
 _SCAN_CHUNK = 1 << 16  # bipartitions per step of the exact scan
+LOCAL_SEARCH_RESTARTS = 20  # seeded starting partitions of the local search
 
 
 def chi(a: int, b: int) -> TwoColoring:
@@ -192,7 +193,7 @@ def _subset_edge_table(g: SimpleGraph) -> np.ndarray:
 
 
 def extremal_parameter(
-    c: TwoColoring, mode: str = "exact", seed: Optional[int] = None, restarts: int = 20
+    c: TwoColoring, mode: str = "exact", seed: Optional[int] = None
 ) -> ExtremalAssessment:
     """Smallest lambda for which the coloring is extremal, with the partition.
 
@@ -213,7 +214,7 @@ def extremal_parameter(
     if mode == "local-search":
         if seed is None:
             raise PreconditionError("local-search mode requires a seed")
-        return _extremal_local(c, seed, restarts)
+        return _extremal_local(c, seed)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
@@ -244,14 +245,14 @@ def _extremal_exact(c: TwoColoring) -> ExtremalAssessment:
     return _assessment(n, *min(best, key=lambda b: b[0]), "exact")
 
 
-def _extremal_local(c: TwoColoring, seed: int, restarts: int) -> ExtremalAssessment:
+def _extremal_local(c: TwoColoring, seed: int) -> ExtremalAssessment:
     n = c.n
     rng = random.Random(seed)
     red = c.red_graph().adj
     full = (1 << n) - 1
     best = (math.inf, None, None)
     starts = [list(range(n // 2))]
-    for _ in range(restarts - 1):
+    for _ in range(LOCAL_SEARCH_RESTARTS - 1):
         size = rng.randrange(1, n)
         starts.append(rng.sample(range(n), size))
     for start in starts:

@@ -142,24 +142,32 @@ class SimpleGraph:
             self.n, ((perm.index(u), perm.index(v)) for u, v in self.edges())
         )
 
-    def bipartition(self) -> Optional[tuple[int, int]]:
-        """Two-color the vertices if possible; returns side masks or None."""
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            queue = [s]
-            while queue:
-                v = queue.pop()
-                for u in _bits(self.adj[v]):
-                    if color[u] == -1:
-                        color[u] = color[v] ^ 1
-                        queue.append(u)
-                    elif color[u] == color[v]:
-                        return None
-        side0 = sum(1 << v for v in range(self.n) if color[v] == 0)
-        return side0, ((1 << self.n) - 1) ^ side0
+    def colour_classes(self, alive: int) -> list[tuple[int, int, bool]]:
+        """The components of G[alive], in order of least vertex.
+
+        Each is (even, odd, proper): the masks of the vertices at even and
+        odd BFS depth from the least vertex, and whether no edge joins two
+        vertices of one class, which holds exactly when the component is
+        bipartite and the classes are then its 2-colouring.
+        """
+        out = []
+        while alive:
+            frontier = alive & -alive
+            classes = [frontier, 0]
+            seen, depth = frontier, 0
+            while frontier:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= self.adj[v]
+                frontier = reach & alive & ~seen
+                seen |= frontier
+                depth ^= 1
+                classes[depth] |= frontier
+            even, odd = classes
+            proper = not any(self.adj[v] & cls for cls in classes for v in _bits(cls))
+            out.append((even, odd, proper))
+            alive &= ~seen
+        return out
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -602,7 +610,7 @@ def cycle_spectrum(g: SimpleGraph, max_len: int) -> dict[int, tuple[int, ...]]:
     """
     if max_len > g.n:
         raise PreconditionError(f"max_len {max_len} exceeds host order {g.n}")
-    odd_possible = g.bipartition() is None
+    odd_possible = not all(proper for _, _, proper in g.colour_classes((1 << g.n) - 1))
     out: dict[int, tuple[int, ...]] = {}
     for t in range(3, max_len + 1):
         if t % 2 == 1 and not odd_possible:

@@ -369,27 +369,22 @@ def count_transversal_paths_between(
 class RegimeParams:
     """Parameter bundle tying the bound evaluators together.
 
-    In "paper" mode alpha and lam are locked to 20 sqrt(eps) and
-    300 sqrt(alpha); "explorer" mode accepts free-standing values and is
-    flagged as such in reports.
+    alpha left at 0 follows the paper's chain, alpha = 20 sqrt(eps); a
+    given alpha is kept. lam is always derived, lam = 300 sqrt(alpha).
     """
 
     eps: float
     d: float
     t: int
-    M: int = 0
     alpha: float = 0.0
-    lam: float = 0.0
-    mode: str = "paper"
+    lam: float = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.eps < 1:
             raise PreconditionError("eps must lie in [0, 1)")
-        if self.mode == "paper":
+        if not self.alpha:
             object.__setattr__(self, "alpha", 20 * math.sqrt(self.eps))
-            object.__setattr__(self, "lam", 300 * math.sqrt(self.alpha))
-        elif self.mode != "explorer":
-            raise PreconditionError("mode must be 'paper' or 'explorer'")
+        object.__setattr__(self, "lam", 300 * math.sqrt(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -514,6 +509,7 @@ LEMMA_NAMES = {
 }
 
 FAMILIES = ("complete", "complete-minus-matching", "quasirandom")
+QUASIRANDOM_DENSITIES = (0.3, 0.5, 0.7)  # edge probabilities of the quasirandom family
 
 
 @dataclass(frozen=True)
@@ -527,7 +523,6 @@ class GridSpec:
     families: tuple[str, ...] = FAMILIES
     instances_per_cell: int = 100
     count_budget: int = 300_000
-    random_density: tuple[float, ...] = (0.3, 0.5, 0.7)
 
     @staticmethod
     def default(lemma: str) -> "GridSpec":
@@ -593,13 +588,13 @@ class LemmaVerificationReport:
         }
 
 
-def _make_instance(family: str, sizes, rng: random.Random, spec: GridSpec) -> PairSystem:
+def _make_instance(family: str, sizes, rng: random.Random) -> PairSystem:
     if family == "complete":
         return complete_ring(sizes)
     if family == "complete-minus-matching":
         return complete_minus_matching_ring(sizes)
     if family == "quasirandom":
-        return quasirandom_ring(sizes, rng.choice(spec.random_density), rng)
+        return quasirandom_ring(sizes, rng.choice(QUASIRANDOM_DENSITIES), rng)
     raise PreconditionError(f"unknown family {family!r}")
 
 
@@ -655,7 +650,7 @@ def verify_counting_lemma(
                 sizes = tuple(
                     rng.randint(spec.size_lo, spec.size_hi) for _ in range(t)
                 )
-                sys = _make_instance(family, sizes, rng, spec)
+                sys = _make_instance(family, sizes, rng)
                 report.rows.append(_verify_one(lemma, sys, family, rng, spec))
     return report
 
@@ -666,7 +661,7 @@ def _verify_one(
     t = sys.t
     eps_hat, d_min = _measure(sys)
     n = sys.min_class_size()
-    params = RegimeParams(eps=eps_hat, d=d_min, t=t, mode="explorer")
+    params = RegimeParams(eps=eps_hat, d=d_min, t=t)
     exact, complete, note = None, True, ""
     if lemma == "countcycle1":
         length = rng.choice((2 * t + 7, 2 * t + 9))  # odd, as the bound needs

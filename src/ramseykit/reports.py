@@ -68,10 +68,14 @@ def envelope(kind: str, result: dict, manifest: RunManifest) -> dict:
     }
 
 
-def emit(report: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def write_text(text: str, out_path: Optional[str]) -> None:
+    """Write text to stdout for None or "-", else to the file at out_path."""
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
+
+
+def emit(report: dict, out_path: Optional[str]) -> None:
+    write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)

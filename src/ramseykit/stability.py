@@ -18,7 +18,9 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
 from .extremal import ExtremalAssessment, extremal_parameter
-from .graphs import SimpleGraph, TwoColoring, _find_cycle_of_length, cycle_spectrum, vertex_set
+from .graphs import (
+    SimpleGraph, TwoColoring, _bits, _find_cycle_of_length, cycle_spectrum, vertex_set
+)
 from .regular import EXACT_REGULARITY_CAP, RegimeParams, check_regularity, density
 
 REDUCED_DENSITY_FACTOR = 12.0  # reduced edge color floor: d = 12 sqrt(eps)
@@ -90,7 +92,6 @@ def build_reduced(
     parts: Sequence[Iterable[int]],
     p: RegimeParams,
     reg_mode: str = "exact",
-    samples: int = 200,
     seed: Optional[int] = None,
 ) -> ReducedGraph:
     """Classify part pairs as red/blue/irregular at d = 12 sqrt(eps).
@@ -117,7 +118,7 @@ def build_reduced(
                     f"exact regularity on parts of size < 2 (pair {i},{j})"
                 )
             res = check_regularity(
-                gr, pts[i], pts[j], p.eps, mode=reg_mode, samples=samples,
+                gr, pts[i], pts[j], p.eps, mode=reg_mode,
                 seed=None if seed is None else seed + 31 * i + j,
             )
             if res.verdict == "irregular":
@@ -172,7 +173,7 @@ class DichotomyOutcome:
 
 def _achievable_split(items: list[tuple[int, int]], lo: float, hi: float, total: int):
     """Pick one of (a, b) per item so the chosen sum s has lo < s <= total - s
-    and both s, total - s inside (lo, hi); returns choices or None.
+    and both s, total - s inside (lo, hi); returns the choices or None.
 
     Desk-scale window parameters can degenerate to (-inf, inf); empty sides
     are still rejected (the asymptotic window forbids them anyway).
@@ -195,26 +196,8 @@ def _achievable_split(items: list[tuple[int, int]], lo: float, hi: float, total:
                     choices.append(1)
                     target -= b
             choices.reverse()
-            return choices, s
+            return choices
     return None
-
-
-def _components(g: SimpleGraph, vertices: list[int]) -> list[list[int]]:
-    left = set(vertices)
-    comps = []
-    while left:
-        start = left.pop()
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in range(g.n):
-                if u in left and g.has_edge(v, u):
-                    left.remove(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
 
 
 def ns_check(g: SimpleGraph, alpha: float, beta: float) -> DichotomyOutcome:
@@ -223,11 +206,13 @@ def ns_check(g: SimpleGraph, alpha: float, beta: float) -> DichotomyOutcome:
 
     Requires e(G) > (1/4 - beta) n^2. Desk-scale alpha/beta outside the
     stated asymptotic ranges are flagged, not rejected. The bipartition
-    search is exact at every n: the bipartite variant is a proper
-    2-coloring of G - U0 (components give side choices), the complement
-    variant assigns whole components, and a subset-sum scan finds a split
-    inside the size window; U0 grows greedily by repeatedly removing a
-    lowest-degree vertex.
+    search is exact at every n. U0 grows one vertex at a time, a
+    lowest-degree vertex of G - U0; for each U0 the components of G - U0
+    (SimpleGraph.colour_classes) give the side choices. The bipartite
+    variant, tried first, needs every component 2-coloured and puts its
+    two classes on opposite sides; the complement variant puts each whole
+    component on one side. A subset-sum scan finds a split inside the
+    size window.
     """
     n = g.n
     if n == 0:
@@ -258,78 +243,31 @@ def ns_check(g: SimpleGraph, alpha: float, beta: float) -> DichotomyOutcome:
     lo = (0.5 - window) * n
     hi = (0.5 + window) * n
     u0_cap = min(n - 2, int(NS_U0_FACTOR * alpha * n))
-    order = []
-    degs = [g.degree(v) for v in range(n)]
-    alive = set(range(n))
-    for _ in range(n):
-        v = min(alive, key=lambda u: (degs[u], u))
-        order.append(v)
-        alive.remove(v)
-        for u in alive:
-            if g.has_edge(v, u):
-                degs[u] -= 1
-    for u0_size in range(0, u0_cap + 1):
-        u0 = sorted(order[:u0_size])
-        rest = [v for v in range(n) if v not in set(u0)]
-        sub_edges = [(u, v) for u, v in g.edges() if u in set(rest) and v in set(rest)]
-        sub = SimpleGraph.from_edges(n, sub_edges)
-        # bipartite variant: no edges inside U1 or U2
-        comps = _components(sub, rest)
-        side_masks = []
-        ok_bip = True
-        for comp in comps:
-            comp_g = SimpleGraph.from_edges(n, [(u, v) for u, v in sub_edges if u in set(comp)])
-            colors = {comp[0]: 0}
-            stack = [comp[0]]
-            while stack and ok_bip:
-                v = stack.pop()
-                for u in comp:
-                    if comp_g.has_edge(v, u):
-                        if u not in colors:
-                            colors[u] = colors[v] ^ 1
-                            stack.append(u)
-                        elif colors[u] == colors[v]:
-                            ok_bip = False
-                            break
-            if not ok_bip:
-                break
-            side0 = [v for v in comp if colors[v] == 0]
-            side1 = [v for v in comp if colors[v] == 1]
-            side_masks.append((side0, side1))
-        if ok_bip:
-            items = [(len(s0), len(s1)) for s0, s1 in side_masks]
-            got = _achievable_split(items, lo, hi, len(rest))
-            if got is not None:
-                choices, s = got
-                u1, u2 = [], []
-                for (s0, s1), pick in zip(side_masks, choices):
-                    first, second = (s0, s1) if pick == 0 else (s1, s0)
-                    u1.extend(first)
-                    u2.extend(second)
-                if len(u1) > len(u2):
-                    u1, u2 = u2, u1
-                out = DichotomyOutcome(
-                    "partition", u0=tuple(u0), u1=tuple(sorted(u1)), u2=tuple(sorted(u2)),
-                    structure="bipartite", flags=tuple(flags), diagnostics=diagnostics,
-                )
-                _reverify_partition(out, g, alpha, beta, n)
-                return out
-        # complement variant: no edges between U1 and U2
-        items = [(len(comp), 0) for comp in comps]
-        got = _achievable_split(items, lo, hi, len(rest))
-        if got is not None:
-            choices, s = got
-            u1, u2 = [], []
-            for comp, pick in zip(comps, choices):
-                (u1 if pick == 0 else u2).extend(comp)
-            if len(u1) > len(u2):
+    u0 = 0
+    for _ in range(u0_cap + 1):
+        rest = ((1 << n) - 1) & ~u0
+        classes = g.colour_classes(rest)
+        variants = []
+        if all(proper for _, _, proper in classes):
+            variants.append(("bipartite", [(even, odd) for even, odd, _ in classes]))
+        variants.append(("bipartite-complement", [(even | odd, 0) for even, odd, _ in classes]))
+        for structure, sides in variants:
+            items = [(a.bit_count(), b.bit_count()) for a, b in sides]
+            choices = _achievable_split(items, lo, hi, rest.bit_count())
+            if choices is None:
+                continue
+            u1 = u2 = 0
+            for (a, b), pick in zip(sides, choices):
+                u1, u2 = (u1 | a, u2 | b) if pick == 0 else (u1 | b, u2 | a)
+            if u1.bit_count() > u2.bit_count():
                 u1, u2 = u2, u1
             out = DichotomyOutcome(
-                "partition", u0=tuple(u0), u1=tuple(sorted(u1)), u2=tuple(sorted(u2)),
-                structure="bipartite-complement", flags=tuple(flags), diagnostics=diagnostics,
+                "partition", u0=tuple(_bits(u0)), u1=tuple(_bits(u1)), u2=tuple(_bits(u2)),
+                structure=structure, flags=tuple(flags), diagnostics=diagnostics,
             )
             _reverify_partition(out, g, alpha, beta, n)
             return out
+        u0 |= 1 << min(_bits(rest), key=lambda v: ((g.adj[v] & rest).bit_count(), v))
     diagnostics["u0_sizes_tried"] = u0_cap + 1
     return DichotomyOutcome("inconclusive", flags=tuple(flags), diagnostics=diagnostics)
 
@@ -340,15 +278,11 @@ def _reverify_partition(out: DichotomyOutcome, g: SimpleGraph, alpha, beta, n) -
     s1, s2 = len(out.u1), len(out.u2)
     assert s1 <= s2, "U1 must be the smaller side"
     assert (0.5 - window) * n < s1 and s2 < (0.5 + window) * n, "size window violated"
+    m1, m2 = (sum(1 << v for v in side) for side in (out.u1, out.u2))
     if out.structure == "bipartite":
-        for side in (out.u1, out.u2):
-            for i, u in enumerate(side):
-                for v in side[i + 1 :]:
-                    assert not g.has_edge(u, v), "edge inside a side"
+        assert not any(g.adj[v] & m for m in (m1, m2) for v in _bits(m)), "edge inside a side"
     else:
-        for u in out.u1:
-            for v in out.u2:
-                assert not g.has_edge(u, v), "edge across the split"
+        assert not any(g.adj[v] & m2 for v in _bits(m1)), "edge across the split"
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +332,15 @@ def main2_classify(
     12 sqrt(eps) being what the construction used); a ring pair with a part
     above EXACT_REGULARITY_CAP, which only randomized checking lets through,
     gets no exact re-check and is named in the flags. Case 2 compares the
-    exact (or seeded local-search) extremality parameter against
-    300 sqrt(alpha). Neither structure certifiable means an honest
-    inconclusive.
+    exact (or seeded local-search) extremality parameter against p.lam,
+    300 sqrt(alpha) unless given. Neither structure certifiable means an
+    honest inconclusive. The window and the parameter chain need eps > 0.
     """
+    if not p.eps > 0:
+        raise PreconditionError(f"classification needs eps > 0, got {p.eps}")
     reduced = build_reduced(c, parts, p, reg_mode=reg_mode, seed=seed)
     M = reduced.M
-    alpha = p.alpha if p.alpha else 20 * math.sqrt(p.eps)
+    alpha = p.alpha
     flags = []
     if not reduced.equitable:
         flags.append("partition not equitable within 1")
@@ -447,12 +383,11 @@ def main2_classify(
                     flags=tuple(flags + unverified), diagnostics=diagnostics,
                 )
         diagnostics["case1"] = "no verified monochromatic ring of length t"
-    lam_cap = 300 * math.sqrt(alpha)
     mode = "exact" if c.n <= 24 else "local-search"
     assessment = extremal_parameter(c, mode=mode, seed=seed if mode == "local-search" else None)
     diagnostics["lambda_star"] = assessment.lambda_star
-    diagnostics["lambda_cap"] = lam_cap
-    if assessment.lambda_star <= lam_cap:
+    diagnostics["lambda_cap"] = p.lam
+    if assessment.lambda_star <= p.lam:
         return ClassificationOutcome(
             "case2", t=t if t_valid else None, assessment=assessment,
             flags=tuple(flags), diagnostics=diagnostics,

@@ -102,7 +102,7 @@ def test_criterion_04_threshold_multiplicities():
 def test_criterion_05_asymptotic_regime_not_desk_reproducible():
     t0 = time.monotonic()
     # the headline parameter regime: eps = 1e-30 forces n >= eps^-2 = 1e60
-    params = RegimeParams(eps=1e-30, d=0.5, t=3, mode="paper")
+    params = RegimeParams(eps=1e-30, d=0.5, t=3)
     ev = ring_cycle_bound(params, n=10_000, cycle_len=13)
     assert not ev.met
     assert dict(ev.hypotheses)["n >= t eps^-2"] is False
@@ -285,7 +285,7 @@ def test_criterion_10_regular_pair_lemma():
             gen = random.Random((2026, "countpath2-p1", family, t).__repr__())
             for _ in range(base.instances_per_cell):
                 sizes = tuple(gen.randint(base.size_lo, base.size_hi) for _ in range(t))
-                sys = _make_instance(family, sizes, gen, base)
+                sys = _make_instance(family, sizes, gen)
                 for i, j in sys.consecutive_pairs():
                     xs, ys = sys.classes[i], sys.classes[j]
                     eps_hat = regularity_defect(sys.graph, xs, ys)

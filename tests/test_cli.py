@@ -317,7 +317,7 @@ class TestAnalysisCommands:
         from ramseykit.stability import build_reduced
 
         with pytest.raises(PreconditionError, match="at least one part"):
-            build_reduced(chi(5, 4), [], RegimeParams(eps=0.1, d=0.0, t=2, mode="explorer"))
+            build_reduced(chi(5, 4), [], RegimeParams(eps=0.1, d=0.0, t=2))
 
     @pytest.mark.parametrize("args,flag", [
         (["case2", "--k", "5", "--lambda", "0.1", "--A", "3-1,0"], "--A"),
@@ -375,6 +375,20 @@ class TestDiagnosticsNameTheFlag:
             main(args + [value, "--in", str(kcol), "--out", str(out)])
         assert exc.value.code == 2
         assert f"argument {flag}: must be at least 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1"])
+    def test_eps_outside_open_unit_interval_exits_2(self, capsys, tmp_path, value):
+        # --eps 0 used to end in a ZeroDivisionError traceback, and the other
+        # values in a message that named no flag
+        kcol = tmp_path / "c.kcol"
+        kcol.write_text(encode(chi(5, 4)))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--parts", "0-8", "--eps", value, "--in", str(kcol),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --eps: must lie in (0, 1), got {value}" in capsys.readouterr().err
         assert not out.exists()
 
 

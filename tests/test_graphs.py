@@ -308,6 +308,70 @@ class TestCycleSpectrum:
             assert all(g.has_edge(u, v) for u, v in zip(ring, ring[1:]))
 
 
+class TestColourClasses:
+    @staticmethod
+    def brute_colourings(g: SimpleGraph, comp: int) -> list[int]:
+        """Every class A, least vertex included, with no edge inside A or comp - A."""
+        vs = [v for v in range(g.n) if comp >> v & 1]
+        out = []
+        for bits in range(1 << (len(vs) - 1)):
+            a = 1 << vs[0] | sum(1 << v for i, v in enumerate(vs[1:]) if bits >> i & 1)
+            if not any(g.adj[v] & side for side in (a, comp ^ a) for v in vs if side >> v & 1):
+                out.append(a)
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.integers(min_value=0, max_value=(1 << comb(n, 2)) - 1),
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+    )))
+    def test_components_and_two_colourings(self, case):
+        n, edge_mask, alive = case
+        g = SimpleGraph.from_edges(
+            n, [e for i, e in enumerate(pair_iter(n)) if edge_mask >> i & 1]
+        )
+        classes = g.colour_classes(alive)
+        comps = [even | odd for even, odd, _ in classes]
+        assert sum(c.bit_count() for c in comps) == alive.bit_count()
+        union = 0
+        for c in comps:
+            union |= c
+        assert union == alive
+        leasts = [(c & -c).bit_length() - 1 for c in comps]
+        assert leasts == sorted(leasts)
+        for (even, odd, proper), comp in zip(classes, comps):
+            assert not even & odd
+            # no edge to the rest of alive
+            assert not any(g.adj[v] & alive & ~comp for v in range(n) if comp >> v & 1)
+            # connected: a search from the least vertex inside comp reaches it all
+            seen, frontier = comp & -comp, comp & -comp
+            while frontier:
+                reach = 0
+                for v in range(n):
+                    if frontier >> v & 1:
+                        reach |= g.adj[v]
+                frontier = reach & comp & ~seen
+                seen |= frontier
+            assert seen == comp
+            colourings = self.brute_colourings(g, comp)
+            assert proper == bool(colourings)
+            if proper:
+                assert colourings == [even]
+                assert odd == comp ^ even
+
+    def test_small_examples(self):
+        assert SimpleGraph.complete(4).colour_classes(0) == []
+        # C5 from vertex 0: depth 0 {0}, depth 1 {1, 4}, depth 2 {2, 3}
+        assert SimpleGraph.cycle(5).colour_classes(0b11111) == [(0b01101, 0b10010, False)]
+        # path 0-1-2 and the isolated vertex 3; vertex 1 left out of alive
+        path = SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
+        assert path.colour_classes(0b1111) == [(0b0101, 0b0010, True), (0b1000, 0, True)]
+        assert path.colour_classes(0b1101) == [
+            (0b0001, 0, True), (0b0100, 0, True), (0b1000, 0, True)
+        ]
+
+
 class TestKcol:
     def test_spec_examples(self):
         assert encode(TwoColoring(3, 7)) == "3\n7\n"
@@ -384,7 +448,7 @@ _ENTRY_POINTS = {
     "extremal_inequalities": lambda sets: extremal_inequalities(chi(3, 3), *sets, 0.1, "red"),
     "two_matching_reduction": lambda sets: two_matching_reduction(_K33, *sets),
     "build_reduced": lambda sets: build_reduced(
-        chi(3, 3), sets, RegimeParams(eps=0.1, d=0.0, t=2, mode="explorer")
+        chi(3, 3), sets, RegimeParams(eps=0.1, d=0.0, t=2)
     ),
 }
 _BAD_SETS = {

@@ -317,7 +317,7 @@ def _aligned_cycles(sys, w0, p):
 
 class TestBounds:
     def test_fixed_start_matches_complete_bipartite(self):
-        p = RegimeParams(eps=0.0, d=1.0, t=2, mode="explorer")
+        p = RegimeParams(eps=0.0, d=1.0, t=2)
         ev = transversal_path_bound_fixed_start(p, 3, 3)
         assert ev.met
         assert 11.9 < ev.value <= 12.0
@@ -325,17 +325,17 @@ class TestBounds:
         assert count_transversal_paths(sys, 0, 3) >= ev.value
 
     def test_fixed_start_flags_short_length(self):
-        p = RegimeParams(eps=0.0, d=1.0, t=2, mode="explorer")
+        p = RegimeParams(eps=0.0, d=1.0, t=2)
         ev = transversal_path_bound_fixed_start(p, 3, 1)
         assert not ev.met
 
     def test_fixed_ends_degenerates_at_zero_eps(self):
-        p = RegimeParams(eps=0.0, d=1.0, t=2, mode="explorer")
+        p = RegimeParams(eps=0.0, d=1.0, t=2)
         assert transversal_path_bound_fixed_ends(p, 3, 4).value == 0.0
 
     def test_fixed_ends_explicit_product(self):
         eps, d, t, n, ell = 1e-4, 0.9, 2, 10**8, 4
-        p = RegimeParams(eps=eps, d=d, t=t, mode="explorer")
+        p = RegimeParams(eps=eps, d=d, t=t)
         ev = transversal_path_bound_fixed_ends(p, n, ell)
         se = math.sqrt(eps)
         manual = (d - 5 * se) ** 3 * (1 - 2 * se) ** 2 * (eps * n) * (n * (n - 1))
@@ -343,16 +343,16 @@ class TestBounds:
         assert ev.value <= manual  # downward rounding never overshoots
 
     def test_fixed_ends_divisibility_flag(self):
-        p = RegimeParams(eps=1e-6, d=0.5, t=2, mode="explorer")
+        p = RegimeParams(eps=1e-6, d=0.5, t=2)
         ev = transversal_path_bound_fixed_ends(p, 100, 5)
         assert dict(ev.hypotheses)["t divides ell"] is False
 
     def test_cycle_bound_parity_flag(self):
-        p = RegimeParams(eps=1e-6, d=0.5, t=3, mode="explorer")
+        p = RegimeParams(eps=1e-6, d=0.5, t=3)
         assert dict(ring_cycle_bound(p, 100, 12).hypotheses)["p odd"] is False
 
     def test_cycle_bound_finite_value(self):
-        p = RegimeParams(eps=1e-6, d=0.5, t=3, mode="explorer")
+        p = RegimeParams(eps=1e-6, d=0.5, t=3)
         ev = ring_cycle_bound(p, 10**13, 13)
         assert ev.met and ev.value > 0
 
@@ -363,7 +363,7 @@ class TestBounds:
         for d in d_grid:
             vals = [
                 transversal_path_bound_fixed_start(
-                    RegimeParams(eps=e, d=d, t=t, mode="explorer"), n, ell
+                    RegimeParams(eps=e, d=d, t=t), n, ell
                 ).value
                 for e in eps_grid
             ]
@@ -371,17 +371,17 @@ class TestBounds:
         for e in eps_grid:
             vals = [
                 transversal_path_bound_fixed_start(
-                    RegimeParams(eps=e, d=d, t=t, mode="explorer"), n, ell
+                    RegimeParams(eps=e, d=d, t=t), n, ell
                 ).value
                 for d in d_grid
             ]
             assert vals == sorted(vals)
         for n_val in (10, 20, 40):
             prev = transversal_path_bound_fixed_start(
-                RegimeParams(eps=1e-6, d=0.5, t=t, mode="explorer"), n_val, ell
+                RegimeParams(eps=1e-6, d=0.5, t=t), n_val, ell
             ).value
             nxt = transversal_path_bound_fixed_start(
-                RegimeParams(eps=1e-6, d=0.5, t=t, mode="explorer"), n_val * 2, ell
+                RegimeParams(eps=1e-6, d=0.5, t=t), n_val * 2, ell
             ).value
             assert nxt >= prev
 

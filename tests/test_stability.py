@@ -26,14 +26,14 @@ def ring_blowup(t_parts: int, size: int) -> tuple[TwoColoring, list[list[int]]]:
 
 class TestBuildReduced:
     def test_chi_cross_pair_is_red_only(self):
-        p = RegimeParams(eps=0.005, d=0.0, t=2, mode="explorer")
+        p = RegimeParams(eps=0.005, d=0.0, t=2)
         rg = build_reduced(chi(6, 6), [range(6), range(6, 12)], p)
         assert rg.red_edges == frozenset({(0, 1)})
         assert rg.blue_edges == frozenset()
         assert rg.irregular_pairs == frozenset()
 
     def test_explicit_density_floor_override(self):
-        p = RegimeParams(eps=0.1, d=0.4, t=2, mode="explorer")
+        p = RegimeParams(eps=0.1, d=0.4, t=2)
         rg = build_reduced(chi(6, 6), [range(6), range(6, 12)], p)
         assert rg.d == 0.4
         assert rg.red_edges == frozenset({(0, 1)})
@@ -46,7 +46,7 @@ class TestBuildReduced:
 
         c = TwoColoring(20, rng.randrange(1 << comb(20, 2)))
         parts = [list(range(i, 20, 4)) for i in range(4)]
-        p = RegimeParams(eps=0.45, d=0.4, t=4, mode="explorer")
+        p = RegimeParams(eps=0.45, d=0.4, t=4)
         rg = build_reduced(c, parts, p)
         both = rg.red_edges & rg.blue_edges
         assert len(both) >= 4
@@ -57,7 +57,7 @@ class TestBuildReduced:
             disjoint_parts([[0, 1], [3]], 4)
 
     def test_singleton_part_with_exact_mode_rejected(self):
-        p = RegimeParams(eps=0.1, d=0.4, t=2, mode="explorer")
+        p = RegimeParams(eps=0.1, d=0.4, t=2)
         with pytest.raises(PreconditionError):
             build_reduced(chi(2, 1), [[0, 1], [2]], p)
 
@@ -67,7 +67,7 @@ class TestBuildReduced:
 
         c = TwoColoring(12, rng.randrange(1 << comb(12, 2)))
         parts = [list(range(i, 12, 3)) for i in range(3)]
-        p = RegimeParams(eps=0.05, d=0.3, t=3, mode="explorer")
+        p = RegimeParams(eps=0.05, d=0.3, t=3)
         rg = build_reduced(c, parts, p)
         assert not rg.irregular_pairs & (rg.red_edges | rg.blue_edges)
         # with d <= 1/2 every regular pair carries at least one color
@@ -142,17 +142,46 @@ class TestNsCheck:
         assert out.variant == "inconclusive"
         assert out.diagnostics["u0_sizes_tried"] == 1
 
+    def test_uneven_bipartite_components_pin_their_orientations(self):
+        # star centred at 4 (least vertex 0 a leaf), K_{2,3}, a path centred
+        # at 11, an edge and the isolated vertex 15: the smallest split takes
+        # the smaller class of each component, which is the least vertex's
+        # class for some components and the other class for the rest
+        edges = [(0, 4), (1, 4), (2, 4), (3, 4)]
+        edges += [(a, b) for a in (5, 6) for b in (7, 8, 9)]
+        edges += [(10, 11), (11, 12), (13, 14)]
+        out = ns_check(SimpleGraph.from_edges(16, edges), alpha=0.02, beta=0.23)
+        assert out.variant == "partition"
+        assert out.structure == "bipartite"
+        assert out.u0 == ()
+        assert out.u1 == (4, 5, 6, 11, 13)
+        assert out.u2 == (0, 1, 2, 3, 7, 8, 9, 10, 12, 14, 15)
+        assert out.diagnostics["missing_cycle_lengths"] == [3, 5, 6, 7, 8, 9]
+
+    def test_hanging_triangles_need_a_nonempty_u0(self):
+        # K_{3,3} with a triangle hanging at 0 and one at 3: U0 grows by
+        # lowest degree (6, then 7, then 8) until G - U0 is bipartite
+        edges = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
+        edges += [(0, 6), (0, 7), (6, 7), (3, 8), (3, 9), (8, 9)]
+        out = ns_check(SimpleGraph.from_edges(10, edges), alpha=0.02, beta=0.15)
+        assert out.variant == "partition"
+        assert out.structure == "bipartite"
+        assert out.u0 == (6, 7, 8)
+        assert out.u1 == (3, 4, 5)
+        assert out.u2 == (0, 1, 2, 9)
+        assert out.diagnostics["missing_cycle_lengths"] == [5]
+
 
 class TestClassifier:
     def test_chi_is_case2_with_exact_lambda(self):
-        p = RegimeParams(eps=1e-4, d=0.0, t=2, mode="paper")
+        p = RegimeParams(eps=1e-4, d=0.0, t=2)
         res = main2_classify(chi(5, 4), [range(5), range(5, 9)], p)
         assert res.case == "case2"
         assert abs(res.assessment.lambda_star - 1 / 18) < 1e-12
 
     def test_ring_blowup_is_case1(self):
         c, parts = ring_blowup(5, 4)
-        p = RegimeParams(eps=0.005, d=0.0, t=5, M=5, alpha=0.52, mode="explorer")
+        p = RegimeParams(eps=0.005, d=0.0, t=5, alpha=0.52)
         res = main2_classify(c, parts, p)
         assert res.case == "case1"
         assert res.t == 5
@@ -163,7 +192,7 @@ class TestClassifier:
         from ramseykit.regular import check_regularity, density
 
         c, parts = ring_blowup(5, 4)
-        p = RegimeParams(eps=0.005, d=0.0, t=5, M=5, alpha=0.52, mode="explorer")
+        p = RegimeParams(eps=0.005, d=0.0, t=5, alpha=0.52)
         res = main2_classify(c, parts, p)
         gr = c.red_graph()
         floor = 11 * (p.eps ** 0.5)
@@ -181,19 +210,24 @@ class TestClassifier:
 
         c = TwoColoring(12, rng.randrange(1 << comb(12, 2)))
         parts = [list(range(i, 12, 4)) for i in range(4)]
-        p = RegimeParams(eps=1e-30, d=0.45, t=4, mode="paper")
+        p = RegimeParams(eps=1e-30, d=0.45, t=4)
         res = main2_classify(c, parts, p)
         assert res.case == "inconclusive"
         assert res.diagnostics["lambda_star"] > res.diagnostics["lambda_cap"]
 
+    def test_zero_eps_rejected(self):
+        # the window and the chain alpha = 20 sqrt(eps) need eps > 0
+        with pytest.raises(PreconditionError, match="eps > 0"):
+            main2_classify(chi(5, 4), [range(5), range(5, 9)], RegimeParams(eps=0.0, d=0.0, t=2))
+
     def test_deterministic(self):
-        p = RegimeParams(eps=1e-4, d=0.0, t=2, mode="paper")
+        p = RegimeParams(eps=1e-4, d=0.0, t=2)
         a = main2_classify(chi(5, 4), [range(5), range(5, 9)], p)
         b = main2_classify(chi(5, 4), [range(5), range(5, 9)], p)
         assert a.as_dict() == b.as_dict()
 
     def test_non_equitable_parts_flagged(self):
-        p = RegimeParams(eps=1e-4, d=0.0, t=2, mode="paper")
+        p = RegimeParams(eps=1e-4, d=0.0, t=2)
         res = main2_classify(chi(5, 4), [range(7), range(7, 9)], p)
         assert any("equitable" in f for f in res.flags)
 
@@ -209,7 +243,7 @@ class TestClassifier:
                 if a // size != b // size:
                     mask |= 1 << pair_index(a, b, n)
         parts = [range(i * size, (i + 1) * size) for i in range(3)]
-        p = RegimeParams(eps=1e-3, d=0.0, t=3, mode="explorer")
+        p = RegimeParams(eps=1e-3, d=0.0, t=3)
         res = main2_classify(TwoColoring(n, mask), parts, p, reg_mode="randomized", seed=4)
         assert res.case == "case1" and res.color == "red"
         unverified = [f for f in res.flags if "not verified" in f]
