@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import rounding
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import SimpleGraph, _count_cycles_backtrack, count_walks, vertex_set
@@ -78,38 +80,38 @@ def _deviation_table(g: SimpleGraph, vx: Sequence[int], vy: Sequence[int], my: i
 
     With E = e(X, Y), the deviation of U, V with e edges between them is
     |e/(|U| m) - E/(nx ny)| = |e nx ny - E |U| m| / (|U| m nx ny), m = |V|,
-    whose denominator is fixed per (|U|, m) cell. Each U is scanned once:
-    the densest and sparsest V of size m are the m largest and smallest
-    degrees into U, so worst[i][m] keeps the largest integer numerator over
-    |U| = i, and arg[i][m] the vertex mask of the first U reaching it
-    (written only when the cell's maximum improves).
+    whose denominator is fixed per (|U|, m) cell. The densest and sparsest
+    V of size m are the m largest and smallest degrees into U, so one numpy
+    pass over every U (bit b picks vx[b]) sorts its degrees into Y and sums
+    them from both ends. worst[i][m] is the largest integer numerator over
+    |U| = i, and arg[i][m] the vertex mask of the first U in subset order
+    reaching it, written only when it beats 0.
     """
     nx, ny = len(vx), len(vy)
     if nx > EXACT_REGULARITY_CAP or ny > EXACT_REGULARITY_CAP:
         raise PreconditionError(f"exact regularity supports side sizes <= {EXACT_REGULARITY_CAP}")
     nxy = nx * ny
     edges = _edges_into(g, vx, my)
-    cols = [g.adj[y] for y in vy]
-    worst = [[0] * (ny + 1) for _ in range(nx + 1)]
+    # column j: the bits b of the vertices vx[b] adjacent to vy[j]
+    cols = np.array([sum(1 << b for b, x in enumerate(vx) if g.adj[y] >> x & 1) for y in vy],
+                    dtype=np.uint16)
+    subsets = np.arange(1 << nx, dtype=np.uint16)
+    degs = np.sort(np.bitwise_count(subsets[:, None] & cols), axis=1).astype(np.int64)
+    usize = np.bitwise_count(subsets)
+    target = edges * usize[:, None].astype(np.int64) * np.arange(1, ny + 1)  # E |U| m
+    lo_e = np.cumsum(degs, axis=1)  # column m - 1: the m smallest degrees into U
+    hi_e = np.cumsum(degs[:, ::-1], axis=1)  # the m largest
+    num = np.maximum(hi_e * nxy - target, target - lo_e * nxy)
+    worst = np.zeros((nx + 1, ny + 1), dtype=np.int64)
     arg = [[0] * (ny + 1) for _ in range(nx + 1)]
-    umasks = [0] * (1 << nx)  # umasks[bits] = the vertices of vx picked by bits
-    for umask_bits in range(1, 1 << nx):
-        low = umask_bits & -umask_bits
-        umask = umasks[umask_bits] = umasks[umask_bits ^ low] | 1 << vx[low.bit_length() - 1]
-        usize = umask_bits.bit_count()
-        degs = sorted([(col & umask).bit_count() for col in cols])
-        row = worst[usize]
-        step = edges * usize
-        lo_e = hi_e = target = 0
-        for m in range(1, ny + 1):
-            lo_e += degs[m - 1]  # the m smallest degrees into U
-            hi_e += degs[ny - m]  # the m largest
-            target += step  # E |U| m
-            num = max(hi_e * nxy - target, target - lo_e * nxy)
-            if num > row[m]:
-                row[m] = num
-                arg[usize][m] = umask
-    return worst, arg, edges
+    for i in range(1, nx + 1):
+        group = np.flatnonzero(usize == i)
+        first = num[group].argmax(axis=0)
+        worst[i, 1:] = num[group[first], np.arange(ny)]
+        for m in np.flatnonzero(worst[i, 1:]).tolist():
+            u = int(group[first[m]])
+            arg[i][m + 1] = sum(1 << x for b, x in enumerate(vx) if u >> b & 1)
+    return worst.tolist(), arg, edges
 
 
 def check_regularity(

@@ -66,18 +66,24 @@ subsets give different copies, so no global deduplication is needed
 would make subsets repeat copies; multiplicity multiplies its count back
 by the ways to place them, so its value counts subgraphs, as
 graphs.count_copies does). The rows come sorted by last edge, so the
-buckets are slices of their word columns. A board on which C(n,k') times
-the template's closed-form size exceeds MAX_COPY_ROWS is refused before
-anything is built.
+buckets are slices of their word columns. That order has a closed form,
+so each copy is written straight to its row, _CHUNK_ROWS copies at a time,
+and the build holds no sort order or table-sized temporary: its peak is
+the table plus one chunk and a few tables of C(k',2) C(n,k') entries. A
+board whose table, C(n,k') times the template's closed-form size times
+the words per mask, exceeds MAX_COPY_BYTES is refused before anything is
+built.
 
 Jobs, budgets and resume tokens. A job runs the engine below a forced
 prefix of edge colours against the incumbent with a node cap; stopped by
 its cap or the deadline, it returns its untried subtrees as prefixes in
-DFS order. A search drains a job list that starts as [[]]: serially each
-job gets all the budget left, so the root job is the plain DFS; with
-threads > 1 a fork pool runs rounds of every queued job with JOB_SLICE
-nodes and the round-start incumbent, merged in job order, so node counts
-repeat. A stop writes what is left as a one-line token,
+DFS order. A job charges no prefix node but the last, which the run that
+left the prefix never visited, so serial legs add up to one run's nodes
+and every resume makes progress. A search drains a job list that starts
+as [[]]: serially each job gets all the budget left, so the root job is
+the plain DFS; with threads > 1 a fork pool runs rounds of every queued
+job with JOB_SLICE nodes and the round-start incumbent, merged in job
+order, so node counts repeat. A stop writes what is left as a one-line token,
 ramsey-resume/2;pattern=P5;n=7;witness=<C(n,2) bits>;pending=<prefix>,...
 naming the pattern (an explicit one with its edges), n, the incumbent as
 colex edge colours and the pending prefixes. Resuming checks each field
@@ -207,24 +213,35 @@ def _local_copies(h: PatternGraph) -> tuple[int, list[tuple[int, ...]]]:
         copies = [[(c, leaf) for leaf in sub if leaf != c] for c in sub]
     elif h.kind == "path":
         # perm[0] < perm[-1] picks one of the two directions
-        copies = [zip(p, p[1:]) for p in itertools.permutations(sub) if p[0] < p[-1]]
+        copies = (zip(p, p[1:]) for p in itertools.permutations(sub) if p[0] < p[-1])
     elif h.kind == "cycle":
-        copies = [
+        copies = (
             zip((0,) + p, p + (0,))
             for p in itertools.permutations(range(1, k))
             if p[0] < p[-1]
-        ]
+        )
     else:  # explicit
         edges = list(h.graph.edges())
         used = sorted({v for e in edges for v in e})
         relabel = {v: i for i, v in enumerate(used)}
         edges = [(relabel[u], relabel[v]) for u, v in edges]
         k = len(used)
-        copies = [[(p[u], p[v]) for u, v in edges] for p in itertools.permutations(range(k))]
+        copies = ([(p[u], p[v]) for u, v in edges] for p in itertools.permutations(range(k)))
     # a set over the copies inside K_k only: stars of order 2 and patterns
     # with automorphisms repeat here, never across subsets
-    local = {tuple(sorted(_colex_index(u, v) for u, v in c)) for c in copies}
+    index = [[_colex_index(u, v) for v in range(k)] for u in range(k)]
+    local = {tuple(sorted([index[u][v] for u, v in c])) for c in copies}
     return k, sorted(local)
+
+
+def _mask_words(n: int) -> int:
+    """The uint64 words of a copy mask on K_n: ceil(C(n,2) / 64), at least one."""
+    return max(1, -(-comb(n, 2) // 64))
+
+
+# The copies enumerate_copy_masks builds at a time: its memory beyond the
+# table it returns is a few arrays of this many rows, and its small tables.
+_CHUNK_ROWS = 1 << 15
 
 
 def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
@@ -232,35 +249,65 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
 
     Row r holds copy r in W = ceil(C(n,2) / 64) little-endian uint64 words:
     colex edge e is bit e % 64 of word e // 64, each word a contiguous
-    column. Rows come sorted by last colex edge: a subset map is increasing,
-    so it keeps colex order, and a copy's last edge is the image of its last
-    local pair.
+    column. Rows come sorted by last colex edge, ties by template, then by
+    subset: a subset map is increasing, so it keeps colex order, and a
+    copy's last edge is the image of its template's last local pair.
     """
     k = h.order
     E = comb(n, 2)
-    words = max(1, -(-E // 64))
+    words = _mask_words(n)
     if k > n:
         return np.zeros((0, words), dtype=np.uint64)
     k, local = _local_copies(h)
-    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-    # row p: the colex index of local pair p = (a, b), a < b, inside every subset
-    table = np.stack(
-        [subsets[:, b] * (subsets[:, b] - 1) // 2 + subsets[:, a]
-         for b in range(k) for a in range(b)]
-    ).astype(np.uint8 if E <= 256 else np.uint16)
     local = np.array(local, dtype=np.intp)
-    # row c * len(subsets) + s is copy c on subset s; the stable sort of
-    # small unsigned keys is numpy's radix sort
-    order = np.argsort(table[local[:, -1]].ravel(), kind="stable")
-    pair_bit = np.uint64(1) << (table & 63).astype(np.uint64)
-    out = np.empty((words, len(order)), dtype=np.uint64)
-    for w in range(words):
-        bits = np.where(table >> 6 == w, pair_bit, 0)
-        copy = bits[local[:, 0]]
-        for column in local.T[1:]:
-            copy |= bits[column]
-        # mode="clip" lets take write into out= unbuffered; every index is in range
-        np.take(copy.ravel(), order, out=out[w], mode="clip")
+    S = comb(n, k)
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                          dtype=np.int16, count=S * k).reshape(S, k)
+    # table[p, s]: the colex index of local pair p = (a, b), a < b, inside subset s
+    table = np.empty((comb(k, 2), S), dtype=np.uint8 if E <= 256 else np.uint16)
+    for p, (a, b) in enumerate(_colex_edges(k)):
+        table[p] = subsets[:, b] * (subsets[:, b] - 1) // 2 + subsets[:, a]
+    del subsets
+    # Copy c on subset s ends at edge K = table[last[c], s]. Its row, the
+    # one a stable sort of the last edges would give it, is the number of
+    # rows ending below K, plus the rows of templates c' < c ending at K
+    # (seen[K] holds both as the templates go by), plus rank[which[c], s],
+    # the subsets before s that map pair last[c] to K.
+    last = local[:, -1]
+    cnt = np.stack([np.bincount(row, minlength=E) for row in table])
+    ending = np.bincount(last, minlength=len(table)) @ cnt
+    seen = np.cumsum(ending) - ending
+    pairs, which = np.unique(last, return_inverse=True)
+    rank = np.empty((len(pairs), S), dtype=np.int32)
+    for i, p in enumerate(pairs):
+        order = np.argsort(table[p], kind="stable")
+        rank[i, order] = np.arange(S) - (np.cumsum(cnt[p]) - cnt[p])[table[p, order]]
+    one = np.uint64(1)
+    out = np.empty((words, len(local) * S), dtype=np.uint64)
+    per, span = max(1, _CHUNK_ROWS // S), min(S, _CHUNK_ROWS)
+    for c0 in range(0, len(local), per):
+        cs = slice(c0, c0 + per)
+        held = cnt[last[cs]]
+        # base[c, K]: the row of the first copy of template c0 + c that ends at edge K
+        base = seen + np.cumsum(held, axis=0) - held
+        seen += held.sum(axis=0)
+        for s0 in range(0, S, span):
+            ss = slice(s0, s0 + span)
+            keys = [table[column, ss] for column in local[cs].T]
+            # keys[-1] holds each copy's last edge
+            rows = np.take(base, keys[-1] + np.arange(0, base.size, E)[:, None])
+            rows += rank[which[cs], ss]
+            keys = [key.astype(np.uint64) for key in keys]
+            for w in range(words):
+                if w:
+                    # keys below 64 wrap around: a numpy shift by 64 or more
+                    # gives 0, so only the edges of word w set bits
+                    for key in keys:
+                        key -= np.uint64(64)
+                copy = one << keys[0]
+                for key in keys[1:]:
+                    copy |= one << key
+                out[w, rows] = copy
     return out.T
 
 
@@ -350,7 +397,9 @@ class _Engine:
         last = (prefix or [0]) + [1] * (E - max(forced, 1))
         # frames[d]: the state below edge d and the branch taken there, saved on descent
         frames: list = [None] * E
-        nodes = leaves = pruned_bound = pruned_symmetry = 0
+        # the run that left the prefix counted every prefix node but the last
+        nodes = min(0, 1 - forced)
+        leaves = pruned_bound = pruned_symmetry = 0
         # the node count at which to test the cap next, and the deadline every 4096 nodes
         check = min(4096, max_nodes + 1)
         best, best_blue = cap, None
@@ -416,16 +465,16 @@ class _Engine:
                 break
             b = 1
         pending = []
-        if stopped and depth < forced:
-            pending = [prefix]
-        elif stopped:
+        if stopped:
             # the stopped node's branches from b on, then the blue branch of
-            # each ancestor below the prefix on red
+            # each ancestor below the prefix on red; a stop comes at a counted
+            # node, at or below the prefix's last edge
             x = [blue >> e & 1 for e in range(depth)]
             pending = [x + [c] for c in range(b, last[depth] + 1)]
             pending += [x[:i] + [1] for i in reversed(range(max(forced, 1), depth)) if not x[i]]
         bits = cap_bits if best_blue is None else [best_blue >> e & 1 for e in range(E)]
-        return best, bits, SearchStats(nodes, leaves, pruned_bound, pruned_symmetry), pending
+        stats = SearchStats(max(nodes, 0), leaves, pruned_bound, pruned_symmetry)
+        return best, bits, stats, pending
 
 
 def _bits_to_coloring(n: int, bits: list[int]) -> TwoColoring:
@@ -479,9 +528,10 @@ def _seed_incumbent(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     return counts[first], _seed_colorings(n)[first]
 
 
-# The most copy masks a search board may hold: 2^25 rows of even one word
-# are 256 MiB, before the sort and bucket copies.
-MAX_COPY_ROWS = 1 << 25
+# The largest copy table a search board may hold, in bytes. The table is
+# the bulk of its build's peak, which adds only one chunk and tables of
+# C(k',2) C(n,k') entries; for one-word masks this is 2^25 rows.
+MAX_COPY_BYTES = 256 << 20
 
 
 def _copy_rows(h: PatternGraph, n: int) -> int:
@@ -505,10 +555,12 @@ def _require_board(h: PatternGraph, n: int) -> None:
     if h.order < 2 or (h.kind == "explicit" and h.graph.num_edges() == 0):
         raise PreconditionError("search needs a pattern with at least one edge")
     rows = _copy_rows(h, n)
-    if rows > MAX_COPY_ROWS:
+    size = rows * _mask_words(n) * 8
+    if size > MAX_COPY_BYTES:
         raise PreconditionError(
-            f"K_{n} holds up to {rows:,} copies of {h.label()}, more than the "
-            f"{MAX_COPY_ROWS:,} copy masks a search board can hold"
+            f"K_{n} holds up to {rows:,} copies of {h.label()}: a copy table of "
+            f"{size / 2**20:,.0f} MiB, more than the {MAX_COPY_BYTES >> 20} MiB a search "
+            f"board can hold"
         )
 
 

@@ -261,12 +261,14 @@ class ReferenceEngine(_Engine):
         else:
             branches = (0, 1)
         for b in branches:
-            stats.nodes += 1
-            if stats.nodes > self.max_nodes or (
-                not stats.nodes & 4095 and time.monotonic() > self.deadline
-            ):
-                stats.nodes -= 1
-                raise _Exhausted(depth, b)
+            # the run that left the prefix counted every prefix node but the last
+            if depth + 1 >= len(self.prefix):
+                stats.nodes += 1
+                if stats.nodes > self.max_nodes or (
+                    not stats.nodes & 4095 and time.monotonic() > self.deadline
+                ):
+                    stats.nodes -= 1
+                    raise _Exhausted(depth, b)
             self.x[depth] = b
             bit = 1 << depth
             if b == 0:
@@ -459,6 +461,40 @@ def reference_regularity_defect(g: SimpleGraph, xs, ys) -> float:
             if cand <= hi and cand < best:
                 best = cand
     return best
+
+
+def reference_deviation_table(g: SimpleGraph, vx, vy, my: int):
+    """regular._deviation_table as a scan of each subset U in turn.
+
+    For each U the degrees into U are sorted in Python and the m smallest
+    and largest summed one m at a time; worst[i][m] keeps the largest
+    numerator |e nx ny - E |U| m| over |U| = i, arg[i][m] the vertex mask
+    of the first U reaching it (written only when the maximum improves).
+    """
+    nx, ny = len(vx), len(vy)
+    nxy = nx * ny
+    edges = sum((g.adj[x] & my).bit_count() for x in vx)
+    cols = [g.adj[y] for y in vy]
+    worst = [[0] * (ny + 1) for _ in range(nx + 1)]
+    arg = [[0] * (ny + 1) for _ in range(nx + 1)]
+    umasks = [0] * (1 << nx)  # umasks[bits] = the vertices of vx picked by bits
+    for umask_bits in range(1, 1 << nx):
+        low = umask_bits & -umask_bits
+        umask = umasks[umask_bits] = umasks[umask_bits ^ low] | 1 << vx[low.bit_length() - 1]
+        usize = umask_bits.bit_count()
+        degs = sorted([(col & umask).bit_count() for col in cols])
+        row = worst[usize]
+        step = edges * usize
+        lo_e = hi_e = target = 0
+        for m in range(1, ny + 1):
+            lo_e += degs[m - 1]  # the m smallest degrees into U
+            hi_e += degs[ny - m]  # the m largest
+            target += step  # E |U| m
+            num = max(hi_e * nxy - target, target - lo_e * nxy)
+            if num > row[m]:
+                row[m] = num
+                arg[usize][m] = umask
+    return worst, arg, edges
 
 
 def resume_token(version="ramsey-resume/2", pattern="P4", n=5, witness="0" * 10, pending="0"):

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ramseykit import cli
+from ramseykit import cli, search
 from ramseykit.cli import build_parser, main
 from ramseykit.extremal import chi
 from ramseykit.graphs import PatternGraph, decode, encode, mono_counts
@@ -104,6 +104,14 @@ class TestSearchCommands:
         proc = run_cli(["mult", "--pattern", "S40", "--n", "60", "--budget-nodes", "5000"])
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert "copies of S40" in proc.stderr
+
+    def test_copy_table_over_the_byte_cap_exits_2_before_any_build(self, monkeypatch, capsys):
+        # 7,624,512 rows: under 2^25, but of 32 words each
+        builds = []
+        monkeypatch.setattr(search, "enumerate_copy_masks", lambda *args: builds.append(args))
+        assert main(["mult", "--pattern", "P4", "--n", "64"]) == 2
+        assert "a copy table of 1,861 MiB, more than the 256 MiB" in capsys.readouterr().err
+        assert builds == []
 
     def test_resume_from_file(self, tmp_path):
         # by node 4710 the first leg has improved on the seed's 108 copies;

@@ -9,6 +9,7 @@ import pytest
 from ramseykit.errors import BudgetExceededError, PreconditionError
 from ramseykit.graphs import PatternGraph, SimpleGraph, count_copies
 from ramseykit.regular import (
+    EXACT_REGULARITY_CAP,
     GridSpec,
     PairSystem,
     RegimeParams,
@@ -25,10 +26,16 @@ from ramseykit.regular import (
     slice_params,
     transversal_path_bound_fixed_start,
     transversal_path_bound_fixed_ends,
+    _deviation_table,
     verify_counting_lemma,
 )
 
-from .helpers import definitional_regularity, random_simple_graph, reference_regularity_defect
+from .helpers import (
+    definitional_regularity,
+    random_simple_graph,
+    reference_deviation_table,
+    reference_regularity_defect,
+)
 
 
 def _edges_between(g: SimpleGraph, us, vs) -> int:
@@ -194,6 +201,35 @@ class TestDefect:
                 xs, ys = range(nx), range(nx, nx + ny)
                 got = regularity_defect(g, xs, ys)
                 assert repr(got) == repr(reference_regularity_defect(g, xs, ys)), (g.adj, nx, ny)
+
+
+class TestDeviationTable:
+    @staticmethod
+    def _random_pair(rng, nx, ny):
+        # the pair sits among other vertices, in shuffled order, so that
+        # subset bit b and vertex vx[b] differ
+        n = nx + ny + rng.randint(0, 3)
+        g = random_simple_graph(n, rng.choice([0.0, 1.0, rng.random()]), rng)
+        labels = rng.sample(range(n), nx + ny)
+        vx, vy = sorted(labels[:nx]), sorted(labels[nx:])
+        return g, vx, vy, sum(1 << y for y in vy)
+
+    def test_matches_the_per_subset_scan(self):
+        rng = random.Random(17)
+        shapes = [(nx, ny) for nx in range(1, 11) for ny in (1, 10)]
+        shapes += [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(580)]
+        for nx, ny in shapes:
+            g, vx, vy, my = self._random_pair(rng, nx, ny)
+            assert _deviation_table(g, vx, vy, my) == reference_deviation_table(g, vx, vy, my), (
+                g.adj, vx, vy)
+
+    def test_matches_the_per_subset_scan_at_the_cap(self):
+        rng = random.Random(19)
+        cap = EXACT_REGULARITY_CAP
+        for nx, ny in [(cap, cap), (cap, 3), (2, cap)]:
+            g, vx, vy, my = self._random_pair(rng, nx, ny)
+            assert _deviation_table(g, vx, vy, my) == reference_deviation_table(g, vx, vy, my), (
+                g.adj, vx, vy)
 
 
 class TestDegreeExceptions:

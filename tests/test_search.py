@@ -1,6 +1,8 @@
 """Exhaustive-search soundness: pruned search vs unpruned enumeration,
 known Ramsey numbers, budget and resume semantics."""
 
+import gc
+import tracemalloc
 from math import comb, inf
 
 import pytest
@@ -9,14 +11,16 @@ from ramseykit import search
 from ramseykit.errors import PreconditionError
 from ramseykit.graphs import PatternGraph, SimpleGraph, mono_counts
 from ramseykit.search import (
-    MAX_COPY_ROWS,
+    MAX_COPY_BYTES,
     SearchBudget,
     VECTOR_MIN_MASKS,
     _Engine,
     _coloring_to_bits,
     _copy_rows,
     _group_by_last,
+    _mask_words,
     _mono_count,
+    _require_board,
     _seed_colorings,
     _seed_counts,
     _seed_incumbent,
@@ -223,9 +227,10 @@ class TestCanonicityCheck:
         assert runs[0] == runs[1]
         assert runs[0][3]["pruned_symmetry"] > 0
 
-    # the subtree below [0, 0, 1, 0] has 4,300 nodes at this cap; a stop at
-    # 3 nodes falls inside the prefix, which is then handed back whole
-    @pytest.mark.parametrize("max_nodes", [3, 100, 3000])
+    # the subtree below [0, 0, 1, 0] has 4,297 nodes at this cap, counted
+    # from the prefix's last edge; a stop at 0 nodes comes at that edge and
+    # hands the prefix back whole
+    @pytest.mark.parametrize("max_nodes", [0, 3, 100, 3000])
     def test_forced_prefix_stops_match_full_scan(self, max_nodes):
         runs = self._prefix_runs([0, 0, 1, 0], max_nodes)
         assert runs[0] == runs[1]
@@ -314,9 +319,22 @@ class TestBoardBuilds:
     def test_a_copy_table_that_cannot_fit_is_refused(self, monkeypatch, search_board):
         # C(60, 41) * 41 rows, about 8.4e16
         boards = _recorded_enumerations(monkeypatch)
-        with pytest.raises(PreconditionError, match=f"more than the {MAX_COPY_ROWS:,} copy"):
+        with pytest.raises(PreconditionError, match="more than the 256 MiB a search board"):
             search_board(P.star(40), 60)
         assert boards == []
+
+    @pytest.mark.parametrize("h,n,size", [
+        (P.path(4), 64, "7,624,512 copies of P4: a copy table of 1,861 MiB"),
+        (P.cycle(5), 40, "7,896,096 copies of C5: a copy table of 783 MiB"),
+    ], ids=["P4@64", "C5@40"])
+    def test_the_cap_is_on_the_table_bytes(self, h, n, size):
+        # both hold fewer than the 2^25 rows of a one-word table at the cap
+        with pytest.raises(PreconditionError, match=size):
+            _require_board(h, n)
+
+    def test_a_large_table_under_the_cap_is_accepted(self):
+        # C(64,4) rows of 32 words: 155 MiB
+        _require_board(P.complete(4), 64)
 
     @pytest.mark.parametrize("h,n", TestSoundness.MASK_CASES, ids=lambda x: getattr(x, "kind", x))
     def test_row_bound_covers_the_copy_table(self, h, n):
@@ -328,7 +346,22 @@ class TestBoardBuilds:
     def test_the_benchmark_ladder_fits(self):
         ladder = [(P.cycle(5), 9), (P.path(6), 8), (P.complete(3), 10), (P.path(7), 9),
                   (P.cycle(7), 13), (P.path(8), 11)]
-        assert max(_copy_rows(h, n) for h, n in ladder) == comb(11, 8) * 20160 < MAX_COPY_ROWS
+        size = max(_copy_rows(h, n) * _mask_words(n) * 8 for h, n in ladder)
+        assert size == comb(11, 8) * 20160 * 8 < MAX_COPY_BYTES
+
+    @pytest.mark.parametrize("h,n", [(P.cycle(7), 13), (P.path(8), 11), (P.cycle(4), 40)],
+                             ids=["C7@13", "P8@11", "C4@40"])
+    def test_the_build_holds_little_beyond_its_table(self, h, n):
+        # a sort order or a whole word column of copies would be 5-80 MiB here;
+        # C4@40 has 13 words per mask and 91,390 subsets
+        gc.collect()
+        tracemalloc.start()
+        try:
+            masks = enumerate_copy_masks(h, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - masks.nbytes <= 8 << 20
 
     def test_threshold_builds_the_ramsey_board_once(self, monkeypatch):
         boards = _recorded_enumerations(monkeypatch)
@@ -394,6 +427,21 @@ class TestBudgets:
         )
         assert resumed.exact
         assert resumed.value == full.value
+
+    def test_short_legs_from_the_root_reach_the_exact_value(self):
+        # each leg counts only the nodes it adds, so the legs sum to the
+        # uninterrupted search's nodes
+        h, n = P.path(5), 7
+        full = multiplicity(h, n)
+        token, nodes = None, 0
+        for _ in range(100):
+            leg = multiplicity(h, n, SearchBudget(max_nodes=200), resume_token=token)
+            nodes += leg.stats.nodes
+            if leg.exact:
+                break
+            assert leg.stats.nodes == 200 and leg.resume_token != token
+            token = leg.resume_token
+        assert (leg.value, leg.exact, nodes) == (96, True, full.stats.nodes)
 
     def test_parallel_prefix_split_matches(self):
         h = P.path(5)
@@ -485,11 +533,14 @@ class TestDeepBoards:
         h = P.path(2)
         first = multiplicity(h, n, SearchBudget(max_nodes=2000))
         assert (first.value, first.exact, first.stats.nodes) == (comb(n, 2), False, 2000)
-        # a resumed job walks its forced prefix again, up to C(n,2) nodes
-        resumed = multiplicity(h, n, SearchBudget(max_nodes=10_000),
-                               resume_token=first.resume_token)
-        assert (resumed.value, resumed.exact, resumed.stats.nodes) == (comb(n, 2), False, 10_000)
-        assert resumed.resume_token != first.resume_token
+        # a resumed job walks its forced prefix again without counting it,
+        # so a resume with no more nodes than the first leg still moves on
+        for max_nodes in (2000, 10_000):
+            resumed = multiplicity(h, n, SearchBudget(max_nodes=max_nodes),
+                                   resume_token=first.resume_token)
+            assert (resumed.value, resumed.exact, resumed.stats.nodes) == (
+                comb(n, 2), False, max_nodes)
+            assert resumed.resume_token != first.resume_token
 
 
 class TestParallelDrain:
