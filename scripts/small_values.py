@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Reproduce the small exact Ramsey values: r(H), M(H, r(H)) and the
+"""Reproduce the small exact Ramsey values: r(H), m(H) = M(H, r(H)) and the
 witness colorings, for a battery of paths, stars, cliques and cycles.
+
+Each row is one search.threshold_multiplicity call, which searches the
+r(H) board once for a zero coloring and once for the minimum on one
+engine. A row whose search stopped on the budget is marked PARTIAL.
 
 Usage: python3 scripts/small_values.py [--n-max 10] [--out table.json]
 """
@@ -9,10 +13,11 @@ import argparse
 import json
 import time
 
+from ramseykit.errors import PreconditionError
 from ramseykit.graphs import PatternGraph, encode, mono_counts
-from ramseykit.search import SearchBudget, multiplicity, ramsey_number
+from ramseykit.search import SearchBudget, threshold_multiplicity
 
-PATTERNS = ["K2", "S2", "S3", "P3", "P4", "P5", "P6", "K3", "C4", "C5"]
+PATTERNS = ["K2", "S2", "S3", "P3", "P4", "P5", "P6", "P7", "K3", "C4", "C5", "C6"]
 
 
 def main() -> int:
@@ -27,24 +32,24 @@ def main() -> int:
     for label in PATTERNS:
         h = PatternGraph.parse(label)
         t0 = time.monotonic()
-        rn = ramsey_number(h, args.n_max, budget)
-        if rn.value is None:
-            print(f"{label:>4}: r > {args.n_max} (settled={rn.exact})")
+        try:
+            rep = threshold_multiplicity(h, budget, n_max=args.n_max)
+        except PreconditionError as err:  # r(H) above --n-max, or not settled within the budget
+            print(f"{label:>4}: {err}")
             continue
-        rep = multiplicity(h, rn.value, budget)
         elapsed = time.monotonic() - t0
         check = sum(mono_counts(rep.witness, h))
-        status = "exact" if (rn.exact and rep.exact) else "PARTIAL"
+        status = "exact" if rep.exact else "PARTIAL"
         print(
-            f"{label:>4}: r = {rn.value:2d}   m = {rep.value:5d}   "
+            f"{label:>4}: r = {rep.n:2d}   m = {rep.value:5d}   "
             f"[{status}, witness recount {check}, {elapsed:.2f}s]"
         )
         rows.append(
             {
                 "pattern": label,
-                "ramsey_number": rn.value,
+                "ramsey_number": rep.n,
                 "threshold_multiplicity": rep.value,
-                "exact": rn.exact and rep.exact,
+                "exact": rep.exact,
                 "witness_kcol": encode(rep.witness),
                 "seconds": round(elapsed, 3),
             }

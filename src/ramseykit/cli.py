@@ -98,7 +98,7 @@ def _budget_from(args) -> SearchBudget:
     )
 
 
-def _manifest(args, seed=None, budget: Optional[SearchBudget] = None) -> RunManifest:
+def _manifest(seed=None, budget: Optional[SearchBudget] = None) -> RunManifest:
     m = RunManifest(command_line=sys.argv[1:] or ["<api>"], seed=seed)
     if budget is not None:
         m.budget = {"max_nodes": budget.max_nodes, "max_seconds": budget.max_seconds}
@@ -122,7 +122,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    manifest = _manifest(args)
+    manifest = _manifest()
     coloring = _load_coloring(args, manifest)
     h = PatternGraph.parse(args.pattern)
     red, blue = mono_counts(coloring, h)
@@ -157,7 +157,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    manifest = _manifest(args)
+    manifest = _manifest()
     coloring = _load_coloring(args, manifest)
     red, blue = [], []
     from .graphs import pair_iter
@@ -171,7 +171,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_mult(args) -> int:
     budget = _budget_from(args)
-    manifest = _manifest(args, budget=budget)
+    manifest = _manifest(budget=budget)
     h = PatternGraph.parse(args.pattern)
     token = None
     if args.resume_from:
@@ -188,7 +188,7 @@ def _cmd_mult(args) -> int:
 
 def _cmd_ramsey_number(args) -> int:
     budget = _budget_from(args)
-    manifest = _manifest(args, budget=budget)
+    manifest = _manifest(budget=budget)
     h = PatternGraph.parse(args.pattern)
     report = ramsey_number(h, args.n_max, budget)
     emit(envelope("ramsey_number", report.as_dict(), manifest), args.out)
@@ -197,7 +197,7 @@ def _cmd_ramsey_number(args) -> int:
 
 def _cmd_threshold(args) -> int:
     budget = _budget_from(args)
-    manifest = _manifest(args, budget=budget)
+    manifest = _manifest(budget=budget)
     h = PatternGraph.parse(args.pattern)
     report = threshold_multiplicity(h, budget, n_max=args.n_max, threads=args.threads)
     emit(envelope("multiplicity", report.as_dict(), manifest), args.out)
@@ -209,7 +209,7 @@ def _cmd_extremal_lambda(args) -> int:
 
     if args.mode == "local-search" and args.seed is None:
         raise PreconditionError("--seed is required with --mode local-search")
-    manifest = _manifest(args, seed=args.seed)
+    manifest = _manifest(seed=args.seed)
     coloring = _load_coloring(args, manifest)
     res = extremal_parameter(coloring, mode=args.mode, seed=args.seed)
     result = {
@@ -227,7 +227,7 @@ def _cmd_extremal_lambda(args) -> int:
 def _cmd_case2(args) -> int:
     from .extremal import case2_lower_bound
 
-    manifest = _manifest(args)
+    manifest = _manifest()
     coloring = _load_coloring(args, manifest)
     a_set = _parse_vertex_set(args.a_set, "--A")
     with _flag("--A"):
@@ -243,7 +243,7 @@ def _cmd_case2(args) -> int:
 def _cmd_verify_claim(args) -> int:
     from .battery import run_battery
 
-    manifest = _manifest(args, seed=args.seed)
+    manifest = _manifest(seed=args.seed)
     report = run_battery(args.claim, args.instances, args.seed)
     if args.csv:
         lines = ["claim,instance,threshold,exact"]
@@ -260,7 +260,7 @@ def _cmd_verify_claim(args) -> int:
 def _cmd_verify_lemma(args) -> int:
     from .regular import GridSpec, verify_counting_lemma
 
-    manifest = _manifest(args, seed=args.seed)
+    manifest = _manifest(seed=args.seed)
     spec = GridSpec.default(args.lemma)
     if args.instances is not None:
         spec = dataclasses.replace(spec, instances_per_cell=args.instances)
@@ -287,7 +287,7 @@ def _cmd_classify(args) -> int:
     needs_seed = args.parts.startswith("auto-random") or args.reg_mode == "randomized"
     if needs_seed and args.seed is None:
         raise PreconditionError("--seed is required with auto-random parts or randomized checks")
-    manifest = _manifest(args, seed=args.seed)
+    manifest = _manifest(seed=args.seed)
     coloring = _load_coloring(args, manifest)
     if args.parts.startswith("auto-random"):
         try:
@@ -310,40 +310,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _int_value(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _thread_count(text: str) -> int:
-    """--threads: a worker count between 1 and the machine's CPU count."""
-    limit = os.cpu_count() or 1
-    value = _int_value(text)
-    if not 1 <= value <= limit:
-        raise argparse.ArgumentTypeError(
-            f"must be between 1 and {limit} (the CPU count), got {value}"
-        )
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """--instances, --n-max: at least 1."""
-    value = _int_value(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _board_size(text: str) -> int:
-    """--n: a board size between 1 and MAX_VERTICES."""
-    value = _int_value(text)
-    if not 1 <= value <= MAX_VERTICES:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_VERTICES}, got {value}")
-    return value
-
-
 def _bounded(kind, ok, bound: str):
     """An argparse type: a `kind` value for which `ok` holds, else "<bound>, got X"."""
 
@@ -362,6 +328,17 @@ def _bounded(kind, ok, bound: str):
 def _nonnegative(kind):
     """--budget-nodes, --budget-seconds, --lambda, --d: a value of at least 0."""
     return _bounded(kind, lambda v: v >= 0, "must be at least 0")
+
+
+_CPUS = os.cpu_count() or 1
+# --threads: a worker count between 1 and the machine's CPU count
+_thread_count = _bounded(int, lambda v: 1 <= v <= _CPUS,
+                         f"must be between 1 and {_CPUS} (the CPU count)")
+# --instances, --n-max
+_positive_int = _bounded(int, lambda v: v >= 1, "must be at least 1")
+# --n: a board size the search takes
+_board_size = _bounded(int, lambda v: 1 <= v <= MAX_VERTICES,
+                       f"must be between 1 and {MAX_VERTICES}")
 
 
 def _add_in(p) -> None:

@@ -55,24 +55,27 @@ all blue (a = 0) and chi(a, n - a), a <= n/2; ties go to the earlier
 candidate. A sorted k'-subset meets the clique {0..a-1} of chi(a, n - a)
 in its first t vertices, so the count is sum_t C(a,t) C(n-a,k'-t) mono_t,
 where mono_t counts the template copies (below) monochromatic under the
-split of 0..k'-1 at t. No masks are needed, so a board that a seed
-colours with no monochromatic copy builds none and reports that seed.
+split of 0..k'-1 at t. One path, _board, takes each board from seed to
+engine: a board that a seed colours with no monochromatic copy builds no
+masks, so no table it would not build refuses it (S40 on K_45 would need
+746 MiB; chi(22, 23) settles it).
 
 Copy enumeration. The distinct copies of the pattern on vertices 0..k'-1
-form a template of local edge lists; it is mapped through the colex table
-of every k'-subset of K_n, one template edge column at a time. Different
-subsets give different copies, so no global deduplication is needed
-(isolated vertices of an explicit pattern are dropped first, since they
-would make subsets repeat copies; multiplicity multiplies its count back
-by the ways to place them, so its value counts subgraphs, as
-graphs.count_copies does). The rows come sorted by last edge, so the
-buckets are slices of their word columns. That order has a closed form,
-so each copy is written straight to its row, _CHUNK_ROWS copies at a time,
-and the build holds no sort order or table-sized temporary: its peak is
-the table plus one chunk and a few tables of C(k',2) C(n,k') entries. A
-board whose table, C(n,k') times the template's closed-form size times
-the words per mask, exceeds MAX_COPY_BYTES is refused before anything is
-built.
+form a template of local edge lists, built once per pattern; it is mapped
+through the colex table of every k'-subset of K_n, one template edge
+column at a time. Different subsets give different copies, so no global
+deduplication is needed (isolated vertices of an explicit pattern are
+dropped first, since they would make subsets repeat copies; multiplicity
+multiplies its count back by the ways to place them, so its value counts
+subgraphs, as graphs.count_copies does). The rows come sorted by last
+edge, so the buckets are slices of their word columns. That order has a
+closed form, so each copy is written straight to its row, _CHUNK_ROWS
+copies at a time, and the build holds no sort order or table-sized
+temporary: its peak is the table plus one chunk and a few tables of
+C(k',2) C(n,k') entries. A board whose table, C(n,k') times the
+template's closed-form size times the words per mask, exceeds
+MAX_COPY_BYTES is refused before anything is built, as is a pattern whose
+template, the table at n = k', would be.
 
 Jobs, budgets and resume tokens. A job runs the engine below a forced
 prefix of edge colours against the incumbent with a node cap; stopped by
@@ -198,40 +201,42 @@ def _colex_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(n) for i in range(j)]
 
 
-def _local_copies(h: PatternGraph) -> tuple[int, list[tuple[int, ...]]]:
-    """The distinct copies of h on vertices 0..k'-1 as local colex edge lists.
+@functools.cache
+def _local_copies(h: PatternGraph) -> tuple[int, np.ndarray]:
+    """The distinct copies of h on vertices 0..k'-1, one sorted row of local colex edges each.
 
     k' is the number of non-isolated vertices of h: isolated vertices add
     nothing to a copy's edge set, and dropping them keeps the copies of
-    different k'-subsets of K_n distinct.
+    different k'-subsets of K_n distinct. Each kind gives vertex orders and
+    its edges between order positions. Rows come in lexicographic order,
+    read-only since every caller shares them.
     """
     k = h.order
-    sub = range(k)
+    if h.kind == "explicit":
+        used, ends = np.unique(list(h.graph.edges()), return_inverse=True)
+        k, edges = len(used), ends.reshape(-1, 2)
     if h.kind == "complete":
-        copies = [itertools.combinations(sub, 2)]
-    elif h.kind == "star":
-        copies = [[(c, leaf) for leaf in sub if leaf != c] for c in sub]
-    elif h.kind == "path":
-        # perm[0] < perm[-1] picks one of the two directions
-        copies = (zip(p, p[1:]) for p in itertools.permutations(sub) if p[0] < p[-1])
-    elif h.kind == "cycle":
-        copies = (
-            zip((0,) + p, p + (0,))
-            for p in itertools.permutations(range(1, k))
-            if p[0] < p[-1]
-        )
-    else:  # explicit
-        edges = list(h.graph.edges())
-        used = sorted({v for e in edges for v in e})
-        relabel = {v: i for i, v in enumerate(used)}
-        edges = [(relabel[u], relabel[v]) for u, v in edges]
-        k = len(used)
-        copies = ([(p[u], p[v]) for u, v in edges] for p in itertools.permutations(range(k)))
-    # a set over the copies inside K_k only: stars of order 2 and patterns
-    # with automorphisms repeat here, never across subsets
-    index = [[_colex_index(u, v) for v in range(k)] for u in range(k)]
-    local = {tuple(sorted([index[u][v] for u, v in c])) for c in copies}
-    return k, sorted(local)
+        order, edges = np.arange(k, dtype=np.int16)[None], list(itertools.combinations(range(k), 2))
+    elif h.kind == "star":  # each vertex first, as the centre
+        order = (np.arange(k, dtype=np.int16)[:, None] + np.arange(k, dtype=np.int16)) % k
+        edges = [(0, leaf) for leaf in range(1, k)]
+    else:  # every order of 0..k-1, or of 1..k-1 for a cycle
+        cycle = int(h.kind == "cycle")
+        flat = itertools.chain.from_iterable(itertools.permutations(range(cycle, k)))
+        order = np.fromiter(flat, dtype=np.int16).reshape(-1, k - cycle)
+        if h.kind != "explicit":
+            # order[0] < order[-1] picks one of a path's two directions; a
+            # cycle is such a path on 1..k-1, closed through vertex 0
+            order = np.pad(order[order[:, 0] < order[:, -1]], ((0, 0), (cycle, 0)))
+            edges = [(i, (i + 1) % k) for i in range(k - 1 + cycle)]
+    ends = order[:, np.array(edges).T]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    copies = np.sort(hi * (hi - 1) // 2 + lo, axis=1)
+    # stars of order 2 and patterns with automorphisms repeat copies here, never across subsets
+    copies = copies[np.lexsort(copies.T[::-1])]
+    copies = copies[np.r_[True, (copies[1:] != copies[:-1]).any(axis=1)]]
+    copies.flags.writeable = False
+    return k, copies
 
 
 def _mask_words(n: int) -> int:
@@ -377,6 +382,7 @@ class _Engine:
 
     def __init__(self, masks: np.ndarray, n: int, use_symmetry: bool = True):
         self.E = comb(n, 2)
+        self.masks = masks  # for recounting a resumed witness
         self.by_last = _group_by_last(masks, self.E)
         # per edge: the OR of its sigma bits, then its entries
         self.sigmas = [(sum(s for s, _ in row), row) for row in _transposition_sigmas(n)]
@@ -551,9 +557,7 @@ def _copy_rows(h: PatternGraph, n: int) -> int:
 
 
 def _require_board(h: PatternGraph, n: int) -> None:
-    """Refuse an edgeless pattern, and a board whose copy table cannot fit."""
-    if h.order < 2 or (h.kind == "explicit" and h.graph.num_edges() == 0):
-        raise PreconditionError("search needs a pattern with at least one edge")
+    """Refuse a board whose copy table cannot fit."""
     rows = _copy_rows(h, n)
     size = rows * _mask_words(n) * 8
     if size > MAX_COPY_BYTES:
@@ -562,6 +566,30 @@ def _require_board(h: PatternGraph, n: int) -> None:
             f"{size / 2**20:,.0f} MiB, more than the {MAX_COPY_BYTES >> 20} MiB a search "
             f"board can hold"
         )
+
+
+@functools.lru_cache(maxsize=1)
+def _board(h: PatternGraph, n: int, use_symmetry: bool) -> tuple:
+    """The search board of h on K_n: (seed count, seed coloring, engine or None).
+
+    A board below the pattern's order, or one a seed colours with no
+    monochromatic copy, settles with that seed and builds no engine. The last
+    board is kept for threshold_multiplicity's second search of n = r(h).
+    """
+    if not 1 <= n <= MAX_VERTICES:
+        raise PreconditionError(f"board size {n} is outside 1..{MAX_VERTICES}")
+    if h.order < 2 or (h.kind == "explicit" and h.graph.num_edges() == 0):
+        raise PreconditionError("search needs a pattern with at least one edge")
+    if n < h.order:
+        return 0, TwoColoring(n, 0), None
+    _require_board(h, h.order)
+    count, seed = _seed_incumbent(h, n)
+    if count == 0:
+        return 0, seed, None
+    _require_board(h, n)
+    masks = enumerate_copy_masks(h, n)
+    masks.flags.writeable = False
+    return count, seed, _Engine(masks, n, use_symmetry)
 
 
 TOKEN_VERSION = "ramsey-resume/2"
@@ -682,29 +710,18 @@ def multiplicity(
     token accepted by a later call; threads > 1 drains with a worker pool.
     """
     budget = budget or SearchBudget.from_env()
-    if n < 1:
-        raise PreconditionError("board size must be >= 1")
-    if n > MAX_VERTICES:
-        raise PreconditionError(f"board size {n} exceeds the cap of {MAX_VERTICES} vertices")
-    _require_board(h, n)
+    seed_val, seed, engine = _board(h, n, use_symmetry)
     resume = parse_resume_token(resume_token, h, n) if resume_token else None
-    if n < h.order:
-        return MultiplicityReport(h, n, 0, TwoColoring(n, 0), SearchStats(leaves=1), exact=True)
-
-    seed_val, seed = _seed_incumbent(h, n)
-    if seed_val == 0:
-        # no coloring does better: the seed settles the board, as in find_zero_coloring
+    if engine is None:
         return MultiplicityReport(h, n, 0, seed, SearchStats(leaves=1), exact=True)
-    masks = _board_masks(h, n)
     # the engine prunes at `best` copies: one above the seed until a leaf
     # sets it, so that a leaf tying the seed is still reached
     best, bits, jobs = seed_val + 1, _coloring_to_bits(seed), [[]]
     if resume is not None:
         witness, jobs = resume
-        count = _mono_count(masks, witness)  # recounted, never read from the token
+        count = _mono_count(engine.masks, witness)  # recounted, never read from the token
         if count < best:
             best, bits = count, witness
-    engine = _Engine(masks, n, use_symmetry)
     if threads > 1:
         best, bits, stats, jobs = _multiplicity_parallel(engine, jobs, best, bits, budget, threads)
     else:
@@ -712,19 +729,6 @@ def multiplicity(
     value = min(best, seed_val) * _subgraphs_per_copy(h, n)
     token = _resume_token(h, n, bits, jobs) if jobs else None
     return MultiplicityReport(h, n, value, _bits_to_coloring(n, bits), stats, not jobs, token)
-
-
-@functools.lru_cache(maxsize=1)
-def _board_masks(h: PatternGraph, n: int) -> np.ndarray:
-    """The copy masks of the last board built.
-
-    threshold_multiplicity searches its n = r(h) board twice, first for a
-    zero coloring and then for the minimum; both take the masks from here,
-    read-only since every caller shares them.
-    """
-    masks = enumerate_copy_masks(h, n)
-    masks.flags.writeable = False
-    return masks
 
 
 def _subgraphs_per_copy(h: PatternGraph, n: int) -> int:
@@ -750,14 +754,9 @@ def find_zero_coloring(
     the budget ran out before the question was settled.
     """
     budget = budget or SearchBudget.from_env()
-    _require_board(h, n)
-    if n < h.order:
-        return TwoColoring(n, 0), SearchStats(leaves=1), True
-    # quick win: chi-style candidates avoid many patterns outright, before any mask is built
-    count, seed = _seed_incumbent(h, n)
-    if count == 0:
+    _, seed, engine = _board(h, n, use_symmetry)
+    if engine is None:
         return seed, SearchStats(leaves=1), True
-    engine = _Engine(_board_masks(h, n), n, use_symmetry)
     best, bits, stats, jobs = _drain(engine, [[]], 1, None, budget)
     if best == 0:
         return _bits_to_coloring(n, bits), stats, True

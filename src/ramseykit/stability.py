@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
-from .extremal import ExtremalAssessment, extremal_parameter
+from .extremal import EXACT_PARTITION_CAP, ExtremalAssessment, extremal_parameter
 from .graphs import (
     SimpleGraph, TwoColoring, _bits, _find_cycle_of_length, cycle_spectrum, vertex_set
 )
@@ -332,9 +332,10 @@ def main2_classify(
     12 sqrt(eps) being what the construction used); a ring pair with a part
     above EXACT_REGULARITY_CAP, which only randomized checking lets through,
     gets no exact re-check and is named in the flags. Case 2 compares the
-    exact (or seeded local-search) extremality parameter against p.lam,
-    300 sqrt(alpha) unless given. Neither structure certifiable means an
-    honest inconclusive. The window and the parameter chain need eps > 0.
+    exact extremality parameter (seeded local search above
+    EXACT_PARTITION_CAP vertices) against p.lam = 300 sqrt(alpha). Neither
+    structure certifiable means an honest inconclusive. The window and the
+    parameter chain need eps > 0.
     """
     if not p.eps > 0:
         raise PreconditionError(f"classification needs eps > 0, got {p.eps}")
@@ -383,7 +384,7 @@ def main2_classify(
                     flags=tuple(flags + unverified), diagnostics=diagnostics,
                 )
         diagnostics["case1"] = "no verified monochromatic ring of length t"
-    mode = "exact" if c.n <= 24 else "local-search"
+    mode = "exact" if c.n <= EXACT_PARTITION_CAP else "local-search"
     assessment = extremal_parameter(c, mode=mode, seed=seed if mode == "local-search" else None)
     diagnostics["lambda_star"] = assessment.lambda_star
     diagnostics["lambda_cap"] = p.lam

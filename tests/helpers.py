@@ -131,6 +131,32 @@ def reference_copy_masks(h: PatternGraph, n: int) -> list[int]:
     return sorted(masks)
 
 
+def reference_local_copies(h: PatternGraph) -> tuple[int, list[tuple[int, ...]]]:
+    """search._local_copies by sets: k' and the sorted distinct local colex edge lists.
+
+    Walks the vertex permutations of each kind in Python and deduplicates
+    the sorted edge lists through a set.
+    """
+    k = h.order
+    sub = range(k)
+    if h.kind == "complete":
+        copies = [combinations(sub, 2)]
+    elif h.kind == "star":
+        copies = [[(c, leaf) for leaf in sub if leaf != c] for c in sub]
+    elif h.kind == "path":
+        copies = (zip(p, p[1:]) for p in permutations(sub) if p[0] < p[-1])
+    elif h.kind == "cycle":
+        copies = (zip((0,) + p, p + (0,)) for p in permutations(range(1, k)) if p[0] < p[-1])
+    else:  # explicit: drop the isolated vertices first
+        edges = list(h.graph.edges())
+        used = sorted({v for e in edges for v in e})
+        relabel = {v: i for i, v in enumerate(used)}
+        edges = [(relabel[u], relabel[v]) for u, v in edges]
+        k = len(used)
+        copies = ([(p[u], p[v]) for u, v in edges] for p in permutations(range(k)))
+    return k, sorted({tuple(sorted(_colex_index(u, v) for u, v in c)) for c in copies})
+
+
 def mask_rows_as_ints(rows) -> list[int]:
     """Rows of little-endian uint64 words as sorted Python int bitmasks."""
     return sorted(sum(int(x) << 64 * w for w, x in enumerate(row)) for row in rows.tolist())

@@ -101,9 +101,9 @@ class TestSearchCommands:
         assert json.loads(proc.stdout)["result"]["resume_token"]
 
     def test_copy_table_too_large_exits_2(self):
-        proc = run_cli(["mult", "--pattern", "S40", "--n", "60", "--budget-nodes", "5000"])
+        proc = run_cli(["mult", "--pattern", "P4", "--n", "64", "--budget-nodes", "5000"])
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
-        assert "copies of S40" in proc.stderr
+        assert "copies of P4" in proc.stderr
 
     def test_copy_table_over_the_byte_cap_exits_2_before_any_build(self, monkeypatch, capsys):
         # 7,624,512 rows: under 2^25, but of 32 words each
@@ -112,6 +112,20 @@ class TestSearchCommands:
         assert main(["mult", "--pattern", "P4", "--n", "64"]) == 2
         assert "a copy table of 1,861 MiB, more than the 256 MiB" in capsys.readouterr().err
         assert builds == []
+
+    @pytest.mark.parametrize("n", ["45", "60"])
+    def test_a_board_a_seed_settles_exits_0_without_a_build(self, monkeypatch, tmp_path, n):
+        # K_45 alone holds a 746 MiB table of S40 copies, but chi(a, n - a),
+        # a near n/2, has largest monochromatic degree below 40
+        builds = []
+        monkeypatch.setattr(search, "enumerate_copy_masks", lambda *args: builds.append(args))
+        search._board.cache_clear()
+        out = tmp_path / "r.json"
+        assert main(["mult", "--pattern", "S40", "--n", n, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert (result["value"], result["exact"], builds) == (0, True, [])
+        witness = decode(result["witness_kcol"])
+        assert sum(mono_counts(witness, PatternGraph.star(40))) == 0
 
     def test_resume_from_file(self, tmp_path):
         # by node 4710 the first leg has improved on the seed's 108 copies;

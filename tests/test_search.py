@@ -18,6 +18,7 @@ from ramseykit.search import (
     _coloring_to_bits,
     _copy_rows,
     _group_by_last,
+    _local_copies,
     _mask_words,
     _mono_count,
     _require_board,
@@ -38,6 +39,7 @@ from .helpers import (
     multiplicity_bruteforce,
     reference_by_last,
     reference_copy_masks,
+    reference_local_copies,
     reference_transposition_sigmas,
     resume_token,
 )
@@ -207,7 +209,10 @@ class TestCanonicityCheck:
         budget = SearchBudget(max_nodes=max_nodes)
         incremental = multiplicity(h, n, budget)
         monkeypatch.setattr(search, "_Engine", ReferenceEngine)
+        # the board is built again on the reference engine, and not kept
+        search._board.cache_clear()
         full_scan = multiplicity(h, n, budget)
+        search._board.cache_clear()
         assert _search_fingerprint(incremental) == _search_fingerprint(full_scan)
 
     @staticmethod
@@ -253,6 +258,24 @@ class TestCanonicityTable:
         assert _transposition_sigmas(n) == want
 
 
+class TestTemplate:
+    @pytest.mark.parametrize("h", [
+        P.complete(2), P.complete(3), P.complete(5),
+        P.star(1), P.star(2), P.star(5),
+        P.path(2), P.path(3), P.path(7),
+        P.cycle(3), P.cycle(4), P.cycle(8),
+        # isolated vertices: the claw plus vertex 4, and P3 on 1, 3, 5 of six vertices
+        P.explicit(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)])),
+        P.explicit(SimpleGraph.from_edges(6, [(1, 3), (3, 5)])),
+        # automorphisms: a triangle with a pendant edge, and a perfect matching
+        P.explicit(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])),
+        P.explicit(SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])),
+    ], ids=search._pattern_name)
+    def test_matches_reference(self, h):
+        k, local = _local_copies(h)
+        assert (k, [tuple(row) for row in local.tolist()]) == reference_local_copies(h)
+
+
 class TestSeeds:
     @pytest.mark.parametrize("h,n", [
         (P.cycle(7), 7),
@@ -293,7 +316,7 @@ def _recorded_enumerations(monkeypatch):
         return enumerate_copy_masks(h, n)
 
     monkeypatch.setattr(search, "enumerate_copy_masks", recording)
-    search._board_masks.cache_clear()
+    search._board.cache_clear()
     return boards
 
 
@@ -317,11 +340,34 @@ class TestBoardBuilds:
         lambda h, n: find_zero_coloring(h, n),
     ], ids=["multiplicity", "find_zero_coloring"])
     def test_a_copy_table_that_cannot_fit_is_refused(self, monkeypatch, search_board):
-        # C(60, 41) * 41 rows, about 8.4e16
+        # C(64, 4) * 12 rows of 32 words, and no seed settles the board:
+        # chi(32, 32) has a blue P4
         boards = _recorded_enumerations(monkeypatch)
-        with pytest.raises(PreconditionError, match="more than the 256 MiB a search board"):
-            search_board(P.star(40), 60)
+        with pytest.raises(PreconditionError, match="copies of P4: a copy table of 1,861 MiB, "
+                                                    "more than the 256 MiB a search board"):
+            search_board(P.path(4), 64)
         assert boards == []
+
+    def test_a_board_a_seed_settles_is_never_refused(self, monkeypatch):
+        # K_64 holds about 6.0e18 copies of S40, but on every board from
+        # n = 41 up some chi(a, n - a) has largest monochromatic degree below 40
+        boards = _recorded_enumerations(monkeypatch)
+        rn = ramsey_number(P.star(40), 64)
+        assert (rn.value, rn.exact) == (None, True)
+        assert boards == []
+
+    def test_the_template_is_built_once_per_pattern(self, monkeypatch):
+        boards = _recorded_enumerations(monkeypatch)
+        search._local_copies.cache_clear()
+        assert ramsey_number(P.path(6), 8).value == 8
+        assert search._local_copies.cache_info().misses == 1
+        assert boards == [8]
+
+    @pytest.mark.parametrize("search_board", [multiplicity, find_zero_coloring],
+                             ids=["multiplicity", "find_zero_coloring"])
+    def test_a_board_above_the_vertex_cap_is_refused(self, search_board):
+        with pytest.raises(PreconditionError, match="board size 65 is outside 1..64"):
+            search_board(P.path(3), 65)
 
     @pytest.mark.parametrize("h,n,size", [
         (P.path(4), 64, "7,624,512 copies of P4: a copy table of 1,861 MiB"),
