@@ -5,9 +5,10 @@ C(v,2) decisions form a complete coloring of K_v and every copy of the
 pattern becomes fully decided the moment its last colex edge is assigned.
 Branches are cut when the decided monochromatic copies already reach the
 incumbent, and when the partial assignment is provably not the lex-minimal
-member of its orbit under a precomputed set of vertex permutations
-(transpositions by default; any subset of S_n is sound because the global
-lex-min representative of an orbit survives every such constraint).
+member of its orbit under a precomputed set of vertex permutations (the
+transpositions and the double transpositions of adjacent vertices; any
+subset of S_n is sound because the global lex-min representative of an
+orbit survives every such constraint).
 
 Red is assigned before blue and the first edge is forced red: swapping the
 two colors preserves the total monochromatic count, so only the all-blue
@@ -29,20 +30,40 @@ every node of C5@9, P5@7 and P6@8 (2 cores, Python 3.11, numpy 2.4) put
 the break-even at 60-110 masks, hence 96. Both kernels prune the same
 nodes, so node and prune counts do not depend on the crossover.
 
-Canonicity check. A transposition sigma of two vertices prunes a node when
-it maps the assigned prefix to a lex-smaller one: comparing x[e] with
-x[sigma(e)] over its moved edges e in ascending order, the first
-difference has x[sigma(e)] < x[e]. Only the leading run of pairs with
-both edges assigned can be read, and assigning edge d adds to that run
-exactly one comparison per sigma: x[e] against x[d] itself, for an e < d
-(see _transposition_sigmas). The search carries an int mask of the
-sigmas still tied with the identity. With d red, a tied sigma whose e is
-blue prunes the node; with d blue, a tied sigma whose e is red is decided
-in the coloring's favour and leaves the mask for the whole subtree; the
-blue branch never prunes. A row with no tied sigma is skipped with one
-AND. This prunes exactly the nodes that rescanning every sigma from its
-first moved edge prunes (K3@9 on 2 cores, Python 3.11: 0.4 s, against
-2.5 s with the full rescan).
+Canonicity check. A vertex permutation sigma prunes a node when it maps
+the assigned prefix to a lex-smaller one: comparing x[e] with x[sigma(e)]
+over its moved edges e in ascending order, the first difference has
+x[sigma(e)] < x[e]. Only the leading run of pairs with both edges
+assigned can be read. Any set of permutations is sound, since the lex-min
+member of an orbit survives every such constraint. The search checks two
+families of involutions, for which a mirror pair (e, sigma(e)),
+sigma(e) < e, compares equal whenever it is reached and is skipped:
+
+- the C(n,2) transpositions (u v). Assigning edge d adds to a run exactly
+  one comparison, x[e] against x[d] itself, for an e < d;
+- the C(n-2,2) double transpositions of adjacent vertices,
+  (a a+1)(c c+1) with a + 1 < c. Edge d adds x[e] against x[d] as above
+  and, in one row per double, a second pair (e2, f) with both edges below
+  d (see _canonicity_rows).
+
+The search carries one int mask of the sigmas of both families still tied
+with the identity. A row groups its sigmas by the edge e they compare
+with edge d: e in the other colour resolves every sigma of the group, so
+with d red a tied one prunes the node, and with d blue the group leaves
+the mask for the whole subtree. A double still tied then compares its
+second pair: e2 blue and f red prunes, on either branch, and e2 red
+leaves the mask. A row with no tied sigma is skipped with one AND. This
+prunes exactly the nodes that rescanning every sigma from its first moved
+edge prunes (K3@9 with transpositions alone, 2 cores, Python 3.11: 0.4 s,
+against 2.5 s with the full rescan).
+
+Why adjacent doubles: at n = 13 they add 55 sigmas to the 78
+transpositions and, grouped by e, 55 loop steps to 858. They cut K3@9
+from 538,211 nodes to 237,229, P6@8 from 59,215 to 29,395 and the C7@13
+zero search from 23,261 to 16,291, for about a tenth more time per node
+on a 100,000-node C7@13 dive (2 vCPUs, Python 3.11). Doubles of any
+equal gap (250 sigmas at n = 13) cut K3@9 further but made the C7@13
+zero search 1.28x slower, and all 2,145 double transpositions about 5x.
 
 Search loop. One loop walks the tree, with no Python recursion, so the
 depth C(n,2) has no interpreter limit. The state below edge d is the
@@ -75,7 +96,8 @@ temporary: its peak is the table plus one chunk and a few tables of
 C(k',2) C(n,k') entries. A board whose table, C(n,k') times the
 template's closed-form size times the words per mask, exceeds
 MAX_COPY_BYTES is refused before anything is built, as is a pattern whose
-template, the table at n = k', would be.
+template build would exceed it: its int16 vertex orders and their end pairs
+(P10 needs 132 MiB, P11 1,599 MiB).
 
 Jobs, budgets and resume tokens. A job runs the engine below a forced
 prefix of edge colours against the incumbent with a node cap; stopped by
@@ -211,6 +233,7 @@ def _local_copies(h: PatternGraph) -> tuple[int, np.ndarray]:
     its edges between order positions. Rows come in lexicographic order,
     read-only since every caller shares them.
     """
+    _require_template(h)
     k = h.order
     if h.kind == "explicit":
         used, ends = np.unique(list(h.graph.edges()), return_inverse=True)
@@ -351,25 +374,57 @@ def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
     return by_last
 
 
-def _transposition_sigmas(n: int) -> list[list[tuple[int, int]]]:
-    """The canonicity table: per colex edge d, the one comparison edge d adds to each sigma.
+def _canonicity_rows(n: int) -> list[tuple]:
+    """The canonicity table: per colex edge d, what assigning d adds to each sigma's run.
 
-    Transposition s of the vertex pairs (u, v), u < v, in lex order is bit
-    1 << s of the tied mask. Its constraint compares x[e] with x[sigma(e)]
-    over the moved edges e in ascending order and can read only the leading
-    run whose pairs are all assigned. The moved edges pair up as
-    e = {u, w} < sigma(e) = {v, w}, and every moved edge below e maps below
-    {v, w}, so assigning edge d = {v, w} adds to sigma's run exactly the
-    comparison of x[e] with x[d]; the mirror pair (d, e) comes later in the
-    run, when the two already compare equal. Row d lists (1 << s, 1 << e)
-    for each such sigma: one entry per sigma, with distinct edges e < d.
+    Transposition s, the s-th vertex pair (u, v), u < v, in lex order, is
+    bit 1 << s of the tied mask; double s, the s-th (a a+1)(c c+1),
+    a + 1 < c, in lex order of (a, c), is bit 1 << (C(n,2) + s). A pair
+    (e, sigma(e)), e < sigma(e), of a run is readable once every edge up to
+    the running maximum of e and sigma(e) over the run is assigned; mirror
+    pairs, with sigma(e) < e, are left out, since for an involution they
+    compare equal whenever reached. The search reads only the first
+    difference of a run, so it needs only each row's new pairs in order.
+
+    The moved edges of (u v) pair up as ({u, w}, {v, w}), and every pair
+    before one maps below its image, so edge d = {v, w} adds exactly the
+    comparison of x[{u, w}] with x[d]. Those of a double pair up as
+    ({u, w}, {u+1, w}) for u in {a, c} and w outside {a, a+1, c, c+1},
+    each joining at its own image in the same way, plus the cross pairs
+    ({a, c}, {a+1, c+1}) and ({a+1, c}, {a, c+1}). The second comes
+    right after the first and maps below it, so edge {a+1, c+1} adds both:
+    2n - 7 rows per double, from its O(n) moved edges.
+
+    Row d is (bits, against, extra_bits, extras): the OR of the sigma bits
+    it holds; per edge e compared with x[d], (1 << e, ~(the bits of the
+    sigmas that compare it)); the OR of the doubles whose cross pairs join
+    at d, and for each (its bit, 1 << e2 | 1 << f, 1 << e2) for its second
+    pair (e2, f), both edges below d. Grouped by e, the 1,903 first
+    comparisons at n = 13 take 913 loop steps. The complement, a negative
+    int, keeps each entry as small as its bits: with full-width masks the
+    engine of an n = 64 board held 95 MiB instead of 50 MiB (tracemalloc).
     """
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(comb(n, 2))]
+    E = comb(n, 2)
+    against: list[dict[int, int]] = [{} for _ in range(E)]
+    extras: list[list[tuple[int, int, int]]] = [[] for _ in range(E)]
+
+    def compare(e: int, d: int, bit: int) -> None:
+        against[d][e] = against[d].get(e, 0) | bit
+
     for s, (u, v) in enumerate(itertools.combinations(range(n), 2)):
         for w in range(n):
             if w != u and w != v:
-                rows[_colex_index(v, w)].append((1 << s, 1 << _colex_index(u, w)))
-    return rows
+                compare(_colex_index(u, w), _colex_index(v, w), 1 << s)
+    doubles = [(a, c) for a in range(n - 1) for c in range(a + 2, n - 1)]
+    for s, (a, c) in enumerate(doubles, E):
+        for w in set(range(n)) - {a, a + 1, c, c + 1}:
+            for u in (a, c):
+                compare(_colex_index(u, w), _colex_index(u + 1, w), 1 << s)
+        d, e2, f = _colex_index(a + 1, c + 1), _colex_index(a + 1, c), _colex_index(a, c + 1)
+        compare(_colex_index(a, c), d, 1 << s)
+        extras[d].append((1 << s, 1 << e2 | 1 << f, 1 << e2))
+    return [(sum(row.values()), [(1 << e, ~bits) for e, bits in row.items()],
+             sum(bit for bit, _, _ in extra), extra) for row, extra in zip(against, extras)]
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +439,9 @@ class _Engine:
         self.E = comb(n, 2)
         self.masks = masks  # for recounting a resumed witness
         self.by_last = _group_by_last(masks, self.E)
-        # per edge: the OR of its sigma bits, then its entries
-        self.sigmas = [(sum(s for s, _ in row), row) for row in _transposition_sigmas(n)]
-        # all C(n,2) transpositions start tied; without symmetry none is checked
-        self.tied = (1 << self.E) - 1 if use_symmetry else 0
+        self.sigmas = _canonicity_rows(n)
+        # every sigma starts tied; without symmetry none is checked
+        self.tied = (1 << self.E + comb(n - 2, 2)) - 1 if use_symmetry else 0
 
     def run(self, prefix: list[int], cap: int, cap_bits: Optional[list[int]],
             max_nodes: float, deadline: float = inf):
@@ -443,13 +497,24 @@ class _Engine:
             else:
                 # each tied sigma of the row compares its edge e with this one:
                 # e in the other colour resolves sigma, against the prefix on red
-                child_tied = tied
-                row_sigmas, row = sigmas[depth]
+                child_tied, pruned = tied, False
+                row_sigmas, against, row_extras, extras = sigmas[depth]
                 if tied & row_sigmas:
-                    for s, e in row:
-                        if child_tied & s and other & e:
-                            child_tied ^= s
-                if not b and child_tied != tied:
+                    for e, keep in against:
+                        if other & e:
+                            child_tied &= keep
+                    pruned = not b and child_tied != tied
+                    # a double still tied compares its second pair (e2, f) below
+                    # this edge: a difference resolves it, against the prefix
+                    # when e2 is the blue one
+                    if child_tied & row_extras and not pruned:
+                        for s, pair, e2 in extras:
+                            if child_tied & s:
+                                seen = blue & pair
+                                if seen and seen != pair:
+                                    child_tied ^= s
+                                    pruned |= seen == e2
+                if pruned:
                     pruned_symmetry += 1
                 elif depth + 1 < E:
                     frames[depth] = (mono, tied, blue, b)
@@ -493,13 +558,6 @@ def _coloring_to_bits(c: TwoColoring) -> list[int]:
     return [0 if c.is_red(i, j) else 1 for i, j in edges]
 
 
-def _seed_colorings(n: int) -> list[TwoColoring]:
-    """Cheap candidate colorings whose counts seed the incumbent: all blue, then chi(a, n - a)."""
-    from .extremal import chi
-
-    return [TwoColoring(n, 0)] + [chi(a, n - a) for a in range(1, n // 2 + 1)]
-
-
 def _mono_count(masks: np.ndarray, bits: list[int]) -> int:
     """The copies monochromatic under a coloring given by its colex edge colours.
 
@@ -513,7 +571,9 @@ def _mono_count(masks: np.ndarray, bits: list[int]) -> int:
 
 
 def _seed_counts(h: PatternGraph, n: int) -> list[int]:
-    """The copies of h monochromatic under each of _seed_colorings(n), n >= h.order.
+    """The copies of h monochromatic under each seed coloring of K_n, n >= h.order.
+
+    The seeds are all blue (a = 0), then chi(a, n - a) for a = 1..n // 2.
 
     In closed form from the template (see Seeding in the module docstring).
     """
@@ -529,9 +589,11 @@ def _seed_counts(h: PatternGraph, n: int) -> list[int]:
 
 def _seed_incumbent(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     """The first seed coloring with the fewest monochromatic copies, and that count."""
+    from .extremal import chi
+
     counts = _seed_counts(h, n)
-    first = counts.index(min(counts))
-    return counts[first], _seed_colorings(n)[first]
+    a = counts.index(min(counts))
+    return counts[a], chi(a, n - a) if a else TwoColoring(n, 0)
 
 
 # The largest copy table a search board may hold, in bytes. The table is
@@ -568,6 +630,32 @@ def _require_board(h: PatternGraph, n: int) -> None:
         )
 
 
+def _require_template(h: PatternGraph) -> None:
+    """Refuse a pattern whose template build cannot fit.
+
+    _local_copies holds each vertex order as k' int16 entries, then the
+    two int16 ends of each edge of every order it keeps: a path keeps half
+    of its k'! orders, a cycle half of the (k'-1)! orders of 1..k'-1.
+    """
+    k = h.order
+    if h.kind == "explicit":
+        k = sum(1 for row in h.graph.adj if row)
+        width, orders, kept, edges = k, factorial(k), factorial(k), h.graph.num_edges()
+    elif h.kind in ("complete", "star"):
+        return  # at most k orders
+    else:
+        width = k - (h.kind == "cycle")
+        orders, edges = factorial(width), k - 1 + (h.kind == "cycle")
+        kept = orders // 2
+    size = 2 * (orders * width + kept * 2 * edges)
+    if size > MAX_COPY_BYTES:
+        raise PreconditionError(
+            f"the copy template of {h.label()} walks {orders:,} vertex orders: "
+            f"{size / 2**20:,.0f} MiB with their end pairs, more than the "
+            f"{MAX_COPY_BYTES >> 20} MiB a search board can hold"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _board(h: PatternGraph, n: int, use_symmetry: bool) -> tuple:
     """The search board of h on K_n: (seed count, seed coloring, engine or None).
@@ -582,7 +670,6 @@ def _board(h: PatternGraph, n: int, use_symmetry: bool) -> tuple:
         raise PreconditionError("search needs a pattern with at least one edge")
     if n < h.order:
         return 0, TwoColoring(n, 0), None
-    _require_board(h, h.order)
     count, seed = _seed_incumbent(h, n)
     if count == 0:
         return 0, seed, None
@@ -654,7 +741,10 @@ def _drain(engine, jobs, best, bits, budget, map_jobs=None, job_nodes=None):
     max_nodes = inf if budget.max_nodes is None else budget.max_nodes
     stats = SearchStats()
     while jobs and (left := max_nodes - stats.nodes) >= 1 and time.monotonic() <= deadline:
-        size = 1 if job_nodes is None else min(len(jobs), max(1, left // job_nodes))
+        if job_nodes is None:
+            size = 1
+        else:  # with no cap, every queued job: inf // job_nodes is nan
+            size = len(jobs) if left == inf else min(len(jobs), max(1, left // job_nodes))
         cap = left if job_nodes is None else min(job_nodes, left)
         pending = []
         for job_best, job_bits, job_stats, job_pending in map_jobs(

@@ -171,6 +171,13 @@ def reference_by_last(rows, num_edges: int) -> list[list[int]]:
     return buckets
 
 
+def seed_colorings(n: int) -> list[TwoColoring]:
+    """Every seed coloring of K_n in the search's order: all blue, then chi(a, n - a), a <= n/2."""
+    from ramseykit.extremal import chi
+
+    return [TwoColoring(n, 0)] + [chi(a, n - a) for a in range(1, n // 2 + 1)]
+
+
 def multiplicity_bruteforce(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     """Unpruned enumeration of all 2^C(n,2) colorings (soundness oracle)."""
     E = comb(n, 2)
@@ -190,25 +197,31 @@ def multiplicity_bruteforce(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     return best, _bits_to_coloring(n, bits)
 
 
-def reference_transposition_sigmas(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(moved edges ascending, edge permutation) for every vertex transposition of K_n."""
+def reference_sigmas(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(moved edges ascending, edge permutation) for every sigma the search checks on K_n.
+
+    The C(n,2) vertex transpositions (u v) in lex order, then the C(n-2,2)
+    double transpositions (a a+1)(c c+1), a + 1 < c, in lex order of (a, c),
+    each read off all C(n,2) edges.
+    """
+    swaps = [[(u, v)] for u in range(n) for v in range(u + 1, n)]
+    swaps += [[(a, a + 1), (c, c + 1)] for a in range(n - 1) for c in range(a + 2, n - 1)]
     edges = _colex_edges(n)
     out = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            perm = list(range(n))
+    for pairs in swaps:
+        perm = list(range(n))
+        for u, v in pairs:
             perm[u], perm[v] = v, u
-            sigma = tuple(_colex_index(perm[i], perm[j]) for i, j in edges)
-            moved = tuple(e for e, s in enumerate(sigma) if s != e)
-            if moved:
-                out.append((moved, sigma))
+        sigma = tuple(_colex_index(perm[i], perm[j]) for i, j in edges)
+        moved = tuple(e for e, s in enumerate(sigma) if s != e)
+        out.append((moved, sigma))
     return out
 
 
 def reference_canonical_violated(x: list[int], sigmas, depth: int) -> bool:
     """Whether some sigma maps the first depth colex edges of x to a lex-smaller prefix.
 
-    Rescans every transposition from its first moved edge, comparing
+    Rescans every sigma from its first moved edge, comparing
     x[e] with x[sigma(e)] until a pair leaves the assigned prefix or the
     two differ.
     """
@@ -236,14 +249,14 @@ class ReferenceEngine(_Engine):
     """The search engine as a recursive DFS with the full-rescan canonicity check.
 
     Same board, buckets, node order, cap test and pending prefixes as
-    search._Engine, whose flat loop and one-comparison table must prune
-    exactly the nodes this rescan of every transposition prunes. Python
+    search._Engine, whose flat loop and tables must prune exactly the
+    nodes this rescan of every transposition and double prunes. Python
     recursion limits it to boards of under about 1,000 edges.
     """
 
     def __init__(self, masks, n, use_symmetry=True):
         super().__init__(masks, n, use_symmetry)
-        self.reference_sigmas = reference_transposition_sigmas(n)
+        self.reference_sigmas = reference_sigmas(n)
 
     def run(self, prefix, cap, cap_bits, max_nodes, deadline=inf):
         self.prefix = prefix
@@ -268,7 +281,7 @@ class ReferenceEngine(_Engine):
         return self.best, self.best_bits, self.stats, pending
 
     def _tied_after(self, depth, tied):
-        """tied, or -1 when some transposition maps the first depth + 1 edges lex-lower."""
+        """tied, or -1 when some sigma maps the first depth + 1 edges lex-lower."""
         violated = reference_canonical_violated(self.x, self.reference_sigmas, depth + 1)
         return -1 if violated else tied
 

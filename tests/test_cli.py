@@ -113,6 +113,11 @@ class TestSearchCommands:
         assert "a copy table of 1,861 MiB, more than the 256 MiB" in capsys.readouterr().err
         assert builds == []
 
+    def test_template_over_the_byte_cap_exits_2(self, capsys):
+        search._local_copies.cache_clear()
+        assert main(["mult", "--pattern", "P11", "--n", "11"]) == 2
+        assert "the copy template of P11 walks 39,916,800 vertex orders" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["45", "60"])
     def test_a_board_a_seed_settles_exits_0_without_a_build(self, monkeypatch, tmp_path, n):
         # K_45 alone holds a 746 MiB table of S40 copies, but chi(a, n - a),
@@ -128,11 +133,13 @@ class TestSearchCommands:
         assert sum(mono_counts(witness, PatternGraph.star(40))) == 0
 
     def test_resume_from_file(self, tmp_path):
-        # by node 4710 the first leg has improved on the seed's 108 copies;
-        # M(P5, 7) = 96, and a resume that loses that incumbent reports 108
-        proc = run_cli(["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "4710"])
+        # by node 2000 of 3,583 the first leg has improved on the seed's 108
+        # copies; M(P5, 7) = 96, and a resume that loses that incumbent reports 108
+        proc = run_cli(["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "2000"])
         assert proc.returncode == 3
-        token = json.loads(proc.stdout)["result"]["resume_token"]
+        first = json.loads(proc.stdout)["result"]
+        assert first["value"] < 108
+        token = first["resume_token"]
         tok_file = tmp_path / "resume.txt"
         tok_file.write_text(token + "\n")
         done = run_cli(["mult", "--pattern", "P5", "--n", "7", "--resume-from", str(tok_file)])

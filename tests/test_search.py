@@ -15,6 +15,7 @@ from ramseykit.search import (
     SearchBudget,
     VECTOR_MIN_MASKS,
     _Engine,
+    _canonicity_rows,
     _coloring_to_bits,
     _copy_rows,
     _group_by_last,
@@ -22,10 +23,9 @@ from ramseykit.search import (
     _mask_words,
     _mono_count,
     _require_board,
-    _seed_colorings,
+    _require_template,
     _seed_counts,
     _seed_incumbent,
-    _transposition_sigmas,
     enumerate_copy_masks,
     find_zero_coloring,
     multiplicity,
@@ -40,8 +40,9 @@ from .helpers import (
     reference_by_last,
     reference_copy_masks,
     reference_local_copies,
-    reference_transposition_sigmas,
+    reference_sigmas,
     resume_token,
+    seed_colorings,
 )
 
 P = PatternGraph
@@ -158,23 +159,23 @@ class TestKernelFingerprints:
         report = multiplicity(P.path(6), 8)
         stats = report.stats
         assert (report.value, report.exact) == (300, True) and type(report.value) is int
-        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (59215, 19961, 9644)
+        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (29395, 9075, 5620)
 
     def test_k3_on_9(self):
         report = multiplicity(P.complete(3), 9)
         stats = report.stats
         assert (report.value, report.exact) == (goodman_k3(9), True)
-        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (538211, 183523, 85580)
+        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (237229, 78333, 40279)
 
     def test_c7_on_13_budget(self):
         report = multiplicity(P.cycle(7), 13, SearchBudget(max_nodes=5000))
         stats = report.stats
         assert (report.value, report.exact) == (360, False)
-        assert (stats.pruned_bound, stats.pruned_symmetry) == (1406, 1081)
-        # the search stops at the same node as the plain DFS did: on the path
-        # below, before the red branch of edge 42; the token lists that node's
-        # two branches, then the blue branch of every ancestor on red
-        path = "000000000000000000011001111111110011111101"
+        assert (stats.pruned_bound, stats.pruned_symmetry) == (1296, 1191)
+        # the search stops on the path below, before the red branch of edge
+        # 40; the token lists that node's two branches, then the blue branch
+        # of every ancestor on red
+        path = "0000000000000000000110111001101111111011"
         pending = [path + "0", path + "1"]
         pending += [path[:i] + "1" for i in range(len(path) - 1, 0, -1) if path[i] == "0"]
         witness = "000000000000000000000011111111111110111111100111111100011111110000111111100000"
@@ -242,20 +243,51 @@ class TestCanonicityCheck:
         assert runs[0][2]
 
 
+def _reference_runs(n):
+    """Each sigma's run read off its whole edge map: {row d: its pairs (e, sigma(e)), e < sigma(e)}.
+
+    A pair joins the row of the running maximum over the pairs up to it.
+    """
+    runs = []
+    for moved, sigma in reference_sigmas(n):
+        run, reach = {}, -1
+        for e in moved:
+            reach = max(reach, e, sigma[e])
+            if e < sigma[e]:
+                run.setdefault(reach, []).append((e, sigma[e]))
+        runs.append(run)
+    return runs
+
+
 class TestCanonicityTable:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_one_comparison_per_sigma_against_the_new_edge(self, n):
-        # row d of the reference reading: each pair (e, sigma(e)), e < sigma(e),
-        # of sigma's run joins when the run's highest edge d is assigned
+        # each row a sigma's run reaches adds a first pair against edge d itself
+        want = [{} for _ in range(comb(n, 2))]
+        for s, run in enumerate(_reference_runs(n)):
+            for d, ((e, f), *_) in run.items():
+                assert f == d
+                want[d][e] = want[d].get(e, 0) | 1 << s
+        got = [{e.bit_length() - 1: ~keep for e, keep in against}
+               for _, against, _, _ in _canonicity_rows(n)]
+        assert got == want
+        assert [bits for bits, *_ in _canonicity_rows(n)] == [sum(row.values()) for row in want]
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_double_rows_follow_each_run(self, n):
+        runs = _reference_runs(n)
+        # a transposition adds one pair per row
+        assert all(len(pairs) == 1 for run in runs[:comb(n, 2)] for pairs in run.values())
+        assert len(runs) == comb(n, 2) + comb(n - 2, 2)
         want = [[] for _ in range(comb(n, 2))]
-        for s, (moved, sigma) in enumerate(reference_transposition_sigmas(n)):
-            reach = -1
-            for e in moved:
-                reach = max(reach, e, sigma[e])
-                if e < sigma[e]:
-                    assert reach == sigma[e]  # the comparison is against edge d itself
-                    want[reach].append((1 << s, 1 << e))
-        assert _transposition_sigmas(n) == want
+        for s, run in enumerate(runs[comb(n, 2):], comb(n, 2)):
+            # 2n - 7 rows, one of which adds a second pair below the row
+            assert sorted(len(pairs) for pairs in run.values()) == [1] * (2 * n - 8) + [2]
+            for d, (_, *extra) in run.items():
+                assert all(f < d for _, f in extra)
+                want[d] += [(1 << s, 1 << e2 | 1 << f, 1 << e2) for e2, f in extra]
+        got = [(extra_bits, extras) for _, _, extra_bits, extras in _canonicity_rows(n)]
+        assert got == [(sum(s for s, _, _ in row), row) for row in want]
 
 
 class TestTemplate:
@@ -288,10 +320,26 @@ class TestSeeds:
         (P.explicit(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])), 7),
     ], ids=lambda x: getattr(x, "kind", x))
     def test_mask_counts_pick_the_first_minimum_of_mono_counts(self, h, n):
-        seeds = _seed_colorings(n)
+        seeds = seed_colorings(n)
         counts = [sum(mono_counts(c, h)) for c in seeds]
         first = counts.index(min(counts))
         assert _seed_incumbent(h, n) == (counts[first], seeds[first])
+
+    @pytest.mark.parametrize("h,n", [(P.cycle(7), 13), (P.complete(3), 9), (P.star(40), 64)],
+                             ids=["C7@13", "K3@9", "S40@64"])
+    def test_only_the_chosen_seed_is_built(self, monkeypatch, h, n):
+        from ramseykit import extremal
+
+        chi, built = extremal.chi, []
+
+        def recording(a, b):
+            built.append((a, b))
+            return chi(a, b)
+
+        monkeypatch.setattr(extremal, "chi", recording)
+        count, seed = _seed_incumbent(h, n)
+        assert len(built) <= 1
+        assert sum(mono_counts(seed, h)) == count == min(_seed_counts(h, n))
 
 
 class TestSeedCounts:
@@ -303,7 +351,7 @@ class TestSeedCounts:
                              ids=lambda x: getattr(x, "kind", x))
     def test_closed_form_equals_mask_counts(self, h, n):
         masks = enumerate_copy_masks(h, n)
-        want = [_mono_count(masks, _coloring_to_bits(c)) for c in _seed_colorings(n)]
+        want = [_mono_count(masks, _coloring_to_bits(c)) for c in seed_colorings(n)]
         assert _seed_counts(h, n) == want
 
 
@@ -408,6 +456,31 @@ class TestBoardBuilds:
         finally:
             tracemalloc.stop()
         assert peak - masks.nbytes <= 8 << 20
+
+    @pytest.mark.parametrize("search_board", [
+        lambda h: multiplicity(h, 11),
+        lambda h: find_zero_coloring(h, 11),
+        _local_copies,
+    ], ids=["multiplicity", "find_zero_coloring", "_local_copies"])
+    def test_a_template_that_cannot_fit_is_refused_before_any_allocation(self, search_board):
+        # P11's template build walks 11! vertex orders: about 1.6 GiB
+        search._local_copies.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="copy template of P11 walks "
+                                                        "39,916,800 vertex orders: 1,599 MiB"):
+                search_board(P.path(11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("h", [P.path(10), P.cycle(11), P.complete(12), P.star(40)],
+                             ids=search._pattern_name)
+    def test_a_template_under_the_cap_is_accepted(self, h):
+        # P10 needs 132 MiB; it is not built here, which takes about 12 s
+        _require_template(h)
 
     def test_threshold_builds_the_ramsey_board_once(self, monkeypatch):
         boards = _recorded_enumerations(monkeypatch)
@@ -590,6 +663,12 @@ class TestDeepBoards:
 
 
 class TestParallelDrain:
+    def test_no_node_cap_drains_like_the_default_budget(self):
+        # with no cap each round maps every queued job, as under the default budget
+        counts = [multiplicity(P.complete(3), 9, SearchBudget(max_nodes=cap), threads=2).stats
+                  for cap in (None, search.DEFAULT_NODE_BUDGET)]
+        assert counts[0].nodes == counts[1].nodes
+
     def test_node_counts_repeat(self):
         runs = [multiplicity(P.complete(3), 8, threads=2).stats for _ in range(2)]
         counts = [(s.nodes, s.leaves, s.pruned_bound, s.pruned_symmetry) for s in runs]
@@ -597,8 +676,9 @@ class TestParallelDrain:
 
     def test_budget_stop_leaves_a_token_that_resumes(self):
         h = P.path(6)
-        partial = multiplicity(h, 8, SearchBudget(max_nodes=30_000), threads=2)
-        assert partial.stats.nodes <= 30_000
+        # the serial search takes 29,395 nodes
+        partial = multiplicity(h, 8, SearchBudget(max_nodes=25_000), threads=2)
+        assert partial.stats.nodes <= 25_000
         assert not partial.exact and partial.resume_token is not None
         for threads in (1, 2):
             resumed = multiplicity(h, 8, SearchBudget(max_nodes=None), threads=threads,
