@@ -4,7 +4,9 @@ witness colorings, for a battery of paths, stars, cliques and cycles.
 
 Each row is one search.threshold_multiplicity call, which searches the
 r(H) board once for a zero coloring and once for the minimum on one
-engine. A row whose search stopped on the budget is marked PARTIAL.
+engine. A row whose search stopped on the budget is marked PARTIAL. Each
+row gives the nodes of its minimum search, and a last line their total:
+node counts are deterministic, so the total is the same on every machine.
 
 Usage: python3 scripts/small_values.py [--n-max 10] [--out table.json]
 """
@@ -26,9 +28,10 @@ def main() -> int:
     ap.add_argument("--budget-nodes", type=int, default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
-    budget = SearchBudget(max_nodes=args.budget_nodes) if args.budget_nodes else None
+    budget = None if args.budget_nodes is None else SearchBudget(max_nodes=args.budget_nodes)
 
     rows = []
+    total_nodes = 0
     for label in PATTERNS:
         h = PatternGraph.parse(label)
         t0 = time.monotonic()
@@ -40,9 +43,10 @@ def main() -> int:
         elapsed = time.monotonic() - t0
         check = sum(mono_counts(rep.witness, h))
         status = "exact" if rep.exact else "PARTIAL"
+        total_nodes += rep.stats.nodes
         print(
             f"{label:>4}: r = {rep.n:2d}   m = {rep.value:5d}   "
-            f"[{status}, witness recount {check}, {elapsed:.2f}s]"
+            f"[{status}, witness recount {check}, {rep.stats.nodes} nodes, {elapsed:.2f}s]"
         )
         rows.append(
             {
@@ -51,9 +55,11 @@ def main() -> int:
                 "threshold_multiplicity": rep.value,
                 "exact": rep.exact,
                 "witness_kcol": encode(rep.witness),
+                "search_nodes": rep.stats.nodes,
                 "seconds": round(elapsed, 3),
             }
         )
+    print(f"total search nodes = {total_nodes}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(rows, fh, indent=2)

@@ -89,13 +89,11 @@ def _parse_vertex_set(spec: str, flag: str) -> list[int]:
 
 
 def _budget_from(args) -> SearchBudget:
-    base = SearchBudget.from_env()
+    """--budget-nodes, else RAMSEY_BUDGET_NODES, else the default; and --budget-seconds."""
     nodes = getattr(args, "budget_nodes", None)
-    seconds = getattr(args, "budget_seconds", None)
-    return SearchBudget(
-        max_nodes=nodes if nodes is not None else base.max_nodes,
-        max_seconds=seconds,
-    )
+    if nodes is None:
+        nodes = SearchBudget.from_env().max_nodes
+    return SearchBudget(max_nodes=nodes, max_seconds=getattr(args, "budget_seconds", None))
 
 
 def _manifest(seed=None, budget: Optional[SearchBudget] = None) -> RunManifest:

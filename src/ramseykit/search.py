@@ -21,13 +21,19 @@ when none of its edges has the other colour, so one AND against the other
 colour's edge set decides it. Masks are stored as little-endian uint64
 words, one word while C(n,2) <= 64 and two from n = 12 (C(12,2) = 66);
 bucket d keeps only words 0..d // 64. A bucket of at least
-VECTOR_MIN_MASKS masks is one contiguous uint64 array per word, counted
-with a single numpy AND and count_nonzero; a smaller one is a list of
-Python ints scanned with an early break once the incumbent is reached.
-The numpy call costs about 2.2-3 us whatever the bucket size up to a few
-hundred masks, the Python scan about 0.03 us per mask; timing both on
-every node of C5@9, P5@7 and P6@8 (2 cores, Python 3.11, numpy 2.4) put
-the break-even at 60-110 masks, hence 96. Both kernels prune the same
+VECTOR_MIN_MASKS masks is one contiguous uint64 array per word, ANDed by
+numpy into a scratch array and counted with count_nonzero; a smaller one
+is a list of Python ints scanned with an early break once the incumbent
+is reached. The scratch is one pair of arrays sized to the largest
+bucket, and each bucket holds views of it cut to its own length, so the
+check allocates nothing (a pair per bucket would add 9.9 MB on C7@13);
+the other colour's words go into reused 0-d arrays. Timed alone on
+C7@13's largest bucket, 55,440 two-word masks, the check fell from about
+290 us to 67 us. The numpy check costs about 0.9 us per node up to 128
+masks, the Python scan about 0.03 us per mask: timed per bucket on P6@8
+they break even near 30 masks, and whole searches of C5@9, P5@7 and
+P6@8 ran within 3% of each other at every crossover from 24 to 96 masks
+(2 cores, Python 3.11, numpy 2.4), hence 32. Both kernels prune the same
 nodes, so node and prune counts do not depend on the crossover.
 
 Canonicity check. A vertex permutation sigma prunes a node when it maps
@@ -46,15 +52,16 @@ sigma(e) < e, compares equal whenever it is reached and is skipped:
   and, in one row per double, a second pair (e2, f) with both edges below
   d (see _canonicity_rows).
 
-The search carries one int mask of the sigmas of both families still tied
-with the identity. A row groups its sigmas by the edge e they compare
-with edge d: e in the other colour resolves every sigma of the group, so
-with d red a tied one prunes the node, and with d blue the group leaves
-the mask for the whole subtree. A double still tied then compares its
-second pair: e2 blue and f red prunes, on either branch, and e2 red
-leaves the mask. A row with no tied sigma is skipped with one AND. This
-prunes exactly the nodes that rescanning every sigma from its first moved
-edge prunes (K3@9 with transpositions alone, 2 cores, Python 3.11: 0.4 s,
+The search carries one int mask of the sigmas of both families still
+tied with the identity. A row groups its sigmas by the edge e they compare
+with edge d, and one walk of the row decides both children of a node: e
+blue resolves the group in the red child, where a tied sigma prunes, and
+e red resolves it in the blue child, where the group leaves the mask for
+the whole subtree. A double still tied in a child then compares its
+second pair: e2 blue and f red prunes, in either child, and e2 red leaves
+the mask. A row with no tied sigma is skipped with one AND. This prunes
+exactly the nodes that rescanning every sigma from its first moved edge
+prunes (K3@9 with transpositions alone, 2 cores, Python 3.11: 0.4 s,
 against 2.5 s with the full rescan).
 
 Why adjacent doubles: at n = 13 they add 55 sigmas to the 78
@@ -68,8 +75,16 @@ zero search 1.28x slower, and all 2,145 double transpositions about 5x.
 Search loop. One loop walks the tree, with no Python recursion, so the
 depth C(n,2) has no interpreter limit. The state below edge d is the
 copies decided, the tied mask and the blue edge set (red is the rest of
-the edges below d); descending saves it per depth with the branch taken,
-so backtracking restores it with nothing to undo.
+the edges below d). The first visit of edge d below a state decides the
+symmetry of both children, and keeps the blue child's verdict, its tied
+mask and whether it is pruned, for the blue visit. Every node is tested
+for symmetry before the bound, so the copy check runs only on the nodes
+that symmetry keeps: on the dense benchmark boards it prunes a quarter to
+a third of the nodes. Either order prunes the same nodes, so only the
+split between bound and symmetry prunes depends on it. The blue child's
+copy check waits for its visit, so a stop in the red subtree never pays
+for it. Descending saves the state per depth with the branch taken and
+the blue verdict, so backtracking restores it with nothing to undo.
 
 Seeding. The incumbent starts from the fewest monochromatic copies among
 all blue (a = 0) and chi(a, n - a), a <= n/2; ties go to the earlier
@@ -143,8 +158,22 @@ class SearchBudget:
 
     @staticmethod
     def from_env() -> "SearchBudget":
-        nodes = os.environ.get("RAMSEY_BUDGET_NODES")
-        return SearchBudget(max_nodes=int(nodes) if nodes else DEFAULT_NODE_BUDGET)
+        """The default budget, its node cap read from RAMSEY_BUDGET_NODES when set.
+
+        The variable takes what --budget-nodes takes: an integer of at least 0.
+        """
+        text = os.environ.get("RAMSEY_BUDGET_NODES")
+        if not text:
+            return SearchBudget()
+        try:
+            nodes = int(text)
+        except ValueError:
+            nodes = -1
+        if nodes < 0:
+            raise PreconditionError(
+                f"RAMSEY_BUDGET_NODES must be an integer of at least 0, got {text!r}"
+            )
+        return SearchBudget(max_nodes=nodes)
 
 
 @dataclass
@@ -341,7 +370,7 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
 
 # Buckets of at least this many masks are counted with numpy, smaller ones
 # with a Python loop; see the module docstring for the measurement.
-VECTOR_MIN_MASKS = 96
+VECTOR_MIN_MASKS = 32
 _WORD = (1 << 64) - 1
 
 
@@ -349,9 +378,14 @@ def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
     """Masks sorted by last colex edge, sliced into one bucket per edge.
 
     Bucket d is a list of Python ints below VECTOR_MIN_MASKS masks, else a
-    tuple of contiguous uint64 views, one per word up to word d // 64. The
-    bucket bounds come from one binary search per edge, all run together:
-    on sorted rows, "some bit at edge d or above" holds on a suffix.
+    tuple (hit, spare, words, keys): views of one scratch pair sized to the
+    largest such bucket, cut to this bucket's length; the contiguous uint64
+    views of its word columns up to word d // 64; and as many shared 0-d
+    uint64 arrays, into which the engine writes the other colour's words
+    (a ufunc reads one about 0.3 us faster than a Python int, which it
+    would convert on every call). The bucket bounds come from one binary
+    search per edge, all run together: on sorted rows, "some bit at edge d
+    or above" holds on a suffix.
     """
     rows = len(masks)
     # the bits of each word at edge d or above
@@ -363,11 +397,14 @@ def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
         above = (mid == rows) | (masks[np.minimum(mid, rows - 1)] & high).any(axis=1)
         lo, hi = np.where(above, lo, mid + 1), np.where(above, mid, hi)
     bounds = hi.tolist() + [rows]
+    hit, spare = np.empty((2, np.diff(bounds).max(initial=0)), dtype=np.uint64)
+    keys = tuple(np.empty((), dtype=np.uint64) for _ in range(masks.shape[1]))
     by_last: list = []
     for d in range(num_edges):
         lo, hi = bounds[d], bounds[d + 1]
         if hi - lo >= VECTOR_MIN_MASKS:
-            by_last.append(tuple(masks[lo:hi, w] for w in range(d // 64 + 1)))
+            words = tuple(masks[lo:hi, w] for w in range(d // 64 + 1))
+            by_last.append((hit[:hi - lo], spare[:hi - lo], words, keys[:len(words)]))
         else:
             by_last.append([sum(x << 64 * w for w, x in enumerate(row))
                             for row in masks[lo:hi, :d // 64 + 1].tolist()])
@@ -451,11 +488,13 @@ class _Engine:
         else (cap, cap_bits), and the prefixes that a stop left untried.
         """
         E, by_last, sigmas = self.E, self.by_last, self.sigmas
+        band, bor, count_nonzero = np.bitwise_and, np.bitwise_or, np.count_nonzero
         forced = len(prefix)
         # the branches per depth: the prefix's colour, red alone at edge 0, else red then blue
         first = prefix + [0] * (E - forced)
         last = (prefix or [0]) + [1] * (E - max(forced, 1))
-        # frames[d]: the state below edge d and the branch taken there, saved on descent
+        # frames[d]: the state below edge d, the branch taken there and the
+        # blue child's symmetry verdict, saved on descent
         frames: list = [None] * E
         # the run that left the prefix counted every prefix node but the last
         nodes = min(0, 1 - forced)
@@ -465,8 +504,9 @@ class _Engine:
         best, best_blue = cap, None
         stopped = False
         depth, b = 0, first[0]
-        # the state below edge depth: copies decided, sigmas tied, blue edge set
-        mono, tied, blue = 0, self.tied, 0
+        # the state below edge depth: copies decided, sigmas tied, blue edge set;
+        # later: the blue child's (tied, pruned), decided with the red one
+        mono, tied, blue, later = 0, self.tied, 0, None
         while True:
             nodes += 1
             if nodes >= check:
@@ -475,49 +515,67 @@ class _Engine:
                     stopped = True
                     break
                 check = min(nodes + 4096, max_nodes + 1)
-            bit = 1 << depth
-            # a copy ending at this edge is monochromatic in colour b
-            # exactly when none of its edges has the other colour
-            other = blue ^ (bit - 1) if b else blue
-            bucket = by_last[depth]
-            total = mono
-            if type(bucket) is list:
-                for cm in bucket:
-                    if not cm & other:
-                        total += 1
-                        if total >= best:
-                            break
-            else:
-                hit = bucket[0] & (other & _WORD)
-                for w in range(1, len(bucket)):
-                    hit |= bucket[w] & (other >> 64 * w & _WORD)
-                total += len(hit) - int(np.count_nonzero(hit))
-            if total >= best:
-                pruned_bound += 1
-            else:
-                # each tied sigma of the row compares its edge e with this one:
-                # e in the other colour resolves sigma, against the prefix on red
-                child_tied, pruned = tied, False
+            if b == first[depth]:
+                # both children at once: each tied sigma of the row compares
+                # its edge e with this one, and e resolves it in the child
+                # of the other colour, against the prefix on red
+                red_tied = blue_tied = tied
+                red_pruned = blue_pruned = False
                 row_sigmas, against, row_extras, extras = sigmas[depth]
                 if tied & row_sigmas:
                     for e, keep in against:
-                        if other & e:
-                            child_tied &= keep
-                    pruned = not b and child_tied != tied
-                    # a double still tied compares its second pair (e2, f) below
-                    # this edge: a difference resolves it, against the prefix
-                    # when e2 is the blue one
-                    if child_tied & row_extras and not pruned:
+                        if blue & e:
+                            red_tied &= keep
+                        else:
+                            blue_tied &= keep
+                    red_pruned = red_tied != tied
+                    # a double still tied compares its second pair (e2, f)
+                    # below this edge: a difference resolves it, against the
+                    # prefix when e2 is the blue one
+                    if (red_tied | blue_tied) & row_extras:
                         for s, pair, e2 in extras:
-                            if child_tied & s:
-                                seen = blue & pair
-                                if seen and seen != pair:
-                                    child_tied ^= s
-                                    pruned |= seen == e2
-                if pruned:
-                    pruned_symmetry += 1
+                            seen = blue & pair
+                            if seen and seen != pair:
+                                if red_tied & s:
+                                    red_tied ^= s
+                                    red_pruned |= seen == e2
+                                if blue_tied & s:
+                                    blue_tied ^= s
+                                    blue_pruned |= seen == e2
+                if b:
+                    child_tied, pruned = blue_tied, blue_pruned
+                else:
+                    child_tied, pruned = red_tied, red_pruned
+                    later = blue_tied, blue_pruned
+            else:
+                child_tied, pruned = later
+            if pruned:
+                pruned_symmetry += 1
+            else:
+                bit = 1 << depth
+                # a copy ending at this edge is monochromatic in colour b
+                # exactly when none of its edges has the other colour
+                other = blue ^ (bit - 1) if b else blue
+                bucket = by_last[depth]
+                total = mono
+                if type(bucket) is list:
+                    for cm in bucket:
+                        if not cm & other:
+                            total += 1
+                            if total >= best:
+                                break
+                else:
+                    hit, spare, words, keys = bucket
+                    keys[0][...] = other & _WORD
+                    band(words[0], keys[0], out=hit)
+                    for w in range(1, len(words)):
+                        keys[w][...] = other >> 64 * w & _WORD
+                        bor(hit, band(words[w], keys[w], out=spare), out=hit)
+                    total += len(hit) - int(count_nonzero(hit))
+                if total >= best:
+                    pruned_bound += 1
                 elif depth + 1 < E:
-                    frames[depth] = (mono, tied, blue, b)
+                    frames[depth] = (mono, tied, blue, b, later)
                     mono, tied = total, child_tied
                     if b:
                         blue |= bit
@@ -531,7 +589,7 @@ class _Engine:
             # the next branch: here, else at the deepest ancestor with one left
             while b == last[depth] and depth:
                 depth -= 1
-                mono, tied, blue, b = frames[depth]
+                mono, tied, blue, b, later = frames[depth]
             if b == last[depth]:
                 break
             b = 1
@@ -733,8 +791,13 @@ def parse_resume_token(token: str, h: PatternGraph, n: int) -> tuple[list[int], 
     return [int(c) for c in witness], [[int(c) for c in p] for p in prefixes]
 
 
-def _drain(engine, jobs, best, bits, budget, map_jobs=None, job_nodes=None):
-    """Drain a job list: serially, one job per round with all the budget left."""
+def _drain(engine, jobs, best, bits, budget, map_jobs=None, job_nodes=None, workers=1):
+    """Drain a job list: serially, one job per round with all the budget left.
+
+    The pool drain maps job_nodes-node jobs in rounds: every queued job with
+    no node cap, else as many as the budget left pays for, and when that is
+    fewer than the workers, the budget left split over a round of workers.
+    """
     map_jobs = map_jobs or (lambda args: [engine.run(*a) for a in args])
     t0 = time.monotonic()
     deadline = t0 + budget.max_seconds if budget.max_seconds else inf
@@ -742,10 +805,12 @@ def _drain(engine, jobs, best, bits, budget, map_jobs=None, job_nodes=None):
     stats = SearchStats()
     while jobs and (left := max_nodes - stats.nodes) >= 1 and time.monotonic() <= deadline:
         if job_nodes is None:
-            size = 1
-        else:  # with no cap, every queued job: inf // job_nodes is nan
-            size = len(jobs) if left == inf else min(len(jobs), max(1, left // job_nodes))
-        cap = left if job_nodes is None else min(job_nodes, left)
+            size, cap = 1, left
+        elif left == inf:  # inf // job_nodes is nan
+            size, cap = len(jobs), job_nodes
+        else:
+            size = min(len(jobs), max(left // job_nodes, workers), left)
+            cap = min(job_nodes, left // size)
         pending = []
         for job_best, job_bits, job_stats, job_pending in map_jobs(
             [(job, best, bits, cap, deadline) for job in jobs[:size]]
@@ -780,7 +845,7 @@ def _multiplicity_parallel(engine, jobs, best, bits, budget, threads):
 
     with mp.get_context("fork").Pool(threads, _adopt_engine, (engine,)) as pool:
         return _drain(engine, jobs, best, bits, budget,
-                      lambda args: pool.map(_run_job, args, chunksize=1), JOB_SLICE)
+                      lambda args: pool.map(_run_job, args, chunksize=1), JOB_SLICE, threads)
 
 
 def multiplicity(

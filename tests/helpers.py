@@ -248,15 +248,23 @@ class _Exhausted(Exception):
 class ReferenceEngine(_Engine):
     """The search engine as a recursive DFS with the full-rescan canonicity check.
 
-    Same board, buckets, node order, cap test and pending prefixes as
-    search._Engine, whose flat loop and tables must prune exactly the
-    nodes this rescan of every transposition and double prunes. Python
-    recursion limits it to boards of under about 1,000 edges.
+    Same board, node order, tests and pending prefixes as search._Engine,
+    whose flat loop and tables must prune exactly the nodes this rescan of
+    every transposition and double prunes. Each node is tested for
+    symmetry first, then for the bound, whose copy count reads the
+    reference buckets with no early break. Python recursion limits it to
+    boards of under about 1,000 edges.
     """
 
     def __init__(self, masks, n, use_symmetry=True):
         super().__init__(masks, n, use_symmetry)
         self.reference_sigmas = reference_sigmas(n)
+        self.words = masks.shape[1]
+        self.reference_buckets = [
+            np.array([[m >> 64 * w & _WORD for w in range(self.words)] for m in bucket],
+                     dtype=np.uint64).reshape(-1, self.words)
+            for bucket in reference_by_last(masks, self.E)
+        ]
 
     def run(self, prefix, cap, cap_bits, max_nodes, deadline=inf):
         self.prefix = prefix
@@ -316,25 +324,18 @@ class ReferenceEngine(_Engine):
             else:
                 self.blue |= bit
                 other = self.red
-            bucket = self.by_last[depth]
-            total = decided_mono
-            if type(bucket) is list:
-                for cm in bucket:
-                    if not cm & other:
-                        total += 1
-                        if total >= self.best:
-                            break
-            else:
-                hit = bucket[0] & (other & _WORD)
-                for w in range(1, len(bucket)):
-                    hit |= bucket[w] & (other >> 64 * w & _WORD)
-                total += len(hit) - int(np.count_nonzero(hit))
-            if total >= self.best:
-                stats.pruned_bound += 1
-            elif (child_tied := self._tied_after(depth, tied) if tied else 0) < 0:
+            if tied and self._tied_after(depth, tied) < 0:
                 stats.pruned_symmetry += 1
             else:
-                self._dfs(depth + 1, total, child_tied)
+                # the copies ending at this edge that miss the other colour
+                rows = self.reference_buckets[depth]
+                words = [other >> 64 * w & _WORD for w in range(self.words)]
+                touched = (rows & np.array(words, dtype=np.uint64)).any(axis=1)
+                total = decided_mono + len(rows) - int(np.count_nonzero(touched))
+                if total >= self.best:
+                    stats.pruned_bound += 1
+                else:
+                    self._dfs(depth + 1, total, tied)
             if b == 0:
                 self.red ^= bit
             else:

@@ -227,6 +227,26 @@ class TestSearchCommands:
         )
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("value", ["abc", "1e3", "-5"])
+    def test_bad_env_budget_exits_2(self, value):
+        env = dict(os.environ, RAMSEY_BUDGET_NODES=value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramseykit.cli", "mult", "--pattern", "P5", "--n", "7"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert f"RAMSEY_BUDGET_NODES must be an integer of at least 0, got {value!r}" in proc.stderr
+
+    def test_budget_flag_overrides_the_env_budget(self, monkeypatch, tmp_path):
+        # the variable is read only when --budget-nodes is absent
+        monkeypatch.setenv("RAMSEY_BUDGET_NODES", "abc")
+        out = tmp_path / "mult.json"
+        args = ["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "40", "--out", str(out)]
+        assert main(args) == 3
+        report = json.loads(out.read_text())
+        assert report["manifest"]["budget"]["max_nodes"] == 40
+        assert report["result"]["stats"]["nodes"] == 40
+
     def test_ramsey_number_report(self):
         proc = run_cli(["ramsey-number", "--pattern", "P4", "--n-max", "8"])
         report = json.loads(proc.stdout)

@@ -5,6 +5,7 @@ import gc
 import tracemalloc
 from math import comb, inf
 
+import numpy as np
 import pytest
 
 from ramseykit import search
@@ -132,14 +133,26 @@ class TestSoundness:
         # 190 and 435 edges: three and seven words per mask
         masks = enumerate_copy_masks(h, n)
         want = reference_by_last(masks, comb(n, 2))
+        scratch = []
         for d, (bucket, rows) in enumerate(zip(_group_by_last(masks, comb(n, 2)), want)):
             if len(rows) < VECTOR_MIN_MASKS:
                 assert bucket == rows
                 continue
-            assert len(bucket) == d // 64 + 1
-            assert all(word.flags.c_contiguous for word in bucket)
-            got = [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in zip(*bucket)]
+            hit, spare, words, keys = bucket
+            assert len(words) == len(keys) == d // 64 + 1
+            assert all(key.shape == () and key.dtype == np.uint64 for key in keys)
+            assert all(word.flags.c_contiguous for word in words)
+            got = [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in zip(*words)]
             assert got == rows
+            assert len(hit) == len(spare) == len(rows)
+            scratch.append((hit, spare))
+        # every bucket writes into views of one scratch pair, sized to the largest
+        if scratch:
+            pair = scratch[0][0].base
+            assert pair.shape == (2, max(len(hit) for hit, _ in scratch))
+            for hit, spare in scratch:
+                assert hit.base is pair and spare.base is pair
+                assert np.shares_memory(hit, pair[0]) and np.shares_memory(spare, pair[1])
 
 
 def goodman_k3(n: int) -> int:
@@ -159,19 +172,19 @@ class TestKernelFingerprints:
         report = multiplicity(P.path(6), 8)
         stats = report.stats
         assert (report.value, report.exact) == (300, True) and type(report.value) is int
-        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (29395, 9075, 5620)
+        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (29395, 7779, 6916)
 
     def test_k3_on_9(self):
         report = multiplicity(P.complete(3), 9)
         stats = report.stats
         assert (report.value, report.exact) == (goodman_k3(9), True)
-        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (237229, 78333, 40279)
+        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (237229, 73738, 44874)
 
     def test_c7_on_13_budget(self):
         report = multiplicity(P.cycle(7), 13, SearchBudget(max_nodes=5000))
         stats = report.stats
-        assert (report.value, report.exact) == (360, False)
-        assert (stats.pruned_bound, stats.pruned_symmetry) == (1296, 1191)
+        assert (report.value, report.exact) == (360, False) and type(report.value) is int
+        assert (stats.pruned_bound, stats.pruned_symmetry) == (906, 1581)
         # the search stops on the path below, before the red branch of edge
         # 40; the token lists that node's two branches, then the blue branch
         # of every ancestor on red
@@ -183,6 +196,30 @@ class TestKernelFingerprints:
             f"ramsey-resume/2;pattern=C7;n=13;witness={witness};pending={','.join(pending)}"
         )
         assert sum(mono_counts(report.witness, P.cycle(7))) == 360
+
+    # 2,500 stops at a blue child, decided with its red sibling in one step
+    # before the red subtree; 2,501 stops at a red child
+    @pytest.mark.parametrize("cut,branch", [(2500, "1"), (2501, "0")])
+    def test_c7_on_13_cut_between_siblings_resumes_as_one_run(self, cut, branch):
+        h, n = P.cycle(7), 13
+        straight = multiplicity(h, n, SearchBudget(max_nodes=5000))
+        first = multiplicity(h, n, SearchBudget(max_nodes=cut))
+        assert first.resume_token.partition("pending=")[2].split(",")[0][-1] == branch
+        rest = multiplicity(h, n, SearchBudget(max_nodes=5000 - cut),
+                            resume_token=first.resume_token)
+        legs = zip(*[(s.nodes, s.pruned_bound, s.pruned_symmetry)
+                     for s in (first.stats, rest.stats)])
+        assert tuple(map(sum, legs)) == (5000, 906, 1581)
+        assert (rest.value, rest.resume_token) == (360, straight.resume_token)
+        assert type(rest.value) is int
+
+    def test_c8_on_11_zero_search(self):
+        # every board below 11 is settled by a seed; K_11 has no coloring without a mono C8
+        report = ramsey_number(P.cycle(8), 11)
+        assert (report.value, report.exact) == (11, True) and type(report.value) is int
+        assert report.per_n[-1] == {"n": 11, "zero_coloring_exists": False, "settled": True,
+                                    "nodes": 88279}
+        assert all(type(row["nodes"]) is int for row in report.per_n)
 
 
 def _search_fingerprint(report):
@@ -668,6 +705,28 @@ class TestParallelDrain:
         counts = [multiplicity(P.complete(3), 9, SearchBudget(max_nodes=cap), threads=2).stats
                   for cap in (None, search.DEFAULT_NODE_BUDGET)]
         assert counts[0].nodes == counts[1].nodes
+
+    def test_a_capped_round_splits_what_is_left_over_the_workers(self, monkeypatch):
+        # K3@9 with 25,000 nodes: the root job takes a 20,000-node slice, and
+        # every later round splits what is left over both workers
+        rounds, drain = [], search._drain
+
+        def recording(engine, jobs, best, bits, budget, map_jobs, *rest):
+            def mapped(args):
+                left = 25_000 - sum(spent for _, _, spent in rounds)
+                results = map_jobs(args)
+                cap = args[0][3]
+                assert all(a[3] == cap for a in args) and len(args) * cap <= left
+                rounds.append((len(args), cap, sum(r[2].nodes for r in results)))
+                return results
+
+            return drain(engine, jobs, best, bits, budget, mapped, *rest)
+
+        monkeypatch.setattr(search, "_drain", recording)
+        report = multiplicity(P.complete(3), 9, SearchBudget(max_nodes=25_000), threads=2)
+        assert report.stats.nodes == 25_000
+        assert [size for size, _, _ in rounds] == [1, 2, 2, 2, 2]
+        assert [(size, cap) for size, cap, _ in rounds[:2]] == [(1, 20_000), (2, 2_500)]
 
     def test_node_counts_repeat(self):
         runs = [multiplicity(P.complete(3), 8, threads=2).stats for _ in range(2)]
