@@ -7,15 +7,18 @@ r(H) board once for a zero coloring and once for the minimum on one
 engine. A row whose search stopped on the budget is marked PARTIAL. Each
 row gives the nodes of its minimum search, and a last line their total:
 node counts are deterministic, so the total is the same on every machine.
+The node budget is --budget-nodes, else RAMSEY_BUDGET_NODES; a bad value
+exits 2 before any search.
 
 Usage: python3 scripts/small_values.py [--n-max 10] [--out table.json]
 """
 
 import argparse
 import json
+import sys
 import time
 
-from ramseykit.errors import PreconditionError
+from ramseykit.errors import BudgetExceededError, PreconditionError
 from ramseykit.graphs import PatternGraph, encode, mono_counts
 from ramseykit.search import SearchBudget, threshold_multiplicity
 
@@ -28,7 +31,12 @@ def main() -> int:
     ap.add_argument("--budget-nodes", type=int, default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
-    budget = None if args.budget_nodes is None else SearchBudget(max_nodes=args.budget_nodes)
+    try:
+        budget = (SearchBudget.from_env() if args.budget_nodes is None
+                  else SearchBudget(max_nodes=args.budget_nodes))
+    except PreconditionError as err:  # a bad RAMSEY_BUDGET_NODES
+        print(f"small_values.py: {err}", file=sys.stderr)
+        return 2
 
     rows = []
     total_nodes = 0
@@ -37,7 +45,10 @@ def main() -> int:
         t0 = time.monotonic()
         try:
             rep = threshold_multiplicity(h, budget, n_max=args.n_max)
-        except PreconditionError as err:  # r(H) above --n-max, or not settled within the budget
+        except BudgetExceededError as err:  # the zero search stopped on the budget
+            print(f"{label:>4}: PARTIAL, {err}")
+            continue
+        except PreconditionError as err:  # r(H) above --n-max
             print(f"{label:>4}: {err}")
             continue
         elapsed = time.monotonic() - t0

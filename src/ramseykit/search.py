@@ -86,6 +86,60 @@ copy check waits for its visit, so a stop in the red subtree never pays
 for it. Descending saves the state per depth with the branch taken and
 the blue verdict, so backtracking restores it with nothing to undo.
 
+Last vertex. Once edge F - 1 = C(n-1,2) - 1 is decided, only the n - 1
+star edges of vertex n - 1 are left, and branching on them one at a time
+was 76% of K3@9's 237,229 nodes. A board whose star has at most
+STAR_MAX_EDGES edges and at most STAR_MAX_COPIES copies through vertex
+n - 1 scores it instead: a node at edge F - 1 that passes its bound is a
+frontier, queued rather than descended from, and queued frontiers are
+scored in numpy batches (_Engine._score). Under star colouring s, bit i
+blue for edge F + i, a copy through n - 1 is red when its edges below F
+are red and its star edges lie in ~s, and blue when they are blue and its
+star edges lie in s. So one AND per copy and frontier, a sum per star
+pattern and one sum over subsets, n - 1 steps over the 2^(n-1)
+colourings, count every completion of every frontier, in int16 (at most
+twice STAR_MAX_COPIES); the least count and its first colouring are the
+frontier's best completion. The star is scored with no symmetry test,
+which stays exact: the lex-min member of an optimal colouring's orbit
+passes every test at every prefix, and its decided copies stay below any
+incumbent above the optimum, so the frontier it passes through is
+visited and scores it with every other completion, each a real
+colouring. A frontier counts as one node and its colourings as none; one
+whose best completion goes below the incumbent counts as a leaf, like an
+improving leaf of the plain search.
+
+The result is as if each frontier were scored at its visit. Each queued
+frontier keeps what going on from its visit needs: the counters, the
+state below its edge and the frames above it. A flush, when the batch is
+full, at a stop or at the end of the tree, finds the first frontier that
+goes below the incumbent, if any; the search then restores that
+frontier's state, takes its completion as the incumbent, drops the later
+frontiers and goes on from there, as it would have without the queue
+(K3@9 improves 3 times in 9,139 frontiers). So node counts, budget stops,
+resume tokens and serial legs adding up to one run do not depend on the
+batch size, which doubles from one frontier to STAR_BATCH_CELLS cells
+(frontiers times the wider of the star copies and colourings: about 1 MB
+of temporaries) and starts again at one after an improvement. A job whose
+prefix forces star edges, from a token of a run that branched on the
+star, branches on it as well. K3@9 falls to 56,229 nodes, K3@10 from
+16,009,499 to 1,726,705.
+
+Why these bounds: whole searches with the star scored, against branched
+on (minimum of 5 runs, 2 vCPUs, Python 3.11, numpy 2.4), took 0.25-0.34
+of the time on K3@9 (28 star copies), 0.32 on P4@8 (420), 0.45-0.91 on
+P5@7 (900), 0.97-1.02 on C5@9 (840), 0.71-0.75 on C6@8 (1,260), 0.95 on
+C5@10 (1,512), 0.41 on P5@8 (2,100), 1.21 on C5@11 (2,520), 0.50 on C6@9
+(3,360) and 1.08-1.15 on P6@8 (7,560): the copies that a cycle leaves to
+its last vertex prune little, so a board's gain is not its copy count
+alone, and 2,000 stays below the first loss. Per sampled frontier, the
+search below it against its share of a batch took 24 against 1.7 us on
+K3@9 (8 star edges), 18 against 3.4 on K3@10, 43 against 5.2 on K3@11, 53
+against 16 on K3@12 and 69 against 42 on K3@13; with 11 edges P3@12 and
+C4@12 still gained and S3@12 lost a fifth, and with 12 P3@13 scored each
+frontier in 33 us against about 5 nodes below it. Hence 11 edges, which
+also keeps the edges below F in one word. Batches of 2^14 to 2^18 cells
+ran K3@9 and C6@8 within 5% of each other.
+
 Seeding. The incumbent starts from the fewest monochromatic copies among
 all blue (a = 0) and chi(a, n - a), a <= n/2; ties go to the earlier
 candidate. A sorted k'-subset meets the clique {0..a-1} of chi(a, n - a)
@@ -129,10 +183,15 @@ naming the pattern (an explicit one with its edges), n, the incumbent as
 colex edge colours and the pending prefixes. Resuming checks each field
 against the board and recounts the witness on the board's copy masks: a
 stored count may be stale or forged, a recounted coloring bounds the minimum.
+A witness that is the board's seed, from a leg that found no leaf, keeps
+the cap one above the seed, as the uninterrupted run does until a leaf
+ties it (legs of K3@8 summed to 16,031 nodes against 16,689 when the seed
+set the cap).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import os
@@ -143,7 +202,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .graphs import MAX_VERTICES, PatternGraph, TwoColoring, encode, pair_index
 
 DEFAULT_NODE_BUDGET = 400_000_000
@@ -411,6 +470,51 @@ def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
     return by_last
 
 
+# A board whose last vertex has at most this many star edges and star
+# copies scores the star in batches instead of branching on it; a batch
+# holds at most STAR_BATCH_CELLS frontiers times the wider of the star
+# copies and the star colourings. See Last vertex in the module docstring.
+# The scores are int16, so STAR_MAX_COPIES must stay below 2^14.
+STAR_MAX_EDGES = 11
+STAR_MAX_COPIES = 2000
+STAR_BATCH_CELLS = 1 << 16
+
+
+def _star_table(masks: np.ndarray, n: int) -> Optional[tuple]:
+    """The copies through vertex n - 1, grouped for scoring its star, or None to branch on it.
+
+    The star is colex edges F = C(n-1,2) to C(n,2) - 1, and a copy goes
+    through vertex n - 1 exactly when its last edge is one of them. Returns
+    (inner, starts, patterns, width): the copies' edges below F, one uint64
+    each (F <= 55), sorted by their star edges as an (n-1)-bit pattern; the
+    row where each distinct pattern starts, None when no two copies share
+    one (as no two triangles do: summing them per pattern would take a
+    quarter of a K3@9 flush); those patterns; and the wider of the copies
+    and the 2^(n-1) star colourings.
+    """
+    k = n - 1
+    if not 2 <= k <= STAR_MAX_EDGES:
+        return None
+    F = comb(k, 2)
+
+    def as_ints(rows: np.ndarray) -> list[int]:
+        raw, size = rows.astype("<u8").tobytes(), 8 * rows.shape[1]
+        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+    # rows come sorted by last edge, so the star's copies are a suffix
+    first = bisect.bisect_left(range(len(masks)), True,
+                               key=lambda r: as_ints(masks[r:r + 1])[0] >> F > 0)
+    if not 0 < len(masks) - first <= STAR_MAX_COPIES:
+        return None
+    copies = sorted(as_ints(masks[first:]), key=lambda m: m >> F)
+    keys = [m >> F for m in copies]
+    starts = [i for i, p in enumerate(keys) if not i or p != keys[i - 1]]
+    inner = np.array([m & (1 << F) - 1 for m in copies], dtype=np.uint64)
+    patterns = np.array([keys[i] for i in starts])
+    starts = None if len(starts) == len(copies) else np.array(starts)
+    return inner, starts, patterns, max(len(copies), 1 << k)
+
+
 def _canonicity_rows(n: int) -> list[tuple]:
     """The canonicity table: per colex edge d, what assigning d adds to each sigma's run.
 
@@ -479,6 +583,9 @@ class _Engine:
         self.sigmas = _canonicity_rows(n)
         # every sigma starts tied; without symmetry none is checked
         self.tied = (1 << self.E + comb(n - 2, 2)) - 1 if use_symmetry else 0
+        # the star table, and the depth of the frontiers that it scores
+        self.star = _star_table(masks, n)
+        self.frontier = comb(n - 1, 2) - 1
 
     def run(self, prefix: list[int], cap: int, cap_bits: Optional[list[int]],
             max_nodes: float, deadline: float = inf):
@@ -503,90 +610,131 @@ class _Engine:
         check = min(4096, max_nodes + 1)
         best, best_blue = cap, None
         stopped = False
+        # the deepest edge a node descends from: the last vertex's star is
+        # queued and scored in batches, unless the prefix forces star edges
+        if self.star is not None and forced <= self.frontier + 1:
+            dive, queue, batch = self.frontier, [], 1
+            most = max(1, STAR_BATCH_CELLS // self.star[-1])
+        else:
+            dive, queue = E - 1, None
         depth, b = 0, first[0]
         # the state below edge depth: copies decided, sigmas tied, blue edge set;
         # later: the blue child's (tied, pruned), decided with the red one
         mono, tied, blue, later = 0, self.tied, 0, None
         while True:
-            nodes += 1
-            if nodes >= check:
-                if nodes > max_nodes or time.monotonic() > deadline:
-                    nodes -= 1
-                    stopped = True
-                    break
-                check = min(nodes + 4096, max_nodes + 1)
-            if b == first[depth]:
-                # both children at once: each tied sigma of the row compares
-                # its edge e with this one, and e resolves it in the child
-                # of the other colour, against the prefix on red
-                red_tied = blue_tied = tied
-                red_pruned = blue_pruned = False
-                row_sigmas, against, row_extras, extras = sigmas[depth]
-                if tied & row_sigmas:
-                    for e, keep in against:
-                        if blue & e:
-                            red_tied &= keep
-                        else:
-                            blue_tied &= keep
-                    red_pruned = red_tied != tied
-                    # a double still tied compares its second pair (e2, f)
-                    # below this edge: a difference resolves it, against the
-                    # prefix when e2 is the blue one
-                    if (red_tied | blue_tied) & row_extras:
-                        for s, pair, e2 in extras:
-                            seen = blue & pair
-                            if seen and seen != pair:
-                                if red_tied & s:
-                                    red_tied ^= s
-                                    red_pruned |= seen == e2
-                                if blue_tied & s:
-                                    blue_tied ^= s
-                                    blue_pruned |= seen == e2
-                if b:
-                    child_tied, pruned = blue_tied, blue_pruned
-                else:
-                    child_tied, pruned = red_tied, red_pruned
-                    later = blue_tied, blue_pruned
-            else:
-                child_tied, pruned = later
-            if pruned:
-                pruned_symmetry += 1
-            else:
-                bit = 1 << depth
-                # a copy ending at this edge is monochromatic in colour b
-                # exactly when none of its edges has the other colour
-                other = blue ^ (bit - 1) if b else blue
-                bucket = by_last[depth]
-                total = mono
-                if type(bucket) is list:
-                    for cm in bucket:
-                        if not cm & other:
-                            total += 1
-                            if total >= best:
-                                break
-                else:
-                    hit, spare, words, keys = bucket
-                    keys[0][...] = other & _WORD
-                    band(words[0], keys[0], out=hit)
-                    for w in range(1, len(words)):
-                        keys[w][...] = other >> 64 * w & _WORD
-                        bor(hit, band(words[w], keys[w], out=spare), out=hit)
-                    total += len(hit) - int(count_nonzero(hit))
-                if total >= best:
-                    pruned_bound += 1
-                elif depth + 1 < E:
-                    frames[depth] = (mono, tied, blue, b, later)
-                    mono, tied = total, child_tied
+            # one pass per batch of frontiers: the node loop breaks on a
+            # stop, at the end of the tree or with a full batch
+            while True:
+                nodes += 1
+                if nodes >= check:
+                    if nodes > max_nodes or time.monotonic() > deadline:
+                        nodes -= 1
+                        stopped = True
+                        break
+                    check = min(nodes + 4096, max_nodes + 1)
+                if b == first[depth]:
+                    # both children at once: each tied sigma of the row compares
+                    # its edge e with this one, and e resolves it in the child
+                    # of the other colour, against the prefix on red
+                    red_tied = blue_tied = tied
+                    red_pruned = blue_pruned = False
+                    row_sigmas, against, row_extras, extras = sigmas[depth]
+                    if tied & row_sigmas:
+                        for e, keep in against:
+                            if blue & e:
+                                red_tied &= keep
+                            else:
+                                blue_tied &= keep
+                        red_pruned = red_tied != tied
+                        # a double still tied compares its second pair (e2, f)
+                        # below this edge: a difference resolves it, against the
+                        # prefix when e2 is the blue one
+                        if (red_tied | blue_tied) & row_extras:
+                            for s, pair, e2 in extras:
+                                seen = blue & pair
+                                if seen and seen != pair:
+                                    if red_tied & s:
+                                        red_tied ^= s
+                                        red_pruned |= seen == e2
+                                    if blue_tied & s:
+                                        blue_tied ^= s
+                                        blue_pruned |= seen == e2
                     if b:
-                        blue |= bit
-                    depth += 1
-                    b = first[depth]
-                    continue
+                        child_tied, pruned = blue_tied, blue_pruned
+                    else:
+                        child_tied, pruned = red_tied, red_pruned
+                        later = blue_tied, blue_pruned
                 else:
-                    # a leaf that passes the bound test improves on best
+                    child_tied, pruned = later
+                if pruned:
+                    pruned_symmetry += 1
+                else:
+                    bit = 1 << depth
+                    # a copy ending at this edge is monochromatic in colour b
+                    # exactly when none of its edges has the other colour
+                    other = blue ^ (bit - 1) if b else blue
+                    bucket = by_last[depth]
+                    total = mono
+                    if type(bucket) is list:
+                        for cm in bucket:
+                            if not cm & other:
+                                total += 1
+                                if total >= best:
+                                    break
+                    else:
+                        hit, spare, words, keys = bucket
+                        keys[0][...] = other & _WORD
+                        band(words[0], keys[0], out=hit)
+                        for w in range(1, len(words)):
+                            keys[w][...] = other >> 64 * w & _WORD
+                            bor(hit, band(words[w], keys[w], out=spare), out=hit)
+                        total += len(hit) - int(count_nonzero(hit))
+                    if total >= best:
+                        pruned_bound += 1
+                    elif depth < dive:
+                        frames[depth] = (mono, tied, blue, b, later)
+                        mono, tied = total, child_tied
+                        if b:
+                            blue |= bit
+                        depth += 1
+                        b = first[depth]
+                        continue
+                    elif queue is None:
+                        # a leaf that passes the bound test improves on best
+                        leaves += 1
+                        best, best_blue = total, blue | b << depth
+                    else:
+                        # a frontier: its child's copies and blue edges, then
+                        # what going on from here needs, should it improve
+                        queue.append((total, blue | b << depth, nodes, leaves, pruned_bound,
+                                      pruned_symmetry, b, mono, tied, blue, later, frames[:depth]))
+                        if len(queue) >= batch:
+                            break
+                # the next branch: here, else at the deepest ancestor with one left
+                while b == last[depth] and depth:
+                    depth -= 1
+                    mono, tied, blue, b, later = frames[depth]
+                if b == last[depth]:
+                    break
+                b = 1
+            if queue:
+                found = self._score(queue, best)
+                if found is None:
+                    batch = min(2 * batch, most)
+                else:
+                    # the first frontier below best: the search goes on from
+                    # its visit with its star completion as the incumbent, as
+                    # if it had been scored there, and drops the later ones
+                    i, count, star = found
+                    (_, child_blue, nodes, leaves, pruned_bound, pruned_symmetry,
+                     b, mono, tied, blue, later, frames[:dive]) = queue[i]
+                    depth, check, stopped, batch = dive, nodes + 1, False, 1
                     leaves += 1
-                    best, best_blue = total, blue | b << depth
-            # the next branch: here, else at the deepest ancestor with one left
+                    best, best_blue = count, child_blue | star << dive + 1
+                queue.clear()
+            if stopped:
+                break
+            # go on from the last node visited, or from the restored frontier
             while b == last[depth] and depth:
                 depth -= 1
                 mono, tied, blue, b, later = frames[depth]
@@ -604,6 +752,35 @@ class _Engine:
         bits = cap_bits if best_blue is None else [best_blue >> e & 1 for e in range(E)]
         stats = SearchStats(max(nodes, 0), leaves, pruned_bound, pruned_symmetry)
         return best, bits, stats, pending
+
+    def _score(self, queue: list, best: int) -> Optional[tuple]:
+        """The first queued frontier whose best star colouring goes below best, else None.
+
+        Returns (its index, the copies under that colouring, the colouring
+        s: bit i blue for star edge F + i). A copy is red when none of its
+        edges below F is blue and its star pattern lies in ~s, blue when
+        none is red and its pattern lies in s, so the counts per pattern,
+        summed over subsets, give every s. Each table row holds one
+        colouring's counts for every frontier, so the sums run over rows.
+        """
+        inner, starts, patterns, _ = self.star
+        k = self.E - self.frontier - 1
+        blue = np.array([q[1] for q in queue], dtype=np.uint64)
+        # (copy, colour, frontier): whether the copy has no edge of the other colour below F
+        mono = inner[:, None, None] & np.stack([blue, ~blue]) == 0
+        table = np.zeros((1 << k, 2, len(queue)), dtype=np.int16)
+        table[patterns] = mono if starts is None else np.add.reduceat(
+            mono, starts, axis=0, dtype=np.int16)
+        for i in range(k):
+            half = table.reshape(-1, 2, (2 << i) * len(queue))
+            half[:, 1] += half[:, 0]
+        totals = table[::-1, 0] + table[:, 1]
+        least = totals.min(axis=0) + np.array([q[0] for q in queue])
+        below = np.flatnonzero(least < best)
+        if not len(below):
+            return None
+        i = int(below[0])
+        return i, int(least[i]), int(totals[:, i].argmin())
 
 
 def _bits_to_coloring(n: int, bits: list[int]) -> TwoColoring:
@@ -875,7 +1052,8 @@ def multiplicity(
     if resume is not None:
         witness, jobs = resume
         count = _mono_count(engine.masks, witness)  # recounted, never read from the token
-        if count < best:
+        # a leg that found no leaf hands the seed on, and the cap stays above it
+        if count < best and witness != bits:
             best, bits = count, witness
     if threads > 1:
         best, bits, stats, jobs = _multiplicity_parallel(engine, jobs, best, bits, budget, threads)
@@ -952,8 +1130,18 @@ def threshold_multiplicity(
     n_max: int = 12,
     threads: int = 1,
 ) -> MultiplicityReport:
-    """m(h): the multiplicity at the first board where it is positive."""
+    """m(h): the multiplicity at the first board where it is positive.
+
+    Raises BudgetExceededError when the zero search of a board stops on the
+    budget, and PreconditionError when r(h) exceeds n_max.
+    """
     rn = ramsey_number(h, n_max, budget)
+    if not rn.exact:
+        stop = rn.per_n[-1]
+        raise BudgetExceededError(
+            f"the zero search of {h.label()} on K_{stop['n']} stopped after {stop['nodes']:,} "
+            f"nodes, so r({h.label()}) is not settled"
+        )
     if rn.value is None:
         raise PreconditionError(
             f"ramsey number of {h.label()} exceeds n_max={n_max}; raise n_max"

@@ -179,22 +179,21 @@ def seed_colorings(n: int) -> list[TwoColoring]:
 
 
 def multiplicity_bruteforce(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
-    """Unpruned enumeration of all 2^C(n,2) colorings (soundness oracle)."""
+    """Unpruned enumeration of all 2^C(n,2) colorings (soundness oracle).
+
+    Every colex red mask at once, as a numpy array, for n <= 7; a copy is
+    monochromatic when the red mask holds all of it or none of it.
+    """
     E = comb(n, 2)
-    masks = reference_copy_masks(h, n)
-    full = (1 << E) - 1
-    best, best_mask = None, 0
-    for red in range(1 << E):
-        blue = full ^ red
-        cnt = 0
-        for cm in masks:
-            if cm & red == cm or cm & blue == cm:
-                cnt += 1
-        if best is None or cnt < best:
-            best, best_mask = cnt, red
+    red = np.arange(1 << E, dtype=np.int64)
+    counts = np.zeros(1 << E, dtype=np.int64)
+    for cm in reference_copy_masks(h, n):
+        part = red & cm
+        counts += (part == cm) | (part == 0)
+    best_mask = int(counts.argmin())  # the first of the fewest
     # colex mask -> row-major coloring
     bits = [(0 if best_mask >> e & 1 else 1) for e in range(E)]
-    return best, _bits_to_coloring(n, bits)
+    return int(counts[best_mask]), _bits_to_coloring(n, bits)
 
 
 def reference_sigmas(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -252,8 +251,11 @@ class ReferenceEngine(_Engine):
     whose flat loop and tables must prune exactly the nodes this rescan of
     every transposition and double prunes. Each node is tested for
     symmetry first, then for the bound, whose copy count reads the
-    reference buckets with no early break. Python recursion limits it to
-    boards of under about 1,000 edges.
+    reference buckets with no early break. On a board where the engine
+    scores the last vertex's star, a node below edge C(n-1,2) - 1 tries
+    every colouring of the star, in order of its bits, with no symmetry
+    test and no node counted, unless the prefix forces star edges. Python
+    recursion limits it to boards of under about 1,000 edges.
     """
 
     def __init__(self, masks, n, use_symmetry=True):
@@ -265,6 +267,8 @@ class ReferenceEngine(_Engine):
                      dtype=np.uint64).reshape(-1, self.words)
             for bucket in reference_by_last(masks, self.E)
         ]
+        # the depth of the star's first edge, where the engine scores it
+        self.star_from = None if self.star is None else comb(n - 1, 2)
 
     def run(self, prefix, cap, cap_bits, max_nodes, deadline=inf):
         self.prefix = prefix
@@ -293,8 +297,31 @@ class ReferenceEngine(_Engine):
         violated = reference_canonical_violated(self.x, self.reference_sigmas, depth + 1)
         return -1 if violated else tied
 
+    def _complete_star(self, depth, decided_mono):
+        """Count every colouring s of the star edges depth.. (bit i blue: edge depth + i)."""
+        rows = np.concatenate(self.reference_buckets[depth:])
+        full = (1 << self.E) - 1
+        blue = [self.blue | s << depth for s in range(1 << self.E - depth)]
+        red_rows = blue_rows = None
+        for w in range(self.words):
+            blue_w = np.array([c >> 64 * w & _WORD for c in blue], dtype=np.uint64)
+            red_w = np.array([(full ^ c) >> 64 * w & _WORD for c in blue], dtype=np.uint64)
+            # (colouring, copy): the copy's edges of the other colour
+            on_blue, on_red = rows[:, w] & blue_w[:, None], rows[:, w] & red_w[:, None]
+            red_rows = on_blue if red_rows is None else red_rows | on_blue
+            blue_rows = on_red if blue_rows is None else blue_rows | on_red
+        counts = decided_mono + np.count_nonzero((red_rows == 0) | (blue_rows == 0), axis=1)
+        s = int(counts.argmin())  # the first of the fewest
+        if counts[s] < self.best:
+            self.stats.leaves += 1
+            self.best = int(counts[s])
+            self.best_bits = self.x[:depth] + [s >> i & 1 for i in range(self.E - depth)]
+
     def _dfs(self, depth, decided_mono, tied):
         stats = self.stats
+        if depth == self.star_from and len(self.prefix) <= depth:
+            self._complete_star(depth, decided_mono)
+            return
         if depth == self.E:
             stats.leaves += 1
             if decided_mono < self.best:

@@ -133,9 +133,9 @@ class TestSearchCommands:
         assert sum(mono_counts(witness, PatternGraph.star(40))) == 0
 
     def test_resume_from_file(self, tmp_path):
-        # by node 2000 of 3,583 the first leg has improved on the seed's 108
+        # by node 400 of 809 the first leg has improved on the seed's 108
         # copies; M(P5, 7) = 96, and a resume that loses that incumbent reports 108
-        proc = run_cli(["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "2000"])
+        proc = run_cli(["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "400"])
         assert proc.returncode == 3
         first = json.loads(proc.stdout)["result"]
         assert first["value"] < 108
@@ -258,6 +258,18 @@ class TestSearchCommands:
         proc = run_cli(["threshold", "--pattern", "S2", "--n-max", "6"])
         report = json.loads(proc.stdout)
         assert report["result"]["value"] == 1 and report["result"]["n"] == 3
+
+    def test_threshold_budget_stop_exits_3(self, capsys):
+        # boards up to K_8 are settled by seeds; the zero search of K_9 runs out
+        assert main(["threshold", "--pattern", "C5", "--budget-nodes", "100"]) == 3
+        err = capsys.readouterr().err
+        assert "budget exhausted: the zero search of C5 on K_9 stopped after 100 nodes" in err
+        assert "n_max" not in err
+
+    def test_threshold_above_n_max_exits_2(self, capsys):
+        # r(C5) = 9: every board up to K_8 has a coloring with no monochromatic C5
+        assert main(["threshold", "--pattern", "C5", "--n-max", "8"]) == 2
+        assert "ramsey number of C5 exceeds n_max=8" in capsys.readouterr().err
 
 
 class TestAnalysisCommands:
@@ -541,3 +553,23 @@ class TestParserParity:
         assert capsys.readouterr().err.endswith(
             f"ramsey: error: argument command: invalid choice: 'bogus' (choose from {choices})\n")
         assert len(names) == 12
+
+
+class TestSmallValuesScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "small_values.py"
+
+    def run(self, args, **env):
+        return subprocess.run([sys.executable, str(self.SCRIPT)] + args, env={**os.environ, **env},
+                              capture_output=True, text=True)
+
+    def test_a_bad_budget_exits_2_before_any_search(self):
+        proc = self.run([], RAMSEY_BUDGET_NODES="abc")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "RAMSEY_BUDGET_NODES must be an integer of at least 0, got 'abc'" in proc.stderr
+
+    def test_a_zero_search_stopped_on_the_budget_is_a_partial_row(self):
+        proc = self.run(["--budget-nodes", "100", "--n-max", "9"])
+        assert proc.returncode == 0
+        rows = proc.stdout.splitlines()
+        assert "  C5: PARTIAL, the zero search of C5 on K_9 stopped after 100 nodes" in "\n".join(rows)
+        assert rows[0].startswith("  K2: r =  2   m =     1   [exact")

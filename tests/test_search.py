@@ -27,6 +27,7 @@ from ramseykit.search import (
     _require_template,
     _seed_counts,
     _seed_incumbent,
+    _star_table,
     enumerate_copy_masks,
     find_zero_coloring,
     multiplicity,
@@ -167,6 +168,7 @@ class TestKernelFingerprints:
     def test_goodman_triangles(self, n):
         report = multiplicity(P.complete(3), n)
         assert report.exact and report.value == goodman_k3(n)
+        assert sum(mono_counts(report.witness, P.complete(3))) == report.value
 
     def test_p6_on_8(self):
         report = multiplicity(P.path(6), 8)
@@ -178,7 +180,7 @@ class TestKernelFingerprints:
         report = multiplicity(P.complete(3), 9)
         stats = report.stats
         assert (report.value, report.exact) == (goodman_k3(9), True)
-        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (237229, 73738, 44874)
+        assert (stats.nodes, stats.pruned_bound, stats.pruned_symmetry) == (56229, 10247, 8993)
 
     def test_c7_on_13_budget(self):
         report = multiplicity(P.cycle(7), 13, SearchBudget(max_nodes=5000))
@@ -242,6 +244,10 @@ class TestCanonicityCheck:
         (P.path(6), 8, 100),
         (P.path(6), 8, 3000),
         (P.path(6), 8, 10_000),
+        # star boards stopped before and after an improving frontier
+        (P.path(5), 7, 100),
+        (P.path(5), 7, 300),
+        (P.complete(3), 7, 200),
     ], ids=lambda x: getattr(x, "kind", x))
     def test_matches_full_scan(self, monkeypatch, h, n, max_nodes):
         budget = SearchBudget(max_nodes=max_nodes)
@@ -599,6 +605,20 @@ class TestBudgets:
             token = leg.resume_token
         assert (leg.value, leg.exact, nodes) == (96, True, full.stats.nodes)
 
+    def test_short_legs_on_a_star_board_reach_the_exact_value(self):
+        # K3@8 scores its last vertex's star: the legs still sum to one run
+        h, n = P.complete(3), 8
+        full = multiplicity(h, n)
+        token, nodes = None, 0
+        for _ in range(100):
+            leg = multiplicity(h, n, SearchBudget(max_nodes=200), resume_token=token)
+            nodes += leg.stats.nodes
+            if leg.exact:
+                break
+            assert leg.stats.nodes == 200 and leg.resume_token != token
+            token = leg.resume_token
+        assert (leg.value, leg.exact, nodes) == (goodman_k3(n), True, full.stats.nodes)
+
     def test_parallel_prefix_split_matches(self):
         h = P.path(5)
         assert multiplicity(h, 7, threads=2).value == multiplicity(h, 7).value
@@ -679,6 +699,87 @@ class TestResumeSweep:
                 assert sum(mono_counts(resumed.witness, h)) == full.value, (cut, threads)
 
 
+def _takes_the_star_path(h, n):
+    """Whether the search of h on K_n builds an engine that scores the last vertex's star."""
+    return _seed_incumbent(h, n)[0] > 0 and _star_table(enumerate_copy_masks(h, n), n) is not None
+
+
+SMALL_PATTERNS = ([P.complete(k) for k in range(2, 7)] + [P.path(k) for k in range(2, 7)]
+                  + [P.cycle(k) for k in range(3, 7)] + [P.star(k) for k in range(1, 6)])
+STAR_BOARDS = [(h, n) for h in SMALL_PATTERNS for n in range(h.order, 7)
+               if _takes_the_star_path(h, n)]
+
+
+class TestStarPath:
+    """The last vertex's star, scored in batches, as if each frontier were scored at its visit."""
+
+    def test_the_small_boards_include_the_searched_ones(self):
+        labels = {f"{h.label()}@{n}" for h, n in STAR_BOARDS}
+        assert {"K3@6", "P4@5", "P4@6", "P5@6", "C4@6", "S3@6"} <= labels
+
+    @pytest.mark.parametrize("h,n", STAR_BOARDS, ids=lambda x: getattr(x, "kind", x))
+    def test_values_match_bruteforce(self, h, n):
+        expected, _ = multiplicity_bruteforce(h, n)
+        report = multiplicity(h, n)
+        assert (report.value, report.exact) == (expected, True)
+        assert sum(mono_counts(report.witness, h)) == expected
+
+    @pytest.mark.parametrize("h,n,max_nodes", [(P.complete(3), 9, None), (P.path(5), 7, 300)],
+                             ids=["K3@9", "P5@7-cut"])
+    def test_the_batch_size_does_not_show(self, monkeypatch, h, n, max_nodes):
+        # one frontier per batch, a few, and the default: 256 on K3@9, 72 on P5@7
+        runs = []
+        for cells in (1, 3000, search.STAR_BATCH_CELLS):
+            monkeypatch.setattr(search, "STAR_BATCH_CELLS", cells)
+            report = multiplicity(h, n, SearchBudget(max_nodes=max_nodes))
+            runs.append(_search_fingerprint(report) + (sum(mono_counts(report.witness, h)),))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][2] == (max_nodes is None)
+
+    @pytest.mark.parametrize("h,n,star", [
+        (P.complete(3), 9, True),
+        (P.path(5), 7, True),
+        (P.cycle(6), 8, True),
+        (P.path(6), 8, False),  # 7,560 star copies
+        (P.path(7), 9, False),
+        (P.cycle(7), 13, False),  # twelve star edges
+        (P.path(2), 46, False),
+        (P.path(2), 64, False),
+    ], ids=["K3@9", "P5@7", "C6@8", "P6@8", "P7@9", "C7@13", "P2@46", "P2@64"])
+    def test_which_boards_take_the_star_path(self, h, n, star):
+        search._board.cache_clear()
+        assert (search._board(h, n, True)[2].star is not None) == star
+        search._board.cache_clear()
+
+    def test_a_token_with_prefixes_into_the_star_resumes(self, monkeypatch):
+        # a run that branched on the star stops with pending prefixes past
+        # edge C(6,2) = 15; a job forced there branches on the star too
+        h, n = P.path(5), 7
+        monkeypatch.setattr(search, "STAR_MAX_COPIES", 0)
+        search._board.cache_clear()
+        first = multiplicity(h, n, SearchBudget(max_nodes=400))
+        monkeypatch.undo()
+        search._board.cache_clear()
+        pending = first.resume_token.partition("pending=")[2].split(",")
+        assert max(map(len, pending)) > comb(n - 1, 2)
+        resumed = multiplicity(h, n, resume_token=first.resume_token)
+        assert (resumed.value, resumed.exact) == (96, True)
+        assert sum(mono_counts(resumed.witness, h)) == 96
+
+    def test_a_forced_star_prefix_matches_full_scan(self):
+        # an optimum's first 17 edges: two into the star, which starts at edge 15
+        h, n = P.complete(3), 7
+        masks = enumerate_copy_masks(h, n)
+        prefix = _coloring_to_bits(multiplicity(h, n).witness)[:17]
+
+        def fingerprint(engine):
+            best, bits, stats, pending = engine(masks, n).run(prefix, goodman_k3(n) + 1, None, inf)
+            return best, bits, stats.nodes, stats.leaves, stats.pruned_bound, pending
+
+        assert fingerprint(_Engine) == fingerprint(ReferenceEngine)
+        assert fingerprint(_Engine)[3] == 1
+
+
 class TestDeepBoards:
     """One flat loop: a dive of C(n,2) edges needs no Python stack."""
 
@@ -707,8 +808,9 @@ class TestParallelDrain:
         assert counts[0].nodes == counts[1].nodes
 
     def test_a_capped_round_splits_what_is_left_over_the_workers(self, monkeypatch):
-        # K3@9 with 25,000 nodes: the root job takes a 20,000-node slice, and
-        # every later round splits what is left over both workers
+        # K3@9 with 25,000 of its 56,229 nodes: the root job takes a
+        # 20,000-node slice, and every later round splits what is left over
+        # both workers
         rounds, drain = [], search._drain
 
         def recording(engine, jobs, best, bits, budget, map_jobs, *rest):
@@ -725,7 +827,7 @@ class TestParallelDrain:
         monkeypatch.setattr(search, "_drain", recording)
         report = multiplicity(P.complete(3), 9, SearchBudget(max_nodes=25_000), threads=2)
         assert report.stats.nodes == 25_000
-        assert [size for size, _, _ in rounds] == [1, 2, 2, 2, 2]
+        assert [size for size, _, _ in rounds] == [1, 2, 2, 2, 2, 2, 2]
         assert [(size, cap) for size, cap, _ in rounds[:2]] == [(1, 20_000), (2, 2_500)]
 
     def test_node_counts_repeat(self):
