@@ -40,6 +40,7 @@ from .graphs import (
     decode,
     encode,
     mono_counts,
+    pair_index,
     vertex_set,
 )
 from .reports import RunManifest, emit, envelope, write_text
@@ -143,14 +144,21 @@ def _cmd_encode(args) -> int:
         spec = json.loads(data)
         n = spec["n"]
         pairs = spec["red_pairs"]
-    except (json.JSONDecodeError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError) as err:
         raise PreconditionError(f"--in: expected JSON with n and red_pairs ({err})")
-    from .graphs import pair_index
-
-    mask = 0
-    for i, j in pairs:
-        mask |= 1 << pair_index(i, j, n)
-    write_text(encode(TwoColoring(n, mask)), args.out)
+    with _flag("--in"):
+        if type(n) is not int:  # JSON true and false load as bools, which are ints
+            raise PreconditionError(f"n must be an integer, got {n!r}")
+        if not isinstance(pairs, list):
+            raise PreconditionError(f"red_pairs must be a list of pairs, got {pairs!r}")
+        mask = 0
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int for v in pair)):
+                raise PreconditionError(f"red_pairs holds {pair!r}, not a pair of integers")
+            mask |= 1 << pair_index(*pair, n)
+        coloring = TwoColoring(n, mask)
+    write_text(encode(coloring), args.out)
     return 0
 
 

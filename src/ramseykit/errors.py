@@ -18,7 +18,7 @@ class KcolParseError(RamseykitError):
 
 
 class BudgetExceededError(RamseykitError):
-    """A node or wall-clock budget ran out before the computation finished."""
+    """A node, wall-clock or byte budget ran out before the computation finished."""
 
 
 class HypothesisError(RamseykitError):

@@ -5,11 +5,12 @@ count_walks: copies of paths and cycles here, and the transversal paths of
 regular.py. A layer is one row per vertex set with a count per end vertex,
 and each step is one integer matmul against the adjacency matrix; a cycle
 count walks every least-vertex anchor in one pass. Each caller gives it one
-allowed vertex mask per step, an optional closing vertex and an optional
-node budget, charged as a depth-first search over the same walks would
-charge it. The tests check it against a naive enumeration oracle and
-against the depth-first counters kept in tests/helpers.py, budget
-included.
+allowed vertex mask per step, an optional closing vertex and a byte cap:
+a layer that would pass it is refused before it is allocated.
+MAX_COPY_BYTES, the cap of every exact kernel, also bounds the search's
+copy tables (search.py). The tests check the DP against a naive
+enumeration oracle and against the depth-first counters kept in
+tests/helpers.py.
 
 A "copy" of a pattern H in a host G is a subgraph of G isomorphic to H,
 counted once per subgraph (automorphism-deduplicated): the complete graph
@@ -33,10 +34,17 @@ MAX_VERTICES = 64
 # larger patterns are out of scope.
 EXPLICIT_PATTERN_CAP = 8
 
+# The most bytes an exact kernel may hold: a search board's copy table
+# (search.py; 2^25 one-word masks) or a walk-DP step (count_walks).
+MAX_COPY_BYTES = 256 << 20
+
 # The walk DP steps this many rows at a time, so its temporaries stay a
 # fixed size whatever the layer's.
 _BLOCK = 512
 _INT64_LIMIT = 1 << 63
+# Bytes per (set, end) cell of a walk-DP merge: the count, its end, its set
+# key, and np.unique's sort order, sorted copy and inverse index
+_MERGE_BYTES = 96
 _ONE = np.uint64(1)
 _BIT = _ONE << np.arange(MAX_VERTICES, dtype=np.uint64)
 
@@ -319,17 +327,22 @@ def count_copies(g: SimpleGraph, h: PatternGraph) -> int:
     """Exact number of subgraphs of g isomorphic to h.
 
     Paths and cycles are counted by the walk DP of count_walks (each is
-    walked once per direction), stars in closed form, cliques and explicit
+    walked once per direction) under MAX_COPY_BYTES; a count that would
+    hold more is refused with a PreconditionError naming the pattern and
+    the host order. Stars are counted in closed form, cliques and explicit
     patterns by backtracking. A pattern larger than the host gives zero.
     """
     if h.order > g.n:
         return 0
-    if h.kind == "cycle":
-        return _count_cycles_backtrack(g, h.k)
-    if h.kind == "path":
-        walks, _ = count_walks(g.adj, [(1 << g.n) - 1] * h.k)
-        assert walks % 2 == 0
-        return walks // 2
+    try:
+        if h.kind == "cycle":
+            return _count_cycles_backtrack(g, h.k, MAX_COPY_BYTES)
+        if h.kind == "path":
+            walks = count_walks(g.adj, [(1 << g.n) - 1] * h.k, cap=MAX_COPY_BYTES)
+            assert walks % 2 == 0
+            return walks // 2
+    except BudgetExceededError as err:
+        raise PreconditionError(f"cannot count {h.label()} in a {g.n}-vertex host: {err}") from None
     if h.kind == "star":
         if h.k == 1:
             return g.num_edges()
@@ -350,11 +363,11 @@ def mono_counts(c: TwoColoring, h: PatternGraph) -> tuple[int, int]:
 
 def count_walks(
     adj: tuple[int, ...], steps: list[int], close: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> tuple[int, Optional[int]]:
+    cap: int = MAX_COPY_BYTES,
+) -> int:
     """Walks v0 v1 ... vL of distinct vertices, L = len(steps) - 1 >= 1,
     with each vi in the mask steps[i] and adjacent to v(i-1), and vL
-    adjacent to close when close is given; returns (walks, budget left).
+    adjacent to close when close is given.
 
     Layered DP on numpy arrays. A layer is held as rows: one row per vertex
     set (a uint64 mask), and per row the number of walks over that set
@@ -364,33 +377,25 @@ def count_walks(
     by vertex set with one sort. Layer L is never built: its walks are
     counted off layer L-1 with array popcounts.
 
-    Budget: one node per prefix v0..vi, 0 <= i <= L, before the close test,
-    which is what a depth-first search over the same walks visits. A
-    layer's node count is its summed ways, and BudgetExceededError is
-    raised exactly when the total passes budget (None means no cap).
-    Lookahead: before layer i is built, the node counts of layers i to i+2
-    are summed from layer i-1 with array popcounts (per row and end: the
-    next vertices w, the w-x steps, and the x-y steps less those with
-    y = w) and checked against the budget left, so a count that will run
-    out stops before it builds its largest frontier.
-
-    Each step goes in blocks of _BLOCK rows, so its temporaries stay a
-    fixed size, and makes no BLAS call. Rows of j vertices hold at most
-    (j-1)! walks per end, and a step from them forms products up to 2^12 j!
-    (a count times a popcount or a two-step neighbour sum), so the counts
-    are int64 while that is below 2^63 (rows of up to 17 vertices) and
-    Python ints past it; every total is summed exactly. In a traced verify
-    pass (seed 5, 2 vCPUs, numpy 2.4) the 385 cycle counts take 0.26 s,
-    against 0.56-0.59 s for the dict DP over (mask, end) keys this replaced.
+    Memory: before a merge allocates anything, the DP counts the new
+    layer's nonzero (set, end) cells and raises BudgetExceededError when
+    _layer_bytes of the old layer's rows and those cells passes cap; it
+    checks the new rows the same way before it allocates their counts,
+    and layer 0 (one cell per row) before it is built.
+    Steps go in blocks of _BLOCK rows, so their temporaries stay a fixed
+    size, with no BLAS call. Rows of j vertices hold at most (j-1)! walks
+    per end, and a step sums at most 64 of those, so counts are int64
+    while 2^6 j! < 2^63 (rows of up to 19 vertices) and Python ints past
+    it; every total is summed exactly.
     """
     starts = np.fromiter(_bits(steps[0] & ((1 << len(adj)) - 1)), np.int64)
-    return _walk_layers(adj, _BIT[starts], starts, steps[1:], False, close, budget)
+    return _walk_layers(adj, _BIT[starts], starts, steps[1:], False, close, cap)
 
 
 def _walk_layers(
     adj: tuple[int, ...], sets: np.ndarray, ends: np.ndarray, steps: list[int],
-    anchored: bool, close: Optional[int], budget: Optional[int],
-) -> tuple[int, Optional[int]]:
+    anchored: bool, close: Optional[int], cap: int,
+) -> int:
     """The walk DP of count_walks (see there) from layer 0, whose walks are
     one vertex set sets[r] ending at ends[r] each; steps holds the allowed
     mask of each layer after it. anchored walks (_count_cycles_backtrack's)
@@ -401,28 +406,23 @@ def _walk_layers(
     full = (1 << n) - 1
     rows = np.array(adj, np.uint64)
     adj01 = _bit_matrix(rows, n).astype(np.int64)
+    _check_layer(len(sets), len(sets), n, False, cap)  # one cell per row
     ways = np.zeros((len(sets), n), np.int64)
     ways[np.arange(len(sets)), ends] = 1
-    left = None if budget is None else budget - len(sets)
     for d in range(len(steps)):
         if not len(sets):
-            return 0, left
-        cap = factorial(d + 1 + anchored) << 12  # rows of d + 1 vertices, plus the anchor
-        if cap >= _INT64_LIMIT and ways.dtype != object:
+            return 0
+        j = d + 1 + anchored  # vertices in a row of layer d, the anchor included
+        top = factorial(j) << 6  # a step from these rows sums up to 64 counts of (j-1)!
+        if top >= _INT64_LIMIT and ways.dtype != object:
             ways = ways.astype(object)
-        ahead = [np.uint64(s & full) for s in steps[d : d + (1 if left is None else 3)]]
+        step = np.uint64(steps[d] & full)
         if d == len(steps) - 1:
-            walks, nodes = _close_walks(rows, sets, ways, ahead[0], anchored, close, cap)
-            if left is not None:
-                if nodes > left:
-                    raise BudgetExceededError("walk node budget exhausted")
-                left -= nodes
-            return walks, left
-        nodes = _extend(adj01, rows, sets, ways, ahead, anchored, left is not None, cap)
-        if left is not None:
-            if sum(nodes) > left:
-                raise BudgetExceededError("walk node budget exhausted")
-            left -= nodes[0]
+            return _close_walks(rows, sets, ways, step, anchored, close, top)
+        _extend(adj01, sets, ways, step, anchored)
+        # wide: the new layer's rows, of j + 1 vertices, will hold Python ints
+        cells, wide = np.count_nonzero(ways), top * (j + 1) >= _INT64_LIMIT
+        _check_layer(len(sets), cells, n, wide, cap)
         # merge: cell (r, w) of the extended rows is cell w of the row of
         # sets[r] | 1 << w; the old layer goes before the new one is made
         flat = np.flatnonzero(ways)
@@ -434,11 +434,33 @@ def _walk_layers(
         keys |= _BIT[ends]
         sets, slot = np.unique(keys, return_inverse=True)
         del keys
+        _check_layer(len(sets), cells, n, wide, cap)
         slot *= n
         slot += ends
         ways = np.zeros((len(sets), n), vals.dtype)
         ways.reshape(-1)[slot] = vals
-    return 0, left  # no steps: L = 0 is outside count_walks' domain
+    return 0  # no steps: L = 0 is outside count_walks' domain
+
+
+def _layer_bytes(rows: int, cells: int, n: int, wide: bool) -> int:
+    """The most a DP step holds at once: a layer of rows vertex sets, a set
+    word and n counts each, and _MERGE_BYTES a cell for cells (set, end)
+    cells in the merge. A wide (Python int) count is a pointer next to the
+    int64 it was converted from, and each cell's int adds 64 bytes (counts
+    stay below 2^300: 63! walks times 64)."""
+    if wide:
+        return rows * (8 + 16 * n) + cells * (_MERGE_BYTES + 64)
+    return rows * (8 + 8 * n) + cells * _MERGE_BYTES
+
+
+def _check_layer(rows: int, cells: int, n: int, wide: bool, cap: int) -> None:
+    """BudgetExceededError when _layer_bytes passes cap."""
+    size = _layer_bytes(rows, cells, n, wide)
+    if size > cap:
+        raise BudgetExceededError(
+            f"a walk layer of {cells:,} cells needs {size / 2**20:,.1f} MiB, "
+            f"more than the {cap / 2**20:,.1f} MiB cap"
+        )
 
 
 def _free(sets: np.ndarray, anchored: bool) -> np.ndarray:
@@ -448,51 +470,34 @@ def _free(sets: np.ndarray, anchored: bool) -> np.ndarray:
 
 
 def _extend(
-    adj01: np.ndarray, rows: np.ndarray, sets: np.ndarray, ways: np.ndarray,
-    ahead: list, anchored: bool, count: bool, cap: int,
-) -> list[int]:
+    adj01: np.ndarray, sets: np.ndarray, ways: np.ndarray, step, anchored: bool,
+) -> None:
     """Overwrite ways, block by block, with its step to the next layer: the
-    matmul against adj01, masked per row to ahead[0] and _free. With count,
-    return the node counts of the next len(ahead) layers (the lookahead)."""
-    n = len(rows)
-    nodes = [0] * len(ahead)
+    matmul against adj01, masked per row to step and _free."""
+    n = len(adj01)
     for lo in range(0, len(sets), _BLOCK):
         w = ways[lo : lo + _BLOCK]
-        free = _free(sets[lo : lo + _BLOCK], anchored)
-        avail = [s & free for s in ahead]
         nxt = w @ adj01
-        nxt *= _bit_matrix(avail[0], n)
-        if count:
-            nodes[0] += _total(nxt, cap)
-            if len(avail) > 1:
-                p2 = _popcounts(rows, avail[1])
-                nodes[1] += _total(nxt * p2, cap)
-            if len(avail) > 2:
-                # the x-y steps after each w, less those that come back to w
-                t = (_bit_matrix(avail[1], n) * _popcounts(rows, avail[2])) @ adj01
-                t -= _bit_matrix(avail[2], n) * p2
-                nodes[2] += _total(nxt * t, cap)
+        nxt *= _bit_matrix(step & _free(sets[lo : lo + _BLOCK], anchored), n)
         w[...] = nxt
-    return nodes
 
 
 def _close_walks(
     rows: np.ndarray, sets: np.ndarray, ways: np.ndarray, step, anchored: bool,
-    close: Optional[int], cap: int,
-) -> tuple[int, int]:
-    """(walks, nodes) of the last layer, counted off the one before: the
-    nodes before the close test, the walks after it."""
-    walks = nodes = 0
+    close: Optional[int], top: int,
+) -> int:
+    """The walks of the last layer, counted off the one before; each of its
+    counts times a popcount is at most top."""
+    walks = 0
     for lo in range(0, len(sets), _BLOCK):
         blk, w = sets[lo : lo + _BLOCK], ways[lo : lo + _BLOCK]
         avail = step & _free(blk, anchored)
-        nodes += _total(w * _popcounts(rows, avail), cap)
         if anchored:  # close at the anchor, the least vertex of each set
             avail &= rows[np.bitwise_count((blk & ~(blk - _ONE)) - _ONE)]
         elif close is not None:
             avail &= rows[close]
-        walks += _total(w * _popcounts(rows, avail), cap)
-    return walks, nodes
+        walks += _total(w * _popcounts(rows, avail), top)
+    return walks
 
 
 def _bit_matrix(masks: np.ndarray, n: int) -> np.ndarray:
@@ -514,24 +519,23 @@ def _total(counts: np.ndarray, cap: int) -> int:
     return int(counts.sum())
 
 
-def _count_cycles_backtrack(g: SimpleGraph, k: int, budget: Optional[int] = None) -> int:
-    """Number of k-cycles in g, or BudgetExceededError past a node budget.
+def _count_cycles_backtrack(g: SimpleGraph, k: int, cap: int = MAX_COPY_BYTES) -> int:
+    """Number of k-cycles in g, or BudgetExceededError when a step of the
+    count would hold more than cap bytes (count_walks' rule).
 
     One _walk_layers pass over all anchors: each cycle is walked as a, v1,
     ..., v(k-1) from its least vertex a, every vi above a and v(k-1)
     adjacent to a, once per direction; layer 0 is one row {a, v1} per edge.
-    The budget is counted in nodes of the anchored DFS over paths (a, v1,
-    ..., vd), 1 <= d <= k-1, every vi > a: one node per such path, summed
-    over the anchors, which is count_walks' node rule. The count raises
-    exactly when that DFS would visit more than budget nodes (None means no
-    cap). The name is that of the depth-first counter the DP replaced, kept
+    The name is that of the depth-first counter the DP replaced, kept
     because the benchmark's tracer wraps the function by name; that counter
     is now the reference in tests/helpers.py.
     """
+    if k > g.n:
+        return 0
     anchors, firsts = np.nonzero(np.triu(_bit_matrix(np.array(g.adj, np.uint64), g.n), 1))
     full = (1 << g.n) - 1
-    total, _ = _walk_layers(
-        g.adj, _BIT[anchors] | _BIT[firsts], firsts, [full] * (k - 2), True, None, budget
+    total = _walk_layers(
+        g.adj, _BIT[anchors] | _BIT[firsts], firsts, [full] * (k - 2), True, None, cap
     )
     assert total % 2 == 0
     return total // 2

@@ -5,9 +5,10 @@ a verification harness.
 The exact counts are graphs.count_walks, the numpy walk DP over vertex-set
 rows (one integer matmul per layer), with one class mask per step; capped
 cycle counts are graphs._count_cycles_backtrack, the same DP over every
-least-vertex anchor at once. Both charge a node budget the way a
-depth-first search over the same walks would, and look three layers
-ahead so that a count that will run out stops early.
+least-vertex anchor at once. Both take a byte cap: a count whose next
+layer would hold more is refused before it allocates it. The harness
+passes GridSpec.count_bytes to every row, so a large count truncates its
+row instead of holding up the grid.
 
 The counting bounds assume parameter regimes (eps below 1e-5, classes of
 size eps^-2) that no desk-scale instance reaches. The harness therefore
@@ -31,7 +32,9 @@ import numpy as np
 
 from . import rounding
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import SimpleGraph, _count_cycles_backtrack, count_walks, vertex_set
+from .graphs import (
+    MAX_COPY_BYTES, SimpleGraph, _count_cycles_backtrack, count_walks, vertex_set,
+)
 
 EXACT_REGULARITY_CAP = 14
 
@@ -322,25 +325,24 @@ def quasirandom_ring(sizes: Sequence[int], d: float, rng: random.Random) -> Pair
 
 
 def count_transversal_paths(
-    sys: PairSystem, w0: int, ell: int, budget: Optional[int] = None
+    sys: PairSystem, w0: int, ell: int, cap: int = MAX_COPY_BYTES
 ) -> int:
     """Paths w_0 w_1 ... w_ell with w_i in V_{i mod t}, all vertices distinct.
 
     Counts vertex sequences anchored at w0 (for open paths this equals the
-    subgraph count, the start pins the direction). budget caps the nodes of
-    the depth-first search over the sequence prefixes w_0 ... w_i, 0 <= i <=
-    ell (graphs.count_walks; None means no cap).
+    subgraph count, the start pins the direction). cap bounds the bytes of
+    the walk DP (graphs.count_walks).
     """
     if ell < 1:
         raise PreconditionError("path length must be >= 1")
     if w0 not in sys.classes[0]:
         raise PreconditionError("w0 must lie in class V_0")
     steps = [1 << w0] + [sys.masks[i % sys.t] for i in range(1, ell + 1)]
-    return count_walks(sys.graph.adj, steps, budget=budget)[0]
+    return count_walks(sys.graph.adj, steps, cap=cap)
 
 
 def count_transversal_paths_between(
-    sys: PairSystem, w0: int, w0_prime: int, ell: int, budget: Optional[int] = None
+    sys: PairSystem, w0: int, w0_prime: int, ell: int, cap: int = MAX_COPY_BYTES
 ) -> int:
     """Transversal sequences of length ell from w0 to w0_prime, both in V_0.
 
@@ -348,8 +350,7 @@ def count_transversal_paths_between(
     vertices are distinct and avoid both endpoints. With w0 = w0_prime the
     sequences close into cycles through w0; each class-aligned cycle is
     then seen once per direction whose class pattern matches (twice when
-    t = 2, once for t >= 3). budget caps the nodes of the depth-first search
-    over the prefixes w_0 ... w_i, 0 <= i <= ell - 1 (None means no cap).
+    t = 2, once for t >= 3). cap bounds the bytes of the walk DP.
     """
     if ell % sys.t != 0:
         raise PreconditionError(f"ell={ell} not divisible by t={sys.t}")
@@ -359,7 +360,7 @@ def count_transversal_paths_between(
         raise PreconditionError("both endpoints must lie in V_0")
     ends = (1 << w0) | (1 << w0_prime)
     steps = [1 << w0] + [sys.masks[i % sys.t] & ~ends for i in range(1, ell)]
-    return count_walks(sys.graph.adj, steps, w0_prime, budget)[0]
+    return count_walks(sys.graph.adj, steps, w0_prime, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +525,11 @@ class GridSpec:
     size_hi: int
     families: tuple[str, ...] = FAMILIES
     instances_per_cell: int = 100
-    count_budget: int = 300_000
+    # the byte cap of every row's count (graphs.count_walks). The largest
+    # path layer at these sizes, 8,100 cells over 4,050 sets of 30 vertices,
+    # takes 1,782,000 bytes, so every path row is exact; a larger cap
+    # completes more cycle rows at a cost in verify time.
+    count_bytes: int = 2 << 20
 
     @staticmethod
     def default(lemma: str) -> "GridSpec":
@@ -621,15 +626,6 @@ def _qualifying_vertex(sys: PairSystem, cls_idx: int, nbr_cls: int, floor: float
     return (best, best_deg >= floor - 1e-12)
 
 
-def _count_cycles_capped(g: SimpleGraph, p: int, budget: int) -> tuple[Optional[int], bool]:
-    if p > g.n:
-        return 0, True
-    try:
-        return _count_cycles_backtrack(g, p, budget), True
-    except BudgetExceededError:
-        return None, False
-
-
 def verify_counting_lemma(
     lemma: str,
     seed: int,
@@ -664,29 +660,17 @@ def _verify_one(
     eps_hat, d_min = _measure(sys)
     n = sys.min_class_size()
     params = RegimeParams(eps=eps_hat, d=d_min, t=t)
-    exact, complete, note = None, True, ""
     if lemma == "countcycle1":
         length = rng.choice((2 * t + 7, 2 * t + 9))  # odd, as the bound needs
         ev = ring_cycle_bound(params, n, length)
-        met = ev.met
-        exact, complete = _count_cycles_capped(sys.graph, length, spec.count_budget)
-        if not met:
-            verdict = "vacuous"
-            if not complete:
-                note = "count budget-truncated"
-        elif exact is not None and complete:
-            verdict = "pass" if exact >= ev.value else "FAIL"
-        elif ev.value <= 0.0:
-            verdict = "pass"  # a count is always >= 0
-            note = "count budget-truncated; bound is zero"
-        else:
-            verdict = "undecided-budget"
+        count, args, ok = _count_cycles_backtrack, (sys.graph, length), True
     else:
         w0, ok = _qualifying_vertex(sys, 0, 1 % t, (d_min - eps_hat) * len(sys.classes[1 % t]))
         if lemma == "countpath2-p1":
             length = rng.randint(2, 5)
             ev = transversal_path_bound_fixed_start(params, n, length)
-            end, why = None, "no qualifying start vertex"
+            count, args = count_transversal_paths, (sys, w0, length)
+            why = "no qualifying start vertex"
         else:
             length = t * rng.choice((2, 3)) if t == 2 else 2 * t
             ev = transversal_path_bound_fixed_ends(params, n, length)
@@ -694,17 +678,23 @@ def _verify_one(
             end = rng.choice(cls0) if cls0 else w0
             degp = (sys.graph.adj[end] & sys.masks[t - 1]).bit_count()
             ok = ok and degp >= (d_min - eps_hat) * len(sys.classes[t - 1]) - 1e-12
+            count, args = count_transversal_paths_between, (sys, w0, end, length)
             why = "no qualifying end vertices"
-        met = ok and ev.met
-        if not ok:
-            verdict, note = "vacuous", why
-        else:
-            budget = spec.count_budget * 10
-            if end is None:
-                exact = count_transversal_paths(sys, w0, length, budget=budget)
-            else:
-                exact = count_transversal_paths_between(sys, w0, end, length, budget=budget)
-            verdict = ("pass" if exact >= ev.value else "FAIL") if met else "vacuous"
+    met = ok and ev.met
+    exact, complete, note = None, True, "" if ok else why
+    if ok:
+        try:
+            exact = count(*args, spec.count_bytes)
+        except BudgetExceededError:
+            complete, note = False, "count budget-truncated"
+    if not met:
+        verdict = "vacuous"
+    elif complete:
+        verdict = "pass" if exact >= ev.value else "FAIL"
+    elif ev.value <= 0.0:
+        verdict, note = "pass", "count budget-truncated; bound is zero"  # a count is >= 0
+    else:
+        verdict, note = "undecided-budget", ""
     return LemmaRow(
         family, t, tuple(map(len, sys.classes)), eps_hat, d_min, n, length,
         ev.value, met, exact, complete, verdict, note,

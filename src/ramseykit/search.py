@@ -164,9 +164,10 @@ copies at a time, and the build holds no sort order or table-sized
 temporary: its peak is the table plus one chunk and a few tables of
 C(k',2) C(n,k') entries. A board whose table, C(n,k') times the
 template's closed-form size times the words per mask, exceeds
-MAX_COPY_BYTES is refused before anything is built, as is a pattern whose
-template build would exceed it: its int16 vertex orders and their end pairs
-(P10 needs 132 MiB, P11 1,599 MiB).
+graphs.MAX_COPY_BYTES (256 MiB, the byte cap of every exact kernel, the
+walk DP's included) is refused before anything is built, as is a pattern
+whose template build would exceed it: its int16 vertex orders and their
+end pairs (P10 needs 132 MiB, P11 1,599 MiB).
 
 Jobs, budgets and resume tokens. A job runs the engine below a forced
 prefix of edge colours against the incumbent with a node cap; stopped by
@@ -203,7 +204,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import MAX_VERTICES, PatternGraph, TwoColoring, encode, pair_index
+from .graphs import MAX_COPY_BYTES, MAX_VERTICES, PatternGraph, TwoColoring, encode, pair_index
 
 DEFAULT_NODE_BUDGET = 400_000_000
 
@@ -831,12 +832,6 @@ def _seed_incumbent(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
     return counts[a], chi(a, n - a) if a else TwoColoring(n, 0)
 
 
-# The largest copy table a search board may hold, in bytes. The table is
-# the bulk of its build's peak, which adds only one chunk and tables of
-# C(k',2) C(n,k') entries; for one-word masks this is 2^25 rows.
-MAX_COPY_BYTES = 256 << 20
-
-
 def _copy_rows(h: PatternGraph, n: int) -> int:
     """C(n, k') times the template size: the rows of enumerate_copy_masks(h, n), at most.
 
@@ -977,7 +972,7 @@ def _drain(engine, jobs, best, bits, budget, map_jobs=None, job_nodes=None, work
     """
     map_jobs = map_jobs or (lambda args: [engine.run(*a) for a in args])
     t0 = time.monotonic()
-    deadline = t0 + budget.max_seconds if budget.max_seconds else inf
+    deadline = inf if budget.max_seconds is None else t0 + budget.max_seconds
     max_nodes = inf if budget.max_nodes is None else budget.max_nodes
     stats = SearchStats()
     while jobs and (left := max_nodes - stats.nodes) >= 1 and time.monotonic() <= deadline:

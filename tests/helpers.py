@@ -11,7 +11,6 @@ from math import comb, inf
 
 import numpy as np
 
-from ramseykit.errors import BudgetExceededError
 from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring, _bits
 from ramseykit.search import (
     _WORD,
@@ -369,43 +368,13 @@ class ReferenceEngine(_Engine):
                 self.blue ^= bit
 
 
-class NodeCounter:
-    """Counts DFS nodes; BudgetExceededError once more than budget are spent."""
-
-    def __init__(self, budget=None):
-        self.budget = budget
-        self.spent = 0
-
-    def spend(self):
-        self.spent += 1
-        if self.budget is not None and self.spent > self.budget:
-            raise BudgetExceededError("reference DFS node budget exhausted")
-
-
-def _counter(budget) -> NodeCounter:
-    """The budget argument of the reference DFSs: a node cap, None, or a NodeCounter."""
-    return budget if isinstance(budget, NodeCounter) else NodeCounter(budget)
-
-
-def dfs_nodes(reference, *args) -> int:
-    """Nodes a reference DFS visits on args, the unit of the walk DP's budget."""
-    counter = NodeCounter()
-    reference(*args, budget=counter)
-    return counter.spent
-
-
-def reference_count_cycles_backtrack(g: SimpleGraph, k: int, budget=None) -> int:
-    """Anchored DFS over ordered walks; each k-cycle found twice.
-
-    One budget node per path (a, v1, ..., vd), 1 <= d <= k-1, with a the
-    least vertex; BudgetExceededError once more than budget are visited.
-    """
-    counter = _counter(budget)
+def reference_count_cycles_backtrack(g: SimpleGraph, k: int) -> int:
+    """Anchored DFS over the paths (a, v1, ..., v(k-1)) from the least
+    vertex a; each k-cycle found twice."""
     adj = g.adj
     total = 0
 
     def extend(anchor: int, v: int, used: int, depth: int) -> int:
-        counter.spend()
         if depth == k - 1:
             return 1 if adj[v] >> anchor & 1 else 0
         found = 0
@@ -420,16 +389,11 @@ def reference_count_cycles_backtrack(g: SimpleGraph, k: int, budget=None) -> int
     return total // 2
 
 
-def reference_count_paths_backtrack(g: SimpleGraph, k: int, budget=None) -> int:
-    """DFS from every start over walks of k distinct vertices; each path found twice.
-
-    One budget node per walk of 1 to k vertices.
-    """
-    counter = _counter(budget)
+def reference_count_paths_backtrack(g: SimpleGraph, k: int) -> int:
+    """DFS from every start over walks of k distinct vertices; each path found twice."""
     adj = g.adj
 
     def extend(v: int, used: int, depth: int) -> int:
-        counter.spend()
         if depth == k:
             return 1
         return sum(extend(w, used | (1 << w), depth + 1) for w in _bits(adj[v] & ~used))
@@ -439,16 +403,11 @@ def reference_count_paths_backtrack(g: SimpleGraph, k: int, budget=None) -> int:
     return total // 2
 
 
-def reference_count_transversal_paths(sys, w0: int, ell: int, budget=None) -> int:
-    """DFS over the sequences w0 w1 ... w_ell, w_i in V_(i mod t), all distinct.
-
-    One budget node per prefix w0 ... w_i, 0 <= i <= ell.
-    """
-    counter = _counter(budget)
+def reference_count_transversal_paths(sys, w0: int, ell: int) -> int:
+    """DFS over the sequences w0 w1 ... w_ell, w_i in V_(i mod t), all distinct."""
     adj = sys.graph.adj
 
     def rec(v: int, used: int, depth: int) -> int:
-        counter.spend()
         if depth == ell:
             return 1
         total = 0
@@ -460,19 +419,13 @@ def reference_count_transversal_paths(sys, w0: int, ell: int, budget=None) -> in
     return rec(w0, 1 << w0, 0)
 
 
-def reference_count_transversal_paths_between(sys, w0: int, w0_prime: int, ell: int,
-                                              budget=None) -> int:
+def reference_count_transversal_paths_between(sys, w0: int, w0_prime: int, ell: int) -> int:
     """DFS over the sequences w0 w1 ... w_(ell-1) w0_prime, interior vertices
-    distinct and off both endpoints.
-
-    One budget node per prefix w0 ... w_i, 0 <= i <= ell - 1.
-    """
-    counter = _counter(budget)
+    distinct and off both endpoints."""
     adj = sys.graph.adj
     blocked = (1 << w0) | (1 << w0_prime)
 
     def rec(v: int, used: int, depth: int) -> int:
-        counter.spend()
         if depth == ell - 1:
             return 1 if adj[v] >> w0_prime & 1 else 0
         total = 0

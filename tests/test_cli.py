@@ -10,10 +10,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ramseykit import cli, search
+from ramseykit import cli, graphs, search
 from ramseykit.cli import build_parser, main
 from ramseykit.extremal import chi
-from ramseykit.graphs import PatternGraph, decode, encode, mono_counts
+from ramseykit.graphs import PatternGraph, TwoColoring, decode, encode, mono_counts
 
 from .helpers import resume_token
 
@@ -54,6 +54,18 @@ class TestChiCount:
         assert run_cli(["chi", "--a", "5", "--b", "4", "--out", str(out)]).returncode == 0
         assert decode(out.read_text()) == chi(5, 4)
 
+    def test_count_past_the_byte_cap_exits_2(self, monkeypatch, capsys, tmp_path):
+        # a count whose walk layers would pass the cap used to end in a numpy
+        # MemoryError traceback; the cap is lowered so the refusal comes fast
+        monkeypatch.setattr(graphs, "MAX_COPY_BYTES", 1 << 16)
+        kcol, out = tmp_path / "c.kcol", tmp_path / "r.json"
+        kcol.write_text(encode(TwoColoring(12, 0x5A5A5A5A5A5A5A5A)))
+        assert main(["count", "--pattern", "C8", "--in", str(kcol), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ramsey count: cannot count C8 in a 12-vertex host: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEncodeDecode:
     def test_round_trip(self):
@@ -74,6 +86,32 @@ class TestEncodeDecode:
         proc = run_cli(["decode", "--bogus"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("spec,problem", [
+        ('{"n": 3.5, "red_pairs": []}', "n must be an integer, got 3.5"),
+        ('{"n": "5", "red_pairs": []}', "n must be an integer, got '5'"),
+        ('{"n": true, "red_pairs": []}', "n must be an integer, got True"),
+        ('{"n": 4, "red_pairs": [[0]]}', "red_pairs holds [0], not a pair of integers"),
+        ('{"n": 4, "red_pairs": [[0, 1, 2]]}', "red_pairs holds [0, 1, 2], not a pair of integers"),
+        ('{"n": 4, "red_pairs": [["a", "b"]]}', "red_pairs holds ['a', 'b'], not a pair of integers"),
+        ('{"n": 4, "red_pairs": 7}', "red_pairs must be a list of pairs, got 7"),
+        ('{"n": 4, "red_pairs": [[0, 4]]}', "not a vertex pair of K_4: (0, 4)"),
+    ])
+    def test_bad_json_values_exit_2(self, capsys, tmp_path, spec, problem):
+        # these ended in a TypeError or ValueError traceback, and n = true
+        # wrote a kcol that decode rejects
+        src, out = tmp_path / "spec.json", tmp_path / "c.kcol"
+        src.write_text(spec)
+        assert main(["encode", "--in", str(src), "--out", str(out)]) == 2
+        assert f"ramsey encode: --in: {problem}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_json_exits_2(self, capsys, tmp_path):
+        # json.loads raised UnicodeDecodeError, which is no JSONDecodeError
+        src = tmp_path / "spec.json"
+        src.write_bytes(b"\xff\xfe\x00")
+        assert main(["encode", "--in", str(src)]) == 2
+        assert "ramsey encode: --in: expected JSON with n and red_pairs" in capsys.readouterr().err
+
 
 class TestSearchCommands:
     def test_mult_k3_on_k6(self):
@@ -93,6 +131,16 @@ class TestSearchCommands:
         validate(report)
         assert report["result"]["exact"] is False
         assert report["result"]["resume_token"]
+
+    def test_zero_budget_seconds_stops_at_once(self, tmp_path):
+        # --budget-seconds 0 used to turn the time cap off and run all 56,229
+        # nodes; like --budget-nodes 0 it now stops before the first node
+        out = tmp_path / "mult.json"
+        args = ["mult", "--pattern", "K3", "--n", "9", "--budget-seconds", "0", "--out", str(out)]
+        assert main(args) == 3
+        result = json.loads(out.read_text())["result"]
+        assert (result["exact"], result["stats"]["nodes"]) == (False, 0)
+        assert result["resume_token"]
 
     def test_deep_board_budget_stop_exits_3(self):
         # a dive of C(46,2) = 1,035 edges once overflowed the Python stack

@@ -1,6 +1,7 @@
 """Graph core: exact copy counting, cycle spectrum, kcol round-trips."""
 
 import random
+import tracemalloc
 from math import comb, factorial
 
 import numpy as np
@@ -23,7 +24,9 @@ from ramseykit.graphs import (
     vertex_set,
 )
 from ramseykit.extremal import chi, extremal_inequalities, two_matching_reduction
-from ramseykit.graphs import _count_cycles_backtrack, _total, count_walks
+from ramseykit.graphs import (
+    MAX_COPY_BYTES, _count_cycles_backtrack, _layer_bytes, _total, count_walks,
+)
 from ramseykit.regular import (
     RegimeParams,
     check_regularity,
@@ -37,7 +40,6 @@ from ramseykit.regular import (
 from ramseykit.stability import build_reduced
 
 from .helpers import (
-    dfs_nodes,
     naive_count_copies,
     random_simple_graph,
     reference_count_cycles_backtrack,
@@ -115,21 +117,41 @@ class TestOracleEquivalence:
                 assert count_copies(g, PatternGraph.path(k)) == reference_count_paths_backtrack(g, k)
 
 
-def _capped(count, *args, budget):
-    try:
-        return count(*args, budget=budget)
-    except BudgetExceededError:
-        return "budget"
+def _layer_sizes(g, k, anchors=None):
+    """Every _layer_bytes the cycle DP on g checks, over the walks from the
+    given least vertices (default all): layer 0, then for each merge the
+    old layer's rows and the new one's, each with the new layer's cells.
+    The (set, end) cells of each layer are enumerated by brute force; a
+    cycle longer than the host is 0 with no layer."""
+    if k > g.n:
+        return [0]
+    anchors = range(g.n) if anchors is None else anchors
+    layer = {(1 << a | 1 << v, v) for a in anchors for v in range(a + 1, g.n) if g.adj[a] >> v & 1}
+    sizes = [_layer_bytes(len(layer), len(layer), g.n, False)]
+    for d in range(k - 3):
+        if not layer:
+            break
+        nxt = {(s | 1 << w, w) for s, v in layer for w in range((s & -s).bit_length(), g.n)
+               if g.adj[v] >> w & 1 and not s >> w & 1}
+        wide = factorial(d + 3) << 6 >= 1 << 63  # rows of d + 3 vertices hold Python ints
+        for rows in (layer, nxt):
+            sizes.append(_layer_bytes(len({s for s, _ in rows}), len(nxt), g.n, wide))
+        layer = nxt
+    return sizes
 
 
-def _assert_budget_sweep(count, reference, args, rng):
-    """Same value, or the same BudgetExceededError, at budgets None, 0, 1,
-    the DFS node count N, N - 1 and one drawn from [0, N + 2]."""
-    nodes = dfs_nodes(reference, *args)
-    for budget in (None, 0, 1, nodes, nodes - 1, rng.randint(0, nodes + 2)):
-        got = _capped(count, *args, budget=budget)
-        assert got == _capped(reference, *args, budget=budget), (args, budget)
-    assert _capped(count, *args, budget=nodes) != "budget"
+def _assert_cap_sweep(g, k, rng):
+    """The cycle count at caps 0, 1, S - 1, S, one drawn from [0, S + 2] and
+    MAX_COPY_BYTES, S the largest layer: the depth-first count when the cap
+    is at least S, else BudgetExceededError."""
+    size = max(_layer_sizes(g, k))
+    want = reference_count_cycles_backtrack(g, k)
+    for cap in (0, 1, max(size - 1, 0), size, rng.randint(0, size + 2), MAX_COPY_BYTES):
+        if cap < size:
+            with pytest.raises(BudgetExceededError):
+                _count_cycles_backtrack(g, k, cap)
+        else:
+            assert _count_cycles_backtrack(g, k, cap) == want, (g.adj, k, cap)
 
 
 def _random_ring(rng):
@@ -138,70 +160,83 @@ def _random_ring(rng):
 
 
 class TestCappedCycleCount:
-    """The (mask, end) walk DP against the depth-first counters it replaced, budget included."""
+    """The (mask, end) walk DP against the depth-first counters it replaced, and its byte cap."""
 
     def test_matches_reference_dfs_on_random_hosts(self):
         rng = random.Random(41)
         for _ in range(300):
             n = rng.randint(2, 9)
             g = random_simple_graph(n, rng.random(), rng)
-            k = rng.randint(3, n + 1)
-            _assert_budget_sweep(_count_cycles_backtrack, reference_count_cycles_backtrack,
-                                 (g, k), rng)
+            _assert_cap_sweep(g, rng.randint(3, n + 1), rng)
 
     def test_path_walks_match_reference_dfs(self):
-        def count_paths(g, k, budget):
-            walks, _ = count_walks(g.adj, [(1 << g.n) - 1] * k, budget=budget)
-            return walks // 2
-
         rng = random.Random(47)
         for _ in range(200):
             n = rng.randint(2, 8)
             g = random_simple_graph(n, rng.random(), rng)
-            _assert_budget_sweep(count_paths, reference_count_paths_backtrack,
-                                 (g, rng.randint(2, n)), rng)
+            k = rng.randint(2, n)
+            walks = count_walks(g.adj, [(1 << g.n) - 1] * k)
+            assert walks == 2 * reference_count_paths_backtrack(g, k), (g.adj, k)
 
     def test_transversal_counters_match_reference_dfs(self):
         rng = random.Random(53)
         for _ in range(200):
             sys = _random_ring(rng)
             w0, w1 = rng.choice(sys.classes[0]), rng.choice(sys.classes[0])
-            _assert_budget_sweep(count_transversal_paths, reference_count_transversal_paths,
-                                 (sys, w0, rng.randint(1, 8)), rng)
-            _assert_budget_sweep(count_transversal_paths_between,
-                                 reference_count_transversal_paths_between,
-                                 (sys, w0, w1, sys.t * rng.randint(1, 3)), rng)
+            ell = rng.randint(1, 8)
+            assert count_transversal_paths(sys, w0, ell) == \
+                reference_count_transversal_paths(sys, w0, ell)
+            ell = sys.t * rng.randint(1, 3)
+            assert count_transversal_paths_between(sys, w0, w1, ell) == \
+                reference_count_transversal_paths_between(sys, w0, w1, ell)
 
-    def test_budget_is_exact_at_the_dfs_node_count(self):
+    def test_cap_is_exact_at_the_largest_layer(self):
+        # the count raises exactly when its largest layer passes the cap
         rng = random.Random(43)
-        checked = 0
-        while checked < 150:
+        for _ in range(150):
             n = rng.randint(3, 9)
             g = random_simple_graph(n, rng.choice([0.4, 0.7, 1.0]), rng)
             k = rng.randint(3, n)
-            nodes = dfs_nodes(reference_count_cycles_backtrack, g, k)
-            if nodes == 0:
-                continue
-            want = reference_count_cycles_backtrack(g, k)
-            assert _count_cycles_backtrack(g, k, nodes) == want
+            size = max(_layer_sizes(g, k))
+            assert _count_cycles_backtrack(g, k, size) == reference_count_cycles_backtrack(g, k)
             with pytest.raises(BudgetExceededError):
-                _count_cycles_backtrack(g, k, nodes - 1)
-            with pytest.raises(BudgetExceededError):
-                reference_count_cycles_backtrack(g, k, nodes - 1)
-            checked += 1
+                _count_cycles_backtrack(g, k, size - 1)
 
     def test_budget_counts_across_anchors(self):
-        # C5 in K5: anchors 0..3 visit 64, 15, 4 and 1 DFS nodes
+        # C5 in K5, n = 5: a row costs 8 + 8n = 48 bytes and a merged cell 96.
+        # Layer 1 holds 12 + 6 + 2 cells from anchors 0, 1 and 2, and both
+        # it and layer 0 have 10 rows: 10 * 48 + 20 * 96 = 2,400 bytes.
+        # Anchor 0 alone peaks at 1,440 (6 rows of layer 1, 12 cells of
+        # layer 2); the cap holds the layers of every anchor at once.
         g = SimpleGraph.complete(5)
-        assert dfs_nodes(reference_count_cycles_backtrack, g, 5) == 84
-        assert _count_cycles_backtrack(g, 5, 84) == 12
-        for budget in (64, 79, 83):
+        assert max(_layer_sizes(g, 5)) == 2400
+        assert max(max(_layer_sizes(g, 5, [a])) for a in range(5)) == 1440
+        assert _count_cycles_backtrack(g, 5, 2400) == 12
+        for cap in (1440, 2399):
             with pytest.raises(BudgetExceededError):
-                _count_cycles_backtrack(g, 5, budget)
+                _count_cycles_backtrack(g, 5, cap)
+
+    def test_peak_stays_within_the_cap(self):
+        # numpy reports its buffers to tracemalloc: C8 on a dense 18-vertex
+        # host is refused at 16 MiB and finishes at 64 MiB, and holds at
+        # most the cap either way
+        g = random_simple_graph(18, 0.9, random.Random(71))
+        for cap, finishes in ((16 << 20, False), (64 << 20, True)):
+            tracemalloc.start()
+            try:
+                _count_cycles_backtrack(g, 8, cap)
+                finished = True
+            except BudgetExceededError:
+                finished = False
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert finished == finishes and peak <= cap, (cap, peak)
 
     def test_budget_sweep_on_ring_hosts_of_10_to_16_vertices(self):
         # rings of classes like countcycle1's hosts, on 10 to 16 vertices
-        # and k up to 15; a host whose DFS passes 40,000 nodes is redrawn
+        # and k up to 15, at caps around each count's largest layer; a host
+        # whose count passes 1 MiB is redrawn, so the depth-first reference
+        # stays fast
         rng = random.Random(59)
         cycles = 0
         for n in range(10, 17):
@@ -211,11 +246,10 @@ class TestCappedCycleCount:
                     sizes = [n // t + (i < n % t) for i in range(t)]
                     g = quasirandom_ring(sizes, rng.uniform(0.3, 0.9), rng).graph
                     try:
-                        cycles += reference_count_cycles_backtrack(g, k, budget=40_000)
+                        cycles += _count_cycles_backtrack(g, k, 1 << 20)
                     except BudgetExceededError:
                         continue
-                    _assert_budget_sweep(_count_cycles_backtrack,
-                                         reference_count_cycles_backtrack, (g, k), rng)
+                    _assert_cap_sweep(g, k, rng)
                     break
         assert cycles > 0
 
@@ -227,15 +261,13 @@ def _path_graph(n: int) -> SimpleGraph:
 class TestWalkKernelExactness:
     """Counts past the int64 cells of the walk DP, on vertex 63, and in closed form."""
 
-    def test_python_int_cells_past_17_vertex_rows(self):
-        # rows of more than 17 vertices hold Python ints; the one C25 of the
+    def test_python_int_cells_past_19_vertex_rows(self):
+        # rows of more than 19 vertices hold Python ints; the one C25 of the
         # 25-cycle and the one P25 of the 25-vertex path need rows of 25
         assert count_copies(SimpleGraph.cycle(25), PatternGraph.cycle(25)) == 1
         assert count_copies(_path_graph(25), PatternGraph.path(25)) == 1
         assert count_copies(SimpleGraph.cycle(25), PatternGraph.path(25)) == 25
-        rng = random.Random(61)
-        _assert_budget_sweep(_count_cycles_backtrack, reference_count_cycles_backtrack,
-                             (SimpleGraph.cycle(25), 25), rng)
+        _assert_cap_sweep(SimpleGraph.cycle(25), 25, random.Random(61))
 
     def test_totals_past_int64_are_exact(self):
         # int64 cells whose sum passes 2^63 are summed as Python ints
@@ -250,12 +282,11 @@ class TestWalkKernelExactness:
         rng = random.Random(67)
         g = random_simple_graph(64, 0.08, rng)
         for k in (3, 4, 5):
-            _assert_budget_sweep(_count_cycles_backtrack, reference_count_cycles_backtrack,
-                                 (g, k), rng)
+            _assert_cap_sweep(g, k, rng)
             assert count_copies(g, PatternGraph.path(k)) == reference_count_paths_backtrack(g, k)
         # a walk that must end on vertex 63, closing at vertex 0
         triangle = SimpleGraph.from_edges(64, [(0, 63), (62, 63), (0, 62)])
-        assert count_walks(triangle.adj, [1 << 62, 1 << 63], close=0) == (1, None)
+        assert count_walks(triangle.adj, [1 << 62, 1 << 63], close=0) == 1
 
     def test_closed_forms_on_complete_graphs(self):
         for n in range(1, 13):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -326,9 +327,11 @@ class TestTransversalOracles:
         assert total == (p // sys.t) * len(aligned)
 
     def test_budget_error(self):
+        # 64 KiB holds the first layers of the walks from vertex 0, not all
         sys = complete_ring([8, 8])
+        assert count_transversal_paths(sys, 0, 4, cap=1 << 16) == 8 * 7 * 7 * 6
         with pytest.raises(BudgetExceededError):
-            count_transversal_paths(sys, 0, 9, budget=50)
+            count_transversal_paths(sys, 0, 9, cap=1 << 16)
 
 
 def _aligned_cycles(sys, w0, p):
@@ -432,7 +435,7 @@ class TestHarness:
         for lemma in ("countpath2-p1", "countpath2-p2", "countcycle1"):
             base = GridSpec.default(lemma)
             spec = GridSpec(lemma, base.t_values, base.size_lo, base.size_hi,
-                            instances_per_cell=5, count_budget=base.count_budget)
+                            instances_per_cell=5, count_bytes=base.count_bytes)
             rep = verify_counting_lemma(lemma, seed=3, spec=spec)
             tally = rep.tally()
             assert tally.get("FAIL", 0) == 0, tally
@@ -447,10 +450,11 @@ class TestHarness:
 
     def test_countcycle1_fingerprint(self):
         # seed 2026, 2 instances per cell, as `verify-lemma --lemma countcycle1
-        # --seed 2026 --instances 2`; pinned from the depth-first counter
+        # --seed 2026 --instances 2`; the exact counts agree with the
+        # depth-first counter
         base = GridSpec.default("countcycle1")
         spec = GridSpec("countcycle1", base.t_values, base.size_lo, base.size_hi,
-                        instances_per_cell=2, count_budget=base.count_budget)
+                        instances_per_cell=2, count_bytes=base.count_bytes)
         rep = verify_counting_lemma("countcycle1", seed=2026, spec=spec)
         got = [(r.family, r.sizes, r.length, r.exact, r.count_complete, r.verdict, r.note)
                for r in rep.rows]
@@ -467,15 +471,32 @@ class TestHarness:
 
     def test_countcycle1_completed_counts(self):
         # seed 3, 5 instances per cell: the rows whose count finished
-        # inside the 300,000-node budget, pinned from the depth-first counter
+        # inside the grid's 2 MiB cap, each equal to the depth-first count
         base = GridSpec.default("countcycle1")
         spec = GridSpec("countcycle1", base.t_values, base.size_lo, base.size_hi,
-                        instances_per_cell=5, count_budget=base.count_budget)
+                        instances_per_cell=5, count_bytes=base.count_bytes)
         rep = verify_counting_lemma("countcycle1", seed=3, spec=spec)
         got = [(sum(r.sizes), r.length, r.exact) for r in rep.rows if r.count_complete]
-        assert got == [(14, 15, 0), (15, 15, 256), (12, 13, 0), (14, 13, 323),
-                       (14, 15, 0), (13, 13, 38)]
-        assert sum(not r.count_complete for r in rep.rows) == 9
+        assert got == [(14, 13, 27371520), (14, 15, 0), (14, 13, 2180208), (15, 15, 256),
+                       (12, 13, 0), (14, 13, 323), (14, 15, 0), (13, 13, 38)]
+        assert sum(not r.count_complete for r in rep.rows) == 7
+
+    @pytest.mark.parametrize("lemma,tally", [
+        ("countpath2-p1", {"undecided-budget": 4, "vacuous": 8}),
+        ("countpath2-p2", {"pass": 4, "vacuous": 8}),
+    ])
+    def test_path_rows_truncate_like_cycle_rows(self, lemma, tally):
+        # a path count stopped by the cap used to end the whole grid with
+        # BudgetExceededError; now its row is truncated and keeps a verdict
+        spec = replace(GridSpec.default(lemma), instances_per_cell=2, count_bytes=50)
+        rep = verify_counting_lemma(lemma, 7, spec)
+        assert rep.tally() == tally
+        assert all(r.exact is None and not r.count_complete for r in rep.rows)
+        assert {(r.verdict, r.note) for r in rep.rows} <= {
+            ("pass", "count budget-truncated; bound is zero"),
+            ("vacuous", "count budget-truncated"),
+            ("undecided-budget", ""),
+        }
 
     def test_deterministic_given_seed(self):
         spec = GridSpec("countpath2-p1", (2,), 4, 6, instances_per_cell=3)
