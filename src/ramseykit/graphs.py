@@ -35,7 +35,8 @@ MAX_VERTICES = 64
 EXPLICIT_PATTERN_CAP = 8
 
 # The most bytes an exact kernel may hold: a search board's copy table
-# (search.py; 2^25 one-word masks) or a walk-DP step (count_walks).
+# (search.py; 2^25 rows of one uint64 word, from n = 9 to 11) or a
+# walk-DP step (count_walks).
 MAX_COPY_BYTES = 256 << 20
 
 # The walk DP steps this many rows at a time, so its temporaries stay a

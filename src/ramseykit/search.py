@@ -18,18 +18,24 @@ Copy check. Each copy is a bitmask over the C(n,2) colex edges, bucketed
 by its last edge. When edge d gets colour b, only the copies in bucket d
 can become decided, and only in colour b: a copy is monochromatic exactly
 when none of its edges has the other colour, so one AND against the other
-colour's edge set decides it. Masks are stored as little-endian uint64
-words, one word while C(n,2) <= 64 and two from n = 12 (C(12,2) = 66);
-bucket d keeps only words 0..d // 64. A bucket of at least
-VECTOR_MIN_MASKS masks is one contiguous uint64 array per word, ANDed by
-numpy into a scratch array and counted with count_nonzero; a smaller one
-is a list of Python ints scanned with an early break once the incumbent
-is reached. The scratch is one pair of arrays sized to the largest
-bucket, and each bucket holds views of it cut to its own length, so the
-check allocates nothing (a pair per bucket would add 9.9 MB on C7@13);
-the other colour's words go into reused 0-d arrays. Timed alone on
-C7@13's largest bucket, 55,440 two-word masks, the check fell from about
-290 us to 67 us. The numpy check costs about 0.9 us per node up to 128
+colour's edge set decides it. The table holds one contiguous column per
+64-edge word, word w in the narrowest unsigned dtype that holds its
+min(64, C(n,2) - 64w) edges: one column of uint8 to uint32 up to n = 8,
+one uint64 column up to n = 11, then uint64 and uint8 at n = 12
+(C(12,2) = 66) and uint64 and uint16 at n = 13, 10 bytes a row where two
+uint64 words would take 16. Bucket d keeps only words 0..d // 64. A
+bucket of at least VECTOR_MIN_MASKS masks is a slice of each of those
+columns, ANDed by numpy into a scratch array and counted with
+count_nonzero; a smaller one is a list of Python ints scanned with an
+early break once the incumbent is reached. The scratch is one pair of
+arrays sized to the largest bucket, hit in column 0's dtype and spare
+wide enough for the later columns, and each bucket holds views of it cut
+to its own length, so the check allocates nothing (a pair per bucket
+would add 6.2 MB on C7@13); the other colour's words go into reused 0-d
+arrays, one per column in its dtype. Timed alone on C7@13's largest
+bucket, 55,440 two-word masks, the check fell from about 290 us to 67
+us, and it takes the same 66 us whether the second column is uint16 or
+uint64. The numpy check costs about 0.9 us per node up to 128
 masks, the Python scan about 0.03 us per mask: timed per bucket on P6@8
 they break even near 30 masks, and whole searches of C5@9, P5@7 and
 P6@8 ran within 3% of each other at every crossover from 24 to 96 masks
@@ -158,12 +164,15 @@ deduplication is needed (isolated vertices of an explicit pattern are
 dropped first, since they would make subsets repeat copies; multiplicity
 multiplies its count back by the ways to place them, so its value counts
 subgraphs, as graphs.count_copies does). The rows come sorted by last
-edge, so the buckets are slices of their word columns. That order has a
-closed form, so each copy is written straight to its row, _CHUNK_ROWS
-copies at a time, and the build holds no sort order or table-sized
-temporary: its peak is the table plus one chunk and a few tables of
-C(k',2) C(n,k') entries. A board whose table, C(n,k') times the
-template's closed-form size times the words per mask, exceeds
+edge, so the buckets are slices of the columns. That order has a closed
+form, so each copy is written straight to its row in every column,
+_CHUNK_ROWS = 8,192 copies at a time, and the build holds no sort order
+or table-sized temporary: its peak is the table plus one chunk and a few
+tables of C(k',2) C(n,k') entries. C7@13's 617,760 copies take 5.9 MiB
+and build with a tracemalloc peak 0.7 MiB above that (with two uint64
+words built 32,768 rows at a time: 9.4 and 12.3 MiB). A board whose
+table, C(n,k') times the template's closed-form size times the bytes of
+a row (_row_bytes), exceeds
 graphs.MAX_COPY_BYTES (256 MiB, the byte cap of every exact kernel, the
 walk DP's included) is refused before anything is built, as is a pattern
 whose template build would exceed it: its int16 vertex orders and their
@@ -192,7 +201,6 @@ set the cap).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import os
@@ -351,32 +359,66 @@ def _local_copies(h: PatternGraph) -> tuple[int, np.ndarray]:
     return k, copies
 
 
-def _mask_words(n: int) -> int:
-    """The uint64 words of a copy mask on K_n: ceil(C(n,2) / 64), at least one."""
-    return max(1, -(-comb(n, 2) // 64))
+def _column_dtypes(n: int) -> list[np.dtype]:
+    """The dtypes of a copy table's columns on K_n, one per 64-edge word.
+
+    Word w holds edges 64w.. up to C(n,2) - 1: min(64, C(n,2) - 64w) bits,
+    in the narrowest of uint8, uint16, uint32 and uint64 that holds them.
+    There is at least one column.
+    """
+    E = comb(n, 2)
+    widths = [min(64, E - 64 * w) for w in range(max(1, -(-E // 64)))]
+    return [next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if np.iinfo(t).bits >= bits) for bits in widths]
+
+
+def _row_bytes(n: int) -> int:
+    """The bytes of one row of a copy table on K_n: its columns' item sizes."""
+    return sum(dtype.itemsize for dtype in _column_dtypes(n))
+
+
+@dataclass(frozen=True)
+class CopyTable:
+    """Copy masks over colex edges, one contiguous column per 64-edge word.
+
+    Row r of column w holds edges 64w.. of copy r, edge e at bit e - 64w, in
+    the column's dtype (_column_dtypes). Rows come sorted by last colex edge,
+    and bucket d, the rows ending at edge d, is rows starts[d]:starts[d + 1].
+    len() is the number of copies.
+    """
+
+    columns: tuple
+    starts: list
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def ints(self, lo: int = 0, hi: Optional[int] = None) -> list[int]:
+        """Rows lo:hi as Python int masks."""
+        words = [column[lo:hi].tolist() for column in self.columns]
+        if len(words) == 1:
+            return words[0]
+        return [sum(x << 64 * w for w, x in enumerate(row)) for row in zip(*words)]
 
 
 # The copies enumerate_copy_masks builds at a time: its memory beyond the
 # table it returns is a few arrays of this many rows, and its small tables.
-_CHUNK_ROWS = 1 << 15
+_CHUNK_ROWS = 1 << 13
 
 
-def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
+def enumerate_copy_masks(h: PatternGraph, n: int) -> CopyTable:
     """Every copy of h inside K_n as a bitmask over colex edge indices.
 
-    Row r holds copy r in W = ceil(C(n,2) / 64) little-endian uint64 words:
-    colex edge e is bit e % 64 of word e // 64, each word a contiguous
-    column. Rows come sorted by last colex edge, ties by template, then by
-    subset: a subset map is increasing, so it keeps colex order, and a
-    copy's last edge is the image of its template's last local pair.
+    Rows come sorted by last colex edge, ties by template, then by subset:
+    a subset map is increasing, so it keeps colex order, and a copy's last
+    edge is the image of its template's last local pair.
     """
     k = h.order
     E = comb(n, 2)
-    words = _mask_words(n)
+    dtypes = _column_dtypes(n)
     if k > n:
-        return np.zeros((0, words), dtype=np.uint64)
+        return CopyTable(tuple(np.zeros(0, dtype) for dtype in dtypes), [0] * (E + 1))
     k, local = _local_copies(h)
-    local = np.array(local, dtype=np.intp)
     S = comb(n, k)
     subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
                           dtype=np.int16, count=S * k).reshape(S, k)
@@ -394,13 +436,14 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
     cnt = np.stack([np.bincount(row, minlength=E) for row in table])
     ending = np.bincount(last, minlength=len(table)) @ cnt
     seen = np.cumsum(ending) - ending
+    starts = seen.tolist() + [len(local) * S]
     pairs, which = np.unique(last, return_inverse=True)
     rank = np.empty((len(pairs), S), dtype=np.int32)
     for i, p in enumerate(pairs):
         order = np.argsort(table[p], kind="stable")
         rank[i, order] = np.arange(S) - (np.cumsum(cnt[p]) - cnt[p])[table[p, order]]
     one = np.uint64(1)
-    out = np.empty((words, len(local) * S), dtype=np.uint64)
+    out = tuple(np.empty(len(local) * S, dtype) for dtype in dtypes)
     per, span = max(1, _CHUNK_ROWS // S), min(S, _CHUNK_ROWS)
     for c0 in range(0, len(local), per):
         cs = slice(c0, c0 + per)
@@ -415,7 +458,7 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
             rows = np.take(base, keys[-1] + np.arange(0, base.size, E)[:, None])
             rows += rank[which[cs], ss]
             keys = [key.astype(np.uint64) for key in keys]
-            for w in range(words):
+            for w, column in enumerate(out):
                 if w:
                     # keys below 64 wrap around: a numpy shift by 64 or more
                     # gives 0, so only the edges of word w set bits
@@ -424,8 +467,10 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> np.ndarray:
                 copy = one << keys[0]
                 for key in keys[1:]:
                     copy |= one << key
-                out[w, rows] = copy
-    return out.T
+                # the cast to the column's dtype drops no bit: word w
+                # has no edge above the column's width
+                column[rows] = copy
+    return CopyTable(out, starts)
 
 
 # Buckets of at least this many masks are counted with numpy, smaller ones
@@ -434,40 +479,31 @@ VECTOR_MIN_MASKS = 32
 _WORD = (1 << 64) - 1
 
 
-def _group_by_last(masks: np.ndarray, num_edges: int) -> list:
-    """Masks sorted by last colex edge, sliced into one bucket per edge.
+def _group_by_last(masks: CopyTable, num_edges: int) -> list:
+    """The copy table sliced into one bucket per last colex edge.
 
     Bucket d is a list of Python ints below VECTOR_MIN_MASKS masks, else a
-    tuple (hit, spare, words, keys): views of one scratch pair sized to the
-    largest such bucket, cut to this bucket's length; the contiguous uint64
-    views of its word columns up to word d // 64; and as many shared 0-d
-    uint64 arrays, into which the engine writes the other colour's words
-    (a ufunc reads one about 0.3 us faster than a Python int, which it
-    would convert on every call). The bucket bounds come from one binary
-    search per edge, all run together: on sorted rows, "some bit at edge d
-    or above" holds on a suffix.
+    tuple (hit, spare, words, keys): views cut to this bucket's length of
+    one scratch pair sized to the largest such bucket, hit in column 0's
+    dtype and spare in the widest later column's; the contiguous slices of
+    the columns up to word d // 64; and as many shared 0-d arrays, one per
+    column in its dtype, into which the engine writes the other colour's
+    words (a ufunc reads one about 0.3 us faster than a Python int, which it
+    would convert on every call).
     """
-    rows = len(masks)
-    # the bits of each word at edge d or above
-    shift = np.clip(np.arange(num_edges)[:, None] - 64 * np.arange(masks.shape[1]), 0, 64)
-    high = np.array([[_WORD >> s << s for s in row] for row in shift.tolist()], dtype=np.uint64)
-    lo, hi = np.zeros(num_edges, dtype=np.intp), np.full(num_edges, rows)
-    for _ in range(rows.bit_length()):
-        mid = (lo + hi) // 2
-        above = (mid == rows) | (masks[np.minimum(mid, rows - 1)] & high).any(axis=1)
-        lo, hi = np.where(above, lo, mid + 1), np.where(above, mid, hi)
-    bounds = hi.tolist() + [rows]
-    hit, spare = np.empty((2, np.diff(bounds).max(initial=0)), dtype=np.uint64)
-    keys = tuple(np.empty((), dtype=np.uint64) for _ in range(masks.shape[1]))
+    columns, bounds = masks.columns, masks.starts
+    size = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
+    hit = np.empty(size, columns[0].dtype)
+    spare = np.empty(size, max(columns[1:] or columns, key=lambda c: c.itemsize).dtype)
+    keys = tuple(np.empty((), column.dtype) for column in columns)
     by_last: list = []
     for d in range(num_edges):
         lo, hi = bounds[d], bounds[d + 1]
         if hi - lo >= VECTOR_MIN_MASKS:
-            words = tuple(masks[lo:hi, w] for w in range(d // 64 + 1))
+            words = tuple(column[lo:hi] for column in columns[:d // 64 + 1])
             by_last.append((hit[:hi - lo], spare[:hi - lo], words, keys[:len(words)]))
         else:
-            by_last.append([sum(x << 64 * w for w, x in enumerate(row))
-                            for row in masks[lo:hi, :d // 64 + 1].tolist()])
+            by_last.append(masks.ints(lo, hi))
     return by_last
 
 
@@ -481,7 +517,7 @@ STAR_MAX_COPIES = 2000
 STAR_BATCH_CELLS = 1 << 16
 
 
-def _star_table(masks: np.ndarray, n: int) -> Optional[tuple]:
+def _star_table(masks: CopyTable, n: int) -> Optional[tuple]:
     """The copies through vertex n - 1, grouped for scoring its star, or None to branch on it.
 
     The star is colex edges F = C(n-1,2) to C(n,2) - 1, and a copy goes
@@ -497,17 +533,11 @@ def _star_table(masks: np.ndarray, n: int) -> Optional[tuple]:
     if not 2 <= k <= STAR_MAX_EDGES:
         return None
     F = comb(k, 2)
-
-    def as_ints(rows: np.ndarray) -> list[int]:
-        raw, size = rows.astype("<u8").tobytes(), 8 * rows.shape[1]
-        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-
     # rows come sorted by last edge, so the star's copies are a suffix
-    first = bisect.bisect_left(range(len(masks)), True,
-                               key=lambda r: as_ints(masks[r:r + 1])[0] >> F > 0)
+    first = masks.starts[F]
     if not 0 < len(masks) - first <= STAR_MAX_COPIES:
         return None
-    copies = sorted(as_ints(masks[first:]), key=lambda m: m >> F)
+    copies = sorted(masks.ints(first), key=lambda m: m >> F)
     keys = [m >> F for m in copies]
     starts = [i for i, p in enumerate(keys) if not i or p != keys[i - 1]]
     inner = np.array([m & (1 << F) - 1 for m in copies], dtype=np.uint64)
@@ -577,7 +607,7 @@ def _canonicity_rows(n: int) -> list[tuple]:
 class _Engine:
     """Branch-and-bound over colorings of K_n (0 = red, 1 = blue), built once per board."""
 
-    def __init__(self, masks: np.ndarray, n: int, use_symmetry: bool = True):
+    def __init__(self, masks: CopyTable, n: int, use_symmetry: bool = True):
         self.E = comb(n, 2)
         self.masks = masks  # for recounting a resumed witness
         self.by_last = _group_by_last(masks, self.E)
@@ -794,16 +824,20 @@ def _coloring_to_bits(c: TwoColoring) -> list[int]:
     return [0 if c.is_red(i, j) else 1 for i, j in edges]
 
 
-def _mono_count(masks: np.ndarray, bits: list[int]) -> int:
+def _mono_count(masks: CopyTable, bits: list[int]) -> int:
     """The copies monochromatic under a coloring given by its colex edge colours.
 
     A copy is monochromatic exactly when it misses one of the colours; every
     copy has an edge, so the count is the copies minus those that touch both.
     """
     red = sum(1 << e for e, b in enumerate(bits) if b == 0)
-    red = np.array([red >> 64 * w & _WORD for w in range(masks.shape[1])], dtype=np.uint64)
-    both = (masks & red).any(axis=1) & (masks & ~red).any(axis=1)
-    return len(masks) - int(np.count_nonzero(both))
+    blue = red ^ (1 << len(bits)) - 1
+    on_red = on_blue = False
+    for w, column in enumerate(masks.columns):
+        word = column.dtype.type
+        on_red = on_red | (column & word(red >> 64 * w & _WORD) != 0)
+        on_blue = on_blue | (column & word(blue >> 64 * w & _WORD) != 0)
+    return len(masks) - int(np.count_nonzero(on_red & on_blue))
 
 
 def _seed_counts(h: PatternGraph, n: int) -> list[int]:
@@ -851,7 +885,7 @@ def _copy_rows(h: PatternGraph, n: int) -> int:
 def _require_board(h: PatternGraph, n: int) -> None:
     """Refuse a board whose copy table cannot fit."""
     rows = _copy_rows(h, n)
-    size = rows * _mask_words(n) * 8
+    size = rows * _row_bytes(n)
     if size > MAX_COPY_BYTES:
         raise PreconditionError(
             f"K_{n} holds up to {rows:,} copies of {h.label()}: a copy table of "
@@ -905,7 +939,8 @@ def _board(h: PatternGraph, n: int, use_symmetry: bool) -> tuple:
         return 0, seed, None
     _require_board(h, n)
     masks = enumerate_copy_masks(h, n)
-    masks.flags.writeable = False
+    for column in masks.columns:
+        column.flags.writeable = False
     return count, seed, _Engine(masks, n, use_symmetry)
 
 

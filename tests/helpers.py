@@ -156,16 +156,16 @@ def reference_local_copies(h: PatternGraph) -> tuple[int, list[tuple[int, ...]]]
     return k, sorted({tuple(sorted(_colex_index(u, v) for u, v in c)) for c in copies})
 
 
-def mask_rows_as_ints(rows) -> list[int]:
-    """Rows of little-endian uint64 words as sorted Python int bitmasks."""
-    return sorted(sum(int(x) << 64 * w for w, x in enumerate(row)) for row in rows.tolist())
+def mask_rows_as_ints(table) -> list[int]:
+    """A copy table's rows as Python int bitmasks, in row order: column w holds edges 64w.."""
+    columns = [column.tolist() for column in table.columns]
+    return [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in zip(*columns)]
 
 
-def reference_by_last(rows, num_edges: int) -> list[list[int]]:
-    """Row masks as Python ints, bucketed by their highest set bit, in row order."""
+def reference_by_last(table, num_edges: int) -> list[list[int]]:
+    """A copy table's rows as Python ints, bucketed by their highest set bit, in row order."""
     buckets: list[list[int]] = [[] for _ in range(num_edges)]
-    for row in rows.tolist():
-        mask = sum(int(x) << 64 * w for w, x in enumerate(row))
+    for mask in mask_rows_as_ints(table):
         buckets[mask.bit_length() - 1].append(mask)
     return buckets
 
@@ -260,7 +260,7 @@ class ReferenceEngine(_Engine):
     def __init__(self, masks, n, use_symmetry=True):
         super().__init__(masks, n, use_symmetry)
         self.reference_sigmas = reference_sigmas(n)
-        self.words = masks.shape[1]
+        self.words = len(masks.columns)
         self.reference_buckets = [
             np.array([[m >> 64 * w & _WORD for w in range(self.words)] for m in bucket],
                      dtype=np.uint64).reshape(-1, self.words)

@@ -6,10 +6,14 @@ k - 1 + floor(k/2), which gives r(P3) = 3 (P3 is the two-edge star, listed
 at 3 in the same criterion).
 """
 
+import itertools
 import math
+import operator
 import random
 import time
 from math import comb, factorial
+
+import numpy as np
 
 from ramseykit.battery import max_matching_at_least, run_battery
 from ramseykit.errors import DecisionTreeExhaustedError, PreconditionError
@@ -132,6 +136,37 @@ def test_criterion_06_counting_lemma_grid():
     report(6, f"zero FAIL rows across the default grids: {tallies}", t0, 900)
 
 
+def _bipartite_shapes(ns: int, nt: int, chunk: int = 1 << 16):
+    """Every bipartite row-mask graph of shape ns x nt, in chunks of codes.
+
+    Code c has ns rows of nt bits, row 0 the most significant: rows[i] =
+    (c >> nt*(ns-1-i)) & (2^nt - 1). Yields (graphs, rows, union, star):
+    the codes' rows as tuples, in code order, and in numpy their rows, the
+    OR of their rows and the Koenig oracle, true when the edges form a star
+    (at most one nonzero row, or a union of one bit), that is when no two
+    edges are disjoint.
+    """
+    tuples = itertools.product(range(1 << nt), repeat=ns)
+    shifts = nt * np.arange(ns)[::-1]
+    for lo in range(0, 1 << (ns * nt), chunk):
+        graphs = list(itertools.islice(tuples, chunk))
+        rows = np.arange(lo, lo + len(graphs))[:, None] >> shifts & ((1 << nt) - 1)
+        nz = np.count_nonzero(rows, axis=1)
+        union = np.bitwise_or.reduce(rows, axis=1)
+        yield graphs, rows, union, (nz <= 1) | (union & (union - 1) == 0)
+
+
+_VERDICTS = {"none": 0, "remove_s": 1, "remove_t": 2, "match": 3}
+
+
+def _verdict_indices(verdicts, picked, width):
+    """The indices (verdict[1]) of the picked verdicts, one row of width each."""
+    indices = map(operator.itemgetter(1), itertools.compress(verdicts, picked.tolist()))
+    if width > 1:
+        indices = itertools.chain.from_iterable(indices)
+    return np.fromiter(indices, dtype=np.int64).reshape(-1, width)
+
+
 def test_criterion_07_claim_verifiers():
     t0 = time.monotonic()
     for claim in ("common-neighbor", "bridged-cliques", "alternating", "two-matching"):
@@ -141,45 +176,41 @@ def test_criterion_07_claim_verifiers():
     # cross-validated against augmenting-path matching, exhaustively to 4x4
     for ns in range(1, 5):
         for nt in range(1, 5):
-            for code in range(1 << (ns * nt)):
-                rows = [(code >> (nt * i)) & ((1 << nt) - 1) for i in range(ns)]
-                nz = sum(1 for r in rows if r)
-                union = 0
-                for r in rows:
-                    union |= r
-                star = nz <= 1 or union & (union - 1) == 0
-                assert star != max_matching_at_least(rows, 2)
+            for graphs, rows, _, star in _bipartite_shapes(ns, nt):
+                assert rows.tolist() == list(map(list, graphs))
+                for r, is_star in zip(graphs, star.tolist()):
+                    assert is_star != max_matching_at_least(list(r), 2)
     # exhaustive agreement of the reduction with the Koenig oracle, all
-    # bipartite graphs with |S|, |T| <= 5
+    # bipartite graphs with |S|, |T| <= 5: every code goes through
+    # _two_matching_core, and its verdicts are checked against the oracle
+    # in numpy
     checked = 0
     for ns in range(1, 6):
         for nt in range(1, 6):
-            width = (1 << nt) - 1
-            for code in range(1 << (ns * nt)):
-                rows = [(code >> (nt * i)) & width for i in range(ns)]
-                nz = 0
-                union = 0
-                for r in rows:
-                    if r:
-                        nz += 1
-                        union |= r
-                star = nz <= 1 or union & (union - 1) == 0
-                verdict = _two_matching_core(rows)
-                if verdict[0] == "match":
-                    assert not star
-                    i1, j1, i2, j2 = verdict[1]
-                    assert i1 != i2 and j1 != j2
-                    assert rows[i1] >> j1 & 1 and rows[i2] >> j2 & 1
-                elif verdict[0] == "none":
-                    assert star and union == 0
-                elif verdict[0] == "remove_s":
-                    assert star
-                    assert all(r == 0 for k, r in enumerate(rows) if k != verdict[1])
-                else:
-                    assert star
-                    bit = 1 << verdict[1]
-                    assert all(r & ~bit == 0 for r in rows)
-                checked += 1
+            for graphs, rows, union, star in _bipartite_shapes(ns, nt):
+                verdicts = list(map(_two_matching_core, graphs))
+                kind = np.array([_VERDICTS[v[0]] for v in verdicts])
+                match = kind == _VERDICTS["match"]
+                i1, j1, i2, j2 = _verdict_indices(verdicts, match, 4).T
+                assert not star[match].any()
+                assert (i1 != i2).all() and (j1 != j2).all()
+                r = rows[match]
+                at = np.arange(len(r))
+                assert (r[at, i1] >> j1 & 1).all() and (r[at, i2] >> j2 & 1).all()
+                none = kind == _VERDICTS["none"]
+                assert (star & (union == 0))[none].all()
+                # remove_s: every other row is empty
+                remove_s = kind == _VERDICTS["remove_s"]
+                assert star[remove_s].all()
+                i = _verdict_indices(verdicts, remove_s, 1)
+                assert not np.where(np.arange(ns) == i, 0, rows[remove_s]).any()
+                # remove_t: every row lies inside the removed column's bit
+                remove_t = kind == _VERDICTS["remove_t"]
+                assert star[remove_t].all()
+                bit = 1 << _verdict_indices(verdicts, remove_t, 1)
+                assert not (rows[remove_t] & ~bit).any()
+                checked += len(rows)
+    assert checked == sum(1 << ns * nt for ns in range(1, 6) for nt in range(1, 6))
     report(7, f"four batteries 200/200; exhaustive two-matching on {checked} graphs", t0, 600)
 
 

@@ -154,11 +154,11 @@ class TestSearchCommands:
         assert "copies of P4" in proc.stderr
 
     def test_copy_table_over_the_byte_cap_exits_2_before_any_build(self, monkeypatch, capsys):
-        # 7,624,512 rows: under 2^25, but of 32 words each
+        # 7,624,512 rows: under 2^25, but of 252 bytes each
         builds = []
         monkeypatch.setattr(search, "enumerate_copy_masks", lambda *args: builds.append(args))
         assert main(["mult", "--pattern", "P4", "--n", "64"]) == 2
-        assert "a copy table of 1,861 MiB, more than the 256 MiB" in capsys.readouterr().err
+        assert "a copy table of 1,832 MiB, more than the 256 MiB" in capsys.readouterr().err
         assert builds == []
 
     def test_template_over_the_byte_cap_exits_2(self, capsys):
@@ -352,6 +352,7 @@ class TestAnalysisCommands:
         validate(ra)
         assert ra["result"] == rb["result"]
         assert ra["result"]["all_passed"] is True
+        assert ra["result"]["zero_threshold"] == 0
 
     def test_verify_claim_requires_seed(self):
         proc = run_cli(["verify-claim", "--claim", "alternating"])

@@ -13,6 +13,7 @@ from ramseykit.errors import (
     TwoMatchingExistsError,
 )
 from ramseykit import extremal
+from ramseykit.battery import run_battery
 from ramseykit.extremal import (
     alternating_bound,
     bridged_cliques_bound,
@@ -223,6 +224,18 @@ class TestClaimBounds:
             claim_common_neighbor_bound(5, 5, 4)  # even length
         with pytest.raises(PreconditionError):
             claim_common_neighbor_bound(1, 5, 5)  # l > 2s+1
+
+    def test_the_battery_counts_instances_whose_threshold_is_zero(self):
+        # the bridged-cliques and alternating generators draw l in {7, 9},
+        # where both bounds floor to 0
+        reports = {claim: run_battery(claim, 200, seed=2026)
+                   for claim in ("common-neighbor", "bridged-cliques", "alternating")}
+        assert reports["bridged-cliques"].zero_threshold == 200
+        assert reports["alternating"].zero_threshold == 200
+        assert reports["common-neighbor"].zero_threshold < 200
+        for report in reports.values():
+            assert report.all_passed
+            assert report.as_dict()["zero_threshold"] == report.zero_threshold
 
 
 def one_edge_plus_bipartite(ns=5, nt=5) -> SimpleGraph:

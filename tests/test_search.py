@@ -21,10 +21,10 @@ from ramseykit.search import (
     _copy_rows,
     _group_by_last,
     _local_copies,
-    _mask_words,
     _mono_count,
     _require_board,
     _require_template,
+    _row_bytes,
     _seed_counts,
     _seed_incumbent,
     _star_table,
@@ -95,6 +95,27 @@ class TestSoundness:
         # number of distinct copies of C5 in K9 = C(9,5) * 12
         assert len(enumerate_copy_masks(P.cycle(5), 9)) == 126 * 12
         assert len(enumerate_copy_masks(P.path(6), 8)) == 28 * 360
+        assert len(enumerate_copy_masks(P.cycle(7), 13)) == comb(13, 7) * 360
+
+    @pytest.mark.parametrize("n,dtypes", [
+        (4, ["uint8"]),  # 6 edges
+        (6, ["uint16"]),  # 15
+        (8, ["uint32"]),  # 28
+        (11, ["uint64"]),  # 55
+        (12, ["uint64", "uint8"]),  # 66
+        (13, ["uint64", "uint16"]),  # 78
+        (14, ["uint64", "uint32"]),  # 91
+        (20, ["uint64"] * 3),  # 190
+    ])
+    def test_each_column_takes_the_narrowest_dtype_of_its_edges(self, n, dtypes):
+        masks = enumerate_copy_masks(P.path(3), n)
+        assert [str(column.dtype) for column in masks.columns] == dtypes
+        assert _row_bytes(n) == sum(column.itemsize for column in masks.columns)
+
+    def test_the_c7_table_is_ten_bytes_a_row(self):
+        # 617,760 copies in a uint64 and a uint16 column
+        masks = enumerate_copy_masks(P.cycle(7), 13)
+        assert sum(column.nbytes for column in masks.columns) == 6_177_600
 
     # C(12,2) = 66 and C(13,2) = 78 edges need two words per mask
     MASK_CASES = [
@@ -116,17 +137,19 @@ class TestSoundness:
     @pytest.mark.parametrize("h,n", MASK_CASES, ids=lambda x: getattr(x, "kind", x))
     def test_copy_masks_match_reference(self, h, n):
         masks = enumerate_copy_masks(h, n)
-        assert masks.shape[1] == -(-comb(n, 2) // 64)
-        assert mask_rows_as_ints(masks) == reference_copy_masks(h, n)
+        assert len(masks.columns) == -(-comb(n, 2) // 64)
+        assert sorted(mask_rows_as_ints(masks)) == reference_copy_masks(h, n)
 
     @pytest.mark.parametrize("h,n", MASK_CASES, ids=lambda x: getattr(x, "kind", x))
     def test_rows_come_in_last_edge_order(self, h, n):
         masks = enumerate_copy_masks(h, n)
-        assert all(masks[:, w].flags.c_contiguous for w in range(masks.shape[1]))
-        rows = [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in masks.tolist()]
+        assert all(column.flags.c_contiguous for column in masks.columns)
+        rows = mask_rows_as_ints(masks)
         # the reference buckets keep row order, so read in turn they give the
         # rows back only if the rows are sorted by last edge
-        assert [m for bucket in reference_by_last(masks, comb(n, 2)) for m in bucket] == rows
+        buckets = reference_by_last(masks, comb(n, 2))
+        assert [m for bucket in buckets for m in bucket] == rows
+        assert np.diff(masks.starts).tolist() == [len(bucket) for bucket in buckets]
 
     @pytest.mark.parametrize("h,n", MASK_CASES + [(P.complete(3), 20), (P.path(3), 30)],
                              ids=lambda x: getattr(x, "kind", x))
@@ -141,19 +164,24 @@ class TestSoundness:
                 continue
             hit, spare, words, keys = bucket
             assert len(words) == len(keys) == d // 64 + 1
-            assert all(key.shape == () and key.dtype == np.uint64 for key in keys)
+            assert all(key.shape == () and key.dtype == word.dtype
+                       for key, word in zip(keys, words))
             assert all(word.flags.c_contiguous for word in words)
+            assert [word.dtype for word in words] == [c.dtype for c in masks.columns[:len(words)]]
             got = [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in zip(*words)]
             assert got == rows
             assert len(hit) == len(spare) == len(rows)
+            # hit holds column 0's words, spare the OR of the later ones
+            assert hit.dtype == masks.columns[0].dtype
+            assert all(spare.itemsize >= word.itemsize for word in words[1:])
             scratch.append((hit, spare))
         # every bucket writes into views of one scratch pair, sized to the largest
         if scratch:
-            pair = scratch[0][0].base
-            assert pair.shape == (2, max(len(hit) for hit, _ in scratch))
+            size = max(len(rows) for rows in want)
+            pair = scratch[0][0].base, scratch[0][1].base
+            assert [len(a) for a in pair] == [size, size] and pair[0] is not pair[1]
             for hit, spare in scratch:
-                assert hit.base is pair and spare.base is pair
-                assert np.shares_memory(hit, pair[0]) and np.shares_memory(spare, pair[1])
+                assert hit.base is pair[0] and spare.base is pair[1]
 
 
 def goodman_k3(n: int) -> int:
@@ -431,10 +459,10 @@ class TestBoardBuilds:
         lambda h, n: find_zero_coloring(h, n),
     ], ids=["multiplicity", "find_zero_coloring"])
     def test_a_copy_table_that_cannot_fit_is_refused(self, monkeypatch, search_board):
-        # C(64, 4) * 12 rows of 32 words, and no seed settles the board:
+        # C(64, 4) * 12 rows of 252 bytes, and no seed settles the board:
         # chi(32, 32) has a blue P4
         boards = _recorded_enumerations(monkeypatch)
-        with pytest.raises(PreconditionError, match="copies of P4: a copy table of 1,861 MiB, "
+        with pytest.raises(PreconditionError, match="copies of P4: a copy table of 1,832 MiB, "
                                                     "more than the 256 MiB a search board"):
             search_board(P.path(4), 64)
         assert boards == []
@@ -461,8 +489,8 @@ class TestBoardBuilds:
             search_board(P.path(3), 65)
 
     @pytest.mark.parametrize("h,n,size", [
-        (P.path(4), 64, "7,624,512 copies of P4: a copy table of 1,861 MiB"),
-        (P.cycle(5), 40, "7,896,096 copies of C5: a copy table of 783 MiB"),
+        (P.path(4), 64, "7,624,512 copies of P4: a copy table of 1,832 MiB"),
+        (P.cycle(5), 40, "7,896,096 copies of C5: a copy table of 738 MiB"),
     ], ids=["P4@64", "C5@40"])
     def test_the_cap_is_on_the_table_bytes(self, h, n, size):
         # both hold fewer than the 2^25 rows of a one-word table at the cap
@@ -470,7 +498,7 @@ class TestBoardBuilds:
             _require_board(h, n)
 
     def test_a_large_table_under_the_cap_is_accepted(self):
-        # C(64,4) rows of 32 words: 155 MiB
+        # C(64,4) rows of 31 uint64 words and a uint32: 153 MiB
         _require_board(P.complete(4), 64)
 
     @pytest.mark.parametrize("h,n", TestSoundness.MASK_CASES, ids=lambda x: getattr(x, "kind", x))
@@ -483,14 +511,17 @@ class TestBoardBuilds:
     def test_the_benchmark_ladder_fits(self):
         ladder = [(P.cycle(5), 9), (P.path(6), 8), (P.complete(3), 10), (P.path(7), 9),
                   (P.cycle(7), 13), (P.path(8), 11)]
-        size = max(_copy_rows(h, n) * _mask_words(n) * 8 for h, n in ladder)
+        size = max(_copy_rows(h, n) * _row_bytes(n) for h, n in ladder)
         assert size == comb(11, 8) * 20160 * 8 < MAX_COPY_BYTES
 
-    @pytest.mark.parametrize("h,n", [(P.cycle(7), 13), (P.path(8), 11), (P.cycle(4), 40)],
+    @pytest.mark.parametrize("h,n,margin", [(P.cycle(7), 13, 1.0), (P.path(8), 11, 1.5),
+                                            (P.cycle(4), 40, 3.5)],
                              ids=["C7@13", "P8@11", "C4@40"])
-    def test_the_build_holds_little_beyond_its_table(self, h, n):
-        # a sort order or a whole word column of copies would be 5-80 MiB here;
-        # C4@40 has 13 words per mask and 91,390 subsets
+    def test_the_build_holds_little_beyond_its_table(self, h, n, margin):
+        # a sort order or a whole word column of copies would be 5-80 MiB
+        # here; beyond its table a build holds one 8,192-row chunk (0.7 MiB
+        # on C7@13, 0.9 on P8@11) and a few tables of C(k',2) C(n,k')
+        # entries: C4@40 has 13 columns and 91,390 subsets (3.0 MiB)
         gc.collect()
         tracemalloc.start()
         try:
@@ -498,7 +529,7 @@ class TestBoardBuilds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - masks.nbytes <= 8 << 20
+        assert peak - sum(column.nbytes for column in masks.columns) <= margin * 2**20
 
     @pytest.mark.parametrize("search_board", [
         lambda h: multiplicity(h, 11),
