@@ -4,15 +4,19 @@ Exit codes: 0 success, 2 precondition or parse failure (diagnostic names
 the offending flag), 3 budget exhaustion (a partial, clearly flagged
 report is still written). Subcommands copy structured results to JSON
 envelopes validating against schemas/report.schema.json; seeds are
-mandatory wherever randomness is involved.
+mandatory wherever randomness is involved. `main` alone meets the outside:
+it builds each run's manifest from the argv it parsed and the budget from
+--budget-nodes, RAMSEY_BUDGET_NODES or the default, and writes what the
+handler returns, an envelope or plain text.
 
-SUBCOMMANDS is the one table of subcommands: name, help, handler and the
-function adding its arguments. When the first argument names a
-subcommand, `main` builds the parser of that subcommand alone, once per
-process: about 0.3 ms, against about 2 ms for all twelve (2 cores,
-Python 3.11). Anything else (no argument, `--help`, an unknown name) gets
-the full parser, and so does an unrecognized flag, whose error quotes the
-top-level usage; usage, help and error texts are those of the full parser.
+SUBCOMMANDS is the one table of subcommands: name, help, handler, the
+function adding its arguments and the report kind. When the first
+argument names a subcommand, `main` builds the parser of that subcommand
+alone, once per process: about 0.3 ms, against about 2 ms for all twelve
+(2 cores, Python 3.11). Anything else (no argument, `--help`, an unknown
+name) gets the full parser, and so does an unrecognized flag, whose error
+quotes the top-level usage; usage, help and error texts are those of the
+full parser.
 """
 
 from __future__ import annotations
@@ -91,17 +95,10 @@ def _parse_vertex_set(spec: str, flag: str) -> list[int]:
 
 def _budget_from(args) -> SearchBudget:
     """--budget-nodes, else RAMSEY_BUDGET_NODES, else the default; and --budget-seconds."""
-    nodes = getattr(args, "budget_nodes", None)
+    nodes = args.budget_nodes
     if nodes is None:
         nodes = SearchBudget.from_env().max_nodes
-    return SearchBudget(max_nodes=nodes, max_seconds=getattr(args, "budget_seconds", None))
-
-
-def _manifest(seed=None, budget: Optional[SearchBudget] = None) -> RunManifest:
-    m = RunManifest(command_line=sys.argv[1:] or ["<api>"], seed=seed)
-    if budget is not None:
-        m.budget = {"max_nodes": budget.max_nodes, "max_seconds": budget.max_seconds}
-    return m
+    return SearchBudget(max_nodes=nodes, max_seconds=args.budget_seconds)
 
 
 def _load_coloring(args, manifest: RunManifest) -> TwoColoring:
@@ -110,33 +107,31 @@ def _load_coloring(args, manifest: RunManifest) -> TwoColoring:
     return decode(data.decode())
 
 
+def _pattern(args) -> PatternGraph:
+    with _flag("--pattern"):
+        return PatternGraph.parse(args.pattern)
+
+
 # --- subcommand handlers ---------------------------------------------------
+# Each takes the parsed flags and the run's manifest and returns (result, exit
+# code): a result dict for the command's report envelope, or plain text.
 
 
-def _cmd_chi(args) -> int:
+def _cmd_chi(args, manifest):
     from .extremal import chi
 
-    write_text(encode(chi(args.a, args.b)), args.out)
-    return 0
+    return encode(chi(args.a, args.b)), 0
 
 
-def _cmd_count(args) -> int:
-    manifest = _manifest()
+def _cmd_count(args, manifest):
     coloring = _load_coloring(args, manifest)
-    h = PatternGraph.parse(args.pattern)
+    h = _pattern(args)
     red, blue = mono_counts(coloring, h)
-    result = {
-        "pattern": h.label(),
-        "n": coloring.n,
-        "red": red,
-        "blue": blue,
-        "total": red + blue,
-    }
-    emit(envelope("count", result, manifest), args.out)
-    return 0
+    return {"pattern": h.label(), "n": coloring.n, "red": red, "blue": blue,
+            "total": red + blue}, 0
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args, manifest):
     import json
 
     data = _read_input(args.infile)
@@ -158,82 +153,63 @@ def _cmd_encode(args) -> int:
                 raise PreconditionError(f"red_pairs holds {pair!r}, not a pair of integers")
             mask |= 1 << pair_index(*pair, n)
         coloring = TwoColoring(n, mask)
-    write_text(encode(coloring), args.out)
-    return 0
+    return encode(coloring), 0
 
 
-def _cmd_decode(args) -> int:
-    manifest = _manifest()
-    coloring = _load_coloring(args, manifest)
-    red, blue = [], []
+def _cmd_decode(args, manifest):
     from .graphs import pair_iter
 
+    coloring = _load_coloring(args, manifest)
+    red, blue = [], []
     for i, j in pair_iter(coloring.n):
         (red if coloring.is_red(i, j) else blue).append([i, j])
-    result = {"n": coloring.n, "red_pairs": red, "blue_pairs": blue}
-    emit(envelope("decode", result, manifest), args.out)
-    return 0
+    return {"n": coloring.n, "red_pairs": red, "blue_pairs": blue}, 0
 
 
-def _cmd_mult(args) -> int:
-    budget = _budget_from(args)
-    manifest = _manifest(budget=budget)
-    h = PatternGraph.parse(args.pattern)
+def _cmd_mult(args, manifest):
+    h = _pattern(args)
     token = None
     if args.resume_from:
         with _flag("--resume-from"):
             with open(args.resume_from) as fh:
                 token = fh.read().strip()
             parse_resume_token(token, h, args.n)
-    report = multiplicity(
-        h, args.n, budget, threads=args.threads, resume_token=token
-    )
-    emit(envelope("multiplicity", report.as_dict(), manifest), args.out)
-    return 0 if report.exact else 3
+    report = multiplicity(h, args.n, SearchBudget(**manifest.budget), threads=args.threads,
+                          resume_token=token)
+    return report.as_dict(), 0 if report.exact else 3
 
 
-def _cmd_ramsey_number(args) -> int:
-    budget = _budget_from(args)
-    manifest = _manifest(budget=budget)
-    h = PatternGraph.parse(args.pattern)
-    report = ramsey_number(h, args.n_max, budget)
-    emit(envelope("ramsey_number", report.as_dict(), manifest), args.out)
-    return 0 if report.exact else 3
+def _cmd_ramsey_number(args, manifest):
+    report = ramsey_number(_pattern(args), args.n_max, SearchBudget(**manifest.budget))
+    return report.as_dict(), 0 if report.exact else 3
 
 
-def _cmd_threshold(args) -> int:
-    budget = _budget_from(args)
-    manifest = _manifest(budget=budget)
-    h = PatternGraph.parse(args.pattern)
-    report = threshold_multiplicity(h, budget, n_max=args.n_max, threads=args.threads)
-    emit(envelope("multiplicity", report.as_dict(), manifest), args.out)
-    return 0 if report.exact else 3
+def _cmd_threshold(args, manifest):
+    report = threshold_multiplicity(_pattern(args), SearchBudget(**manifest.budget),
+                                    n_max=args.n_max, threads=args.threads)
+    return report.as_dict(), 0 if report.exact else 3
 
 
-def _cmd_extremal_lambda(args) -> int:
+def _cmd_extremal_lambda(args, manifest):
     from .extremal import extremal_parameter
 
     if args.mode == "local-search" and args.seed is None:
         raise PreconditionError("--seed is required with --mode local-search")
-    manifest = _manifest(seed=args.seed)
     coloring = _load_coloring(args, manifest)
     res = extremal_parameter(coloring, mode=args.mode, seed=args.seed)
-    result = {
+    return {
         "n": res.n,
         "lambda_star": res.lambda_star,
         "A": list(res.partition[0]),
         "B": list(res.partition[1]),
         "within_color": res.color_role,
         "mode": res.mode,
-    }
-    emit(envelope("extremal_lambda", result, manifest), args.out)
-    return 0
+    }, 0
 
 
-def _cmd_case2(args) -> int:
+def _cmd_case2(args, manifest):
     from .extremal import case2_lower_bound
 
-    manifest = _manifest()
     coloring = _load_coloring(args, manifest)
     a_set = _parse_vertex_set(args.a_set, "--A")
     with _flag("--A"):
@@ -241,59 +217,49 @@ def _cmd_case2(args) -> int:
         b_set = [v for v in range(coloring.n) if v not in set(a_set)]
         if not b_set:
             raise PreconditionError(f"A covers all {coloring.n} vertices, leaving B empty")
-    cert = case2_lower_bound(coloring, args.k, a_set, b_set, args.lam)
-    emit(envelope("case2_certificate", cert.as_dict(), manifest), args.out)
-    return 0
+    return case2_lower_bound(coloring, args.k, a_set, b_set, args.lam).as_dict(), 0
 
 
-def _cmd_verify_claim(args) -> int:
+def _cmd_verify_claim(args, manifest):
     from .battery import run_battery
 
-    manifest = _manifest(seed=args.seed)
     report = run_battery(args.claim, args.instances, args.seed)
-    if args.csv:
-        lines = ["claim,instance,threshold,exact"]
-        for f in report.failures:
-            lines.append(
-                f"{args.claim},{f.get('instance')},{f.get('threshold')},{f.get('exact')}"
-            )
-        write_text("\n".join(lines) + "\n", args.out)
-        return 0 if report.all_passed else 1
-    emit(envelope("claim_verification", report.as_dict(), manifest), args.out)
-    return 0 if report.all_passed else 1
+    code = 0 if report.all_passed else 1
+    if not args.csv:
+        return report.as_dict(), code
+    lines = ["claim,instance,threshold,exact"]
+    for f in report.failures:
+        lines.append(f"{args.claim},{f.get('instance')},{f.get('threshold')},{f.get('exact')}")
+    return "\n".join(lines) + "\n", code
 
 
-def _cmd_verify_lemma(args) -> int:
+def _cmd_verify_lemma(args, manifest):
     from .regular import GridSpec, verify_counting_lemma
 
-    manifest = _manifest(seed=args.seed)
     spec = GridSpec.default(args.lemma)
     if args.instances is not None:
         spec = dataclasses.replace(spec, instances_per_cell=args.instances)
     report = verify_counting_lemma(args.lemma, args.seed, spec)
-    if args.csv:
-        cols = "family,t,sizes,eps_hat,d,n,length,bound,hypotheses_met,exact,verdict"
-        lines = [cols]
-        for r in report.rows:
-            lines.append(
-                f"{r.family},{r.t},{'|'.join(map(str, r.sizes))},{r.eps_hat:.6f},"
-                f"{r.d:.6f},{r.n},{r.length},{r.bound:.6g},{r.hypotheses_met},"
-                f"{'' if r.exact is None else r.exact},{r.verdict}"
-            )
-        write_text("\n".join(lines) + "\n", args.out)
-    else:
-        emit(envelope("lemma_verification", report.as_dict(), manifest), args.out)
-    return 0 if report.tally().get("FAIL", 0) == 0 else 1
+    code = 0 if report.tally().get("FAIL", 0) == 0 else 1
+    if not args.csv:
+        return report.as_dict(), code
+    lines = ["family,t,sizes,eps_hat,d,n,length,bound,hypotheses_met,exact,verdict"]
+    for r in report.rows:
+        lines.append(
+            f"{r.family},{r.t},{'|'.join(map(str, r.sizes))},{r.eps_hat:.6f},"
+            f"{r.d:.6f},{r.n},{r.length},{r.bound:.6g},{r.hypotheses_met},"
+            f"{'' if r.exact is None else r.exact},{r.verdict}"
+        )
+    return "\n".join(lines) + "\n", code
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, manifest):
     from .regular import RegimeParams
     from .stability import disjoint_parts, main2_classify
 
     needs_seed = args.parts.startswith("auto-random") or args.reg_mode == "randomized"
     if needs_seed and args.seed is None:
         raise PreconditionError("--seed is required with auto-random parts or randomized checks")
-    manifest = _manifest(seed=args.seed)
     coloring = _load_coloring(args, manifest)
     if args.parts.startswith("auto-random"):
         try:
@@ -312,8 +278,7 @@ def _cmd_classify(args) -> int:
         parts = disjoint_parts(parts, coloring.n)
     params = RegimeParams(eps=args.eps, d=args.d, t=0)
     outcome = main2_classify(coloring, parts, params, reg_mode=args.reg_mode, seed=args.seed)
-    emit(envelope("classification", outcome.as_dict(), manifest), args.out)
-    return 0
+    return outcome.as_dict(), 0
 
 
 def _bounded(kind, ok, bound: str):
@@ -427,26 +392,30 @@ def _args_classify(p) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-# name -> (help, handler, the function adding its arguments before --out)
+# name -> (help, handler, the function adding its arguments before --out, the
+# kind of its report envelope, or None for a command that writes kcol text)
 SUBCOMMANDS = {
-    "chi": ("emit the two-blue-cliques coloring chi(a,b) as kcol", _cmd_chi, _args_chi),
-    "count": ("monochromatic copy counts of a pattern in a kcol coloring", _cmd_count, _args_count),
-    "encode": ("JSON {n, red_pairs} -> kcol", _cmd_encode, _add_in),
-    "decode": ("kcol -> JSON edge lists", _cmd_decode, _add_in),
-    "mult": ("exact minimum monochromatic copies over colorings of K_n", _cmd_mult, _args_mult),
+    "chi": ("emit the two-blue-cliques coloring chi(a,b) as kcol", _cmd_chi, _args_chi, None),
+    "count": ("monochromatic copy counts of a pattern in a kcol coloring", _cmd_count,
+              _args_count, "count"),
+    "encode": ("JSON {n, red_pairs} -> kcol", _cmd_encode, _add_in, None),
+    "decode": ("kcol -> JSON edge lists", _cmd_decode, _add_in, "decode"),
+    "mult": ("exact minimum monochromatic copies over colorings of K_n", _cmd_mult, _args_mult,
+             "multiplicity"),
     "ramsey-number": ("least n forcing a monochromatic copy", _cmd_ramsey_number,
-                      _args_ramsey_number),
-    "threshold": ("multiplicity at the ramsey number", _cmd_threshold, _args_threshold),
+                      _args_ramsey_number, "ramsey_number"),
+    "threshold": ("multiplicity at the ramsey number", _cmd_threshold, _args_threshold,
+                  "multiplicity"),
     "extremal-lambda": ("smallest extremality parameter of a coloring", _cmd_extremal_lambda,
-                        _args_extremal_lambda),
+                        _args_extremal_lambda, "extremal_lambda"),
     "case2": ("certified monochromatic cycle bound for a near-extremal coloring", _cmd_case2,
-              _args_case2),
+              _args_case2, "case2_certificate"),
     "verify-claim": ("seeded structured-instance battery for one claim verifier",
-                     _cmd_verify_claim, _args_verify_claim),
+                     _cmd_verify_claim, _args_verify_claim, "claim_verification"),
     "verify-lemma": ("measured-defect verification grid for a counting bound",
-                     _cmd_verify_lemma, _args_verify_lemma),
+                     _cmd_verify_lemma, _args_verify_lemma, "lemma_verification"),
     "classify": ("ring-structured vs near-extremal classification", _cmd_classify,
-                 _args_classify),
+                 _args_classify, "classification"),
 }
 
 
@@ -462,7 +431,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact threshold Ramsey multiplicity toolkit for small graphs",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, add_arguments) in SUBCOMMANDS.items():
+    for name, (help_text, handler, add_arguments, _) in SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
             add_arguments(p)
@@ -478,14 +447,28 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one `ramsey` command; argv defaults to sys.argv[1:].
+
+    The one place where a run meets the outside: its manifest records argv
+    and the budget the search runs under, every envelope is written here, and
+    an error exit writes none.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     args, extra = _parser(command).parse_known_args(argv)
     if extra:
         # the top-level usage line of this error lists every subcommand
         _parser(None).parse_args(argv)
     try:
-        return args.func(args)
+        manifest = RunManifest(command_line=argv, seed=getattr(args, "seed", None))
+        if hasattr(args, "budget_nodes"):
+            manifest.budget = dataclasses.asdict(_budget_from(args))
+        result, code = args.func(args, manifest)
+        if isinstance(result, str):
+            write_text(result, args.out)
+        else:
+            emit(envelope(SUBCOMMANDS[args.command][3], result, manifest), args.out)
+        return code
     except KcolParseError as err:
         print(f"ramsey {args.command}: kcol parse error: {err}", file=sys.stderr)
         return 2

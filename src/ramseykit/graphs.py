@@ -19,6 +19,7 @@ K_k contains exactly (k-1)!/2 copies of the k-cycle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator, Optional
@@ -245,22 +246,51 @@ class PatternGraph:
 
     @staticmethod
     def parse(text: str) -> "PatternGraph":
-        """Parse the CLI pattern syntax: C5, P4, K3, S3 (= K_{1,3})."""
+        """Parse a pattern label: C5, P4, K3, S3 (= K_{1,3}, also K1,3), G5:0-1,1-2,1-3.
+
+        G<n>:<u>-<v>,... is the explicit pattern on vertices 0..n-1 with those
+        edges, n at most EXPLICIT_PATTERN_CAP; label() writes it back.
+        """
         t = text.strip().upper().replace("K1,", "S")
-        if len(t) < 2 or t[0] not in "CPKS" or not t[1:].isdigit():
+        if t.startswith("G"):
+            return PatternGraph._parse_explicit(text, t)
+        match = re.fullmatch(r"([CPKS])(\d{1,9})", t, re.ASCII)
+        if match is None:
             raise PreconditionError(f"cannot parse pattern {text!r}")
-        k = int(t[1:])
         return {
             "C": PatternGraph.cycle,
             "P": PatternGraph.path,
             "K": PatternGraph.complete,
             "S": PatternGraph.star,
-        }[t[0]](k)
+        }[match[1]](int(match[2]))
+
+    @staticmethod
+    def _parse_explicit(text: str, t: str) -> "PatternGraph":
+        match = re.fullmatch(r"G(\d{1,9}):((?:\d{1,9}-\d{1,9},)*\d{1,9}-\d{1,9})?", t, re.ASCII)
+        if match is None:
+            raise PreconditionError(f"cannot parse pattern {text!r}: expected G<n>:<u>-<v>,...")
+        n = int(match[1])
+        if n > EXPLICIT_PATTERN_CAP:
+            raise PreconditionError(
+                f"pattern {text!r} has {n} vertices, more than {EXPLICIT_PATTERN_CAP}"
+            )
+        edges = set()
+        for pair in match[2].split(",") if match[2] else ():
+            u, v = sorted(map(int, pair.split("-")))
+            if v >= n:
+                raise PreconditionError(f"pattern {text!r} has vertex {v} outside 0..{n - 1}")
+            if u == v:
+                raise PreconditionError(f"pattern {text!r} has a self-loop at vertex {u}")
+            if (u, v) in edges:
+                raise PreconditionError(f"pattern {text!r} repeats edge {u}-{v}")
+            edges.add((u, v))
+        return PatternGraph.explicit(SimpleGraph.from_edges(n, edges))
 
     def label(self) -> str:
-        return {"path": "P", "cycle": "C", "star": "S", "complete": "K"}.get(
-            self.kind, "G"
-        ) + str(self.k)
+        """The spelling parse() reads back; an explicit pattern lists its edges."""
+        if self.kind == "explicit":
+            return f"G{self.k}:" + ",".join(f"{u}-{v}" for u, v in self.graph.edges())
+        return {"path": "P", "cycle": "C", "star": "S", "complete": "K"}[self.kind] + str(self.k)
 
 
 @dataclass(frozen=True)

@@ -171,10 +171,10 @@ or table-sized temporary: its peak is the table plus one chunk and a few
 tables of C(k',2) C(n,k') entries. C7@13's 617,760 copies take 5.9 MiB
 and build with a tracemalloc peak 0.7 MiB above that (with two uint64
 words built 32,768 rows at a time: 9.4 and 12.3 MiB). A board whose
-table, C(n,k') times the template's closed-form size times the bytes of
-a row (_row_bytes), exceeds
-graphs.MAX_COPY_BYTES (256 MiB, the byte cap of every exact kernel, the
-walk DP's included) is refused before anything is built, as is a pattern
+table, C(n,k') times the template's copies times the bytes of a row
+(_row_bytes), exceeds graphs.MAX_COPY_BYTES (256 MiB, the byte cap of
+every exact kernel, the walk DP's included) is refused before the table
+is built; the seeding has built the template by then. So is a pattern
 whose template build would exceed it: its int16 vertex orders and their
 end pairs (P10 needs 132 MiB, P11 1,599 MiB).
 
@@ -229,6 +229,8 @@ class SearchBudget:
         """The default budget, its node cap read from RAMSEY_BUDGET_NODES when set.
 
         The variable takes what --budget-nodes takes: an integer of at least 0.
+        The `ramsey` command and scripts/small_values.py read it; a library
+        call given no budget runs under SearchBudget().
         """
         text = os.environ.get("RAMSEY_BUDGET_NODES")
         if not text:
@@ -867,19 +869,9 @@ def _seed_incumbent(h: PatternGraph, n: int) -> tuple[int, TwoColoring]:
 
 
 def _copy_rows(h: PatternGraph, n: int) -> int:
-    """C(n, k') times the template size: the rows of enumerate_copy_masks(h, n), at most.
-
-    Exact except for a star of order 2 and explicit patterns, whose k'!
-    relabellings may repeat copies.
-    """
-    k = h.order
-    if h.kind == "explicit":
-        k = sum(1 for row in h.graph.adj if row)
-        size = factorial(k)
-    else:
-        size = {"complete": 1, "star": k, "path": factorial(k) // 2,
-                "cycle": factorial(k - 1) // 2}[h.kind]
-    return comb(n, k) * size
+    """The rows of enumerate_copy_masks(h, n): C(n, k') times the template's copies."""
+    k, local = _local_copies(h)
+    return comb(n, k) * len(local) if h.order <= n else 0
 
 
 def _require_board(h: PatternGraph, n: int) -> None:
@@ -888,7 +880,7 @@ def _require_board(h: PatternGraph, n: int) -> None:
     size = rows * _row_bytes(n)
     if size > MAX_COPY_BYTES:
         raise PreconditionError(
-            f"K_{n} holds up to {rows:,} copies of {h.label()}: a copy table of "
+            f"K_{n} holds {rows:,} copies of {h.label()}: a copy table of "
             f"{size / 2**20:,.0f} MiB, more than the {MAX_COPY_BYTES >> 20} MiB a search "
             f"board can hold"
         )
@@ -948,16 +940,9 @@ TOKEN_VERSION = "ramsey-resume/2"
 _TOKEN_FIELDS = ["pattern", "n", "witness", "pending"]
 
 
-def _pattern_name(h: PatternGraph) -> str:
-    """h's CLI label; an explicit pattern, whose label gives only its order, adds its edges."""
-    if h.kind != "explicit":
-        return h.label()
-    return h.label() + ":" + ",".join(f"{u}-{v}" for u, v in h.graph.edges())
-
-
 def _resume_token(h: PatternGraph, n: int, bits: list[int], jobs: list[list[int]]) -> str:
     witness, *pending = ("".join(map(str, b)) for b in [bits] + jobs)
-    fields = [_pattern_name(h), n, witness, ",".join(pending)]
+    fields = [h.label(), n, witness, ",".join(pending)]
     return ";".join([TOKEN_VERSION] + [f"{k}={v}" for k, v in zip(_TOKEN_FIELDS, fields)])
 
 
@@ -972,7 +957,7 @@ def parse_resume_token(token: str, h: PatternGraph, n: int) -> tuple[list[int], 
     if [f.partition("=")[0] for f in fields] != _TOKEN_FIELDS:
         raise PreconditionError(f"resume token fields must be {', '.join(_TOKEN_FIELDS)}")
     pattern, size, witness, pending = (f.partition("=")[2] for f in fields)
-    for what, got, want in (("pattern", pattern, _pattern_name(h)), ("n", size, str(n))):
+    for what, got, want in (("pattern", pattern, h.label()), ("n", size, str(n))):
         if got != want:
             raise PreconditionError(f"resume token is for {what}={got}, not {what}={want}")
     prefixes = pending.split(",")
@@ -1071,7 +1056,7 @@ def multiplicity(
     budget exhaustion the report is flagged non-exact and carries a resume
     token accepted by a later call; threads > 1 drains with a worker pool.
     """
-    budget = budget or SearchBudget.from_env()
+    budget = budget or SearchBudget()
     seed_val, seed, engine = _board(h, n, use_symmetry)
     resume = parse_resume_token(resume_token, h, n) if resume_token else None
     if engine is None:
@@ -1116,7 +1101,7 @@ def find_zero_coloring(
     Returns (witness or None, stats, exhaustive). When exhaustive is False
     the budget ran out before the question was settled.
     """
-    budget = budget or SearchBudget.from_env()
+    budget = budget or SearchBudget()
     _, seed, engine = _board(h, n, use_symmetry)
     if engine is None:
         return seed, SearchStats(leaves=1), True
@@ -1137,7 +1122,7 @@ def ramsey_number(
     The returned report carries a zero-copy witness for n-1 and per-board
     statistics. A board below the pattern order is trivially zero-free.
     """
-    budget = budget or SearchBudget.from_env()
+    budget = budget or SearchBudget()
     witness_prev: Optional[TwoColoring] = None
     per_n = []
     for n in range(1, n_max + 1):

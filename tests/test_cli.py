@@ -551,6 +551,144 @@ class TestMainEntry:
         assert added == ["count"]
 
 
+def _report_commands(tmp_path):
+    """One fast argv per report command, reading its coloring from a file in tmp_path."""
+    kcol = tmp_path / "chi54.kcol"
+    kcol.write_text(encode(chi(5, 4)))
+    kin = ["--in", str(kcol)]
+    return {
+        "count": ["count", "--pattern", "C5"] + kin,
+        "decode": ["decode"] + kin,
+        "mult": ["mult", "--pattern", "P5", "--n", "7", "--budget-nodes", "300"],
+        "ramsey-number": ["ramsey-number", "--pattern", "P4", "--n-max", "6"],
+        "threshold": ["threshold", "--pattern", "S2", "--n-max", "6", "--budget-seconds", "60"],
+        "extremal-lambda": ["extremal-lambda", "--mode", "local-search", "--seed", "4"] + kin,
+        "case2": ["case2", "--k", "5", "--A", "0-4", "--lambda", "0.1"] + kin,
+        "verify-claim": ["verify-claim", "--claim", "common-neighbor", "--instances", "5",
+                         "--seed", "5"],
+        "verify-lemma": ["verify-lemma", "--lemma", "countpath2-p1", "--instances", "1",
+                         "--seed", "3"],
+        "classify": ["classify", "--parts", "auto-random:M=3", "--eps", "0.3", "--reg-mode",
+                     "randomized", "--seed", "7"] + kin,
+    }
+
+
+def _timeless(result: dict) -> dict:
+    """A report result without its one timing field, stats.elapsed_seconds."""
+    stats = {k: v for k, v in result.get("stats", {}).items() if k != "elapsed_seconds"}
+    return {**result, **({"stats": stats} if "stats" in result else {})}
+
+
+class TestManifest:
+    def test_every_report_kind_has_a_command(self, tmp_path):
+        kinds = {entry[3] for entry in cli.SUBCOMMANDS.values()} - {None}
+        assert kinds == set(SCHEMA["properties"]["kind"]["enum"])
+        assert {name for name, entry in cli.SUBCOMMANDS.items() if entry[3]} == set(
+            _report_commands(tmp_path))
+
+    @pytest.mark.parametrize("command", ["count", "decode", "mult", "ramsey-number",
+                                         "threshold", "extremal-lambda", "case2",
+                                         "verify-claim", "verify-lemma", "classify"])
+    def test_in_process_run_records_its_argv_and_reruns_to_its_result(
+            self, monkeypatch, tmp_path, command):
+        # a host's own argv used to be recorded: under perfbench/run.py a
+        # report's command_line was that of the benchmark
+        monkeypatch.setattr(sys, "argv", ["host.py", "--workload", "verify", "--seed", "3"])
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = _report_commands(tmp_path)[command] + ["--out", str(first)]
+        code = main(argv)
+        report = json.loads(first.read_text())
+        validate(report)
+        manifest = report["manifest"]
+        assert manifest["command_line"] == argv
+        assert manifest["seed"] == (int(argv[argv.index("--seed") + 1])
+                                    if "--seed" in argv else None)
+        assert bool(manifest["budget"]) == (command in ("mult", "ramsey-number", "threshold"))
+        rerun = list(manifest["command_line"])
+        rerun[rerun.index("--out") + 1] = str(second)
+        assert main(rerun) == code
+        assert _timeless(json.loads(second.read_text())["result"]) == _timeless(report["result"])
+
+    def test_subprocess_records_its_own_argv(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["mult", "--pattern", "K3", "--n", "6", "--out", str(out)]
+        assert run_cli(argv).returncode == 0
+        report = json.loads(out.read_text())
+        assert report["manifest"]["command_line"] == argv
+        rerun = argv[:-1] + [str(tmp_path / "again.json")]
+        assert run_cli(rerun).returncode == 0
+        again = json.loads((tmp_path / "again.json").read_text())
+        assert again["manifest"]["command_line"] == rerun
+        assert _timeless(again["result"]) == _timeless(report["result"])
+
+
+class TestCheckpointLoop:
+    @staticmethod
+    def legs(tmp_path, argv):
+        """Run argv through main, resuming from each leg's token until exit 0."""
+        legs, token = [], tmp_path / "token.txt"
+        while True:
+            out = tmp_path / f"leg{len(legs)}.json"
+            leg = argv + (["--resume-from", str(token)] if legs else []) + ["--out", str(out)]
+            code = main(leg)
+            report = json.loads(out.read_text())
+            assert report["manifest"]["command_line"] == leg
+            legs.append(report["result"])
+            if code == 0:
+                return legs
+            assert code == 3 and len(legs) < 50
+            token.write_text(report["result"]["resume_token"] + "\n")
+
+    def test_p6_legs_add_up_to_one_run(self, tmp_path):
+        # P6@8's seed has 360 copies, the minimum is 300: the legs must hand
+        # the incumbent on, and their nodes add up to the uninterrupted 29,395
+        legs = self.legs(tmp_path, ["mult", "--pattern", "P6", "--n", "8",
+                                    "--budget-nodes", "5000"])
+        assert len(legs) == 6
+        assert (legs[-1]["value"], legs[-1]["exact"]) == (300, True)
+        assert sum(leg["stats"]["nodes"] for leg in legs) == 29_395
+        assert sum(mono_counts(decode(legs[-1]["witness_kcol"]), PatternGraph.path(6))) == 300
+
+
+class TestExplicitPattern:
+    CLAW = "G5:0-1,1-2,1-3"  # the claw plus the isolated vertex 4
+
+    def test_mult_matches_the_library(self, tmp_path):
+        h = PatternGraph.explicit(graphs.SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)]))
+        want = search.multiplicity(h, 7)
+        out = tmp_path / "r.json"
+        assert main(["mult", "--pattern", self.CLAW, "--n", "7", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["pattern"] == self.CLAW == h.label()
+        assert (result["value"], result["exact"], result["stats"]["nodes"]) == (
+            want.value, True, want.stats.nodes)
+
+    def test_a_budget_stop_resumes_through_the_cli(self, tmp_path):
+        full = tmp_path / "full.json"
+        assert main(["mult", "--pattern", self.CLAW, "--n", "7", "--out", str(full)]) == 0
+        whole = json.loads(full.read_text())["result"]
+        # spelled differently, the same pattern takes the same token
+        legs = TestCheckpointLoop.legs(tmp_path, ["mult", "--pattern", "g5:1-0,3-1,2-1", "--n",
+                                                  "7", "--budget-nodes", "700"])
+        assert len(legs) > 1
+        assert legs[-1]["value"] == whole["value"]
+        assert sum(leg["stats"]["nodes"] for leg in legs) == whole["stats"]["nodes"]
+
+    @pytest.mark.parametrize("pattern,problem", [
+        ("G5:0-5", "has vertex 5 outside 0..4"),
+        ("G5:1-1", "has a self-loop at vertex 1"),
+        ("G5:0-1,1-0", "repeats edge 0-1"),
+        ("G9:0-1", "has 9 vertices, more than 8"),
+        ("G5:0-1;1-2", "cannot parse pattern"),
+    ])
+    def test_a_bad_pattern_exits_2_naming_the_flag(self, capsys, tmp_path, pattern, problem):
+        out = tmp_path / "r.json"
+        assert main(["mult", "--pattern", pattern, "--n", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ramsey mult: --pattern: ") and problem in err
+        assert not out.exists()
+
+
 def _parse_outcome(parser, argv, capsys):
     """What parse_args does with argv: the namespace, or the exit code and output."""
     capsys.readouterr()
@@ -593,7 +731,7 @@ class TestParserParity:
         assert exc.value.code == 0
         packed = "".join(capsys.readouterr().out.split())  # help lines wrap with the terminal
         assert "ExactthresholdRamseymultiplicitytoolkitforsmallgraphs" in packed
-        for name, (help_line, _, _) in cli.SUBCOMMANDS.items():
+        for name, (help_line, *_) in cli.SUBCOMMANDS.items():
             assert name + "".join(help_line.split()) in packed
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

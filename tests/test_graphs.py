@@ -468,6 +468,35 @@ class TestRepresentation:
         with pytest.raises(PreconditionError):
             PatternGraph.parse("X9")
 
+    @pytest.mark.parametrize("h,text", [
+        (PatternGraph.path(4), "P4"),
+        (PatternGraph.cycle(5), "C5"),
+        (PatternGraph.complete(3), "K3"),
+        (PatternGraph.star(1), "S1"),
+        (PatternGraph.star(3), "S3"),
+        # the claw plus the isolated vertex 4
+        (PatternGraph.explicit(SimpleGraph.from_edges(5, [(1, 3), (0, 1), (2, 1)])),
+         "G5:0-1,1-2,1-3"),
+        (PatternGraph.explicit(SimpleGraph.from_edges(8, [(6, 7)])), "G8:6-7"),
+        (PatternGraph.explicit(SimpleGraph(3, (0, 0, 0))), "G3:"),
+    ])
+    def test_label_is_the_spelling_parse_reads(self, h, text):
+        assert h.label() == text
+        assert PatternGraph.parse(h.label()) == h
+
+    @pytest.mark.parametrize("text,problem", [
+        ("G5:0-5", "has vertex 5 outside 0..4"),
+        ("G5:2-2", "has a self-loop at vertex 2"),
+        ("G5:0-1,1-0", "repeats edge 0-1"),
+        ("G9:0-1", "has 9 vertices, more than 8"),
+        ("G5:0-1,", "cannot parse pattern"),
+        ("G5", "cannot parse pattern"),
+        ("C\u00b2", "cannot parse pattern"),
+    ])
+    def test_bad_explicit_pattern_is_rejected(self, text, problem):
+        with pytest.raises(PreconditionError, match=problem):
+            PatternGraph.parse(text)
+
 
 _K33 = SimpleGraph.complete_bipartite(3, 3)
 # Each public entry point that takes vertex sets, called with a list of them.

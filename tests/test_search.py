@@ -373,7 +373,7 @@ class TestTemplate:
         # automorphisms: a triangle with a pendant edge, and a perfect matching
         P.explicit(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])),
         P.explicit(SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])),
-    ], ids=search._pattern_name)
+    ], ids=P.label)
     def test_matches_reference(self, h):
         k, local = _local_copies(h)
         assert (k, [tuple(row) for row in local.tolist()]) == reference_local_copies(h)
@@ -503,10 +503,7 @@ class TestBoardBuilds:
 
     @pytest.mark.parametrize("h,n", TestSoundness.MASK_CASES, ids=lambda x: getattr(x, "kind", x))
     def test_row_bound_covers_the_copy_table(self, h, n):
-        rows = len(enumerate_copy_masks(h, n))
-        assert _copy_rows(h, n) >= rows
-        if h.kind != "explicit" and h.order > 2:
-            assert _copy_rows(h, n) == rows
+        assert _copy_rows(h, n) == len(enumerate_copy_masks(h, n))
 
     def test_the_benchmark_ladder_fits(self):
         ladder = [(P.cycle(5), 9), (P.path(6), 8), (P.complete(3), 10), (P.path(7), 9),
@@ -551,7 +548,7 @@ class TestBoardBuilds:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("h", [P.path(10), P.cycle(11), P.complete(12), P.star(40)],
-                             ids=search._pattern_name)
+                             ids=P.label)
     def test_a_template_under_the_cap_is_accepted(self, h):
         # P10 needs 132 MiB; it is not built here, which takes about 12 s
         _require_template(h)
@@ -602,6 +599,22 @@ class TestBudgets:
     def test_trivial_board_smaller_than_pattern(self):
         report = multiplicity(P.cycle(5), 3)
         assert report.value == 0 and report.exact
+
+    def test_library_calls_do_not_read_the_env_budget(self, monkeypatch):
+        # only the `ramsey` command and scripts/small_values.py read it; a
+        # 40-node cap stops each of these searches
+        def outcomes():
+            mult = multiplicity(P.path(5), 7)
+            _, zero_stats, exhaustive = find_zero_coloring(P.cycle(5), 9)
+            rn = ramsey_number(P.cycle(5), 9)
+            return (mult.exact, mult.stats.nodes, exhaustive, zero_stats.nodes, rn.exact,
+                    rn.value, rn.per_n)
+
+        monkeypatch.delenv("RAMSEY_BUDGET_NODES", raising=False)
+        full = outcomes()
+        assert full[:3] == (True, 809, True) and full[3] > 40
+        monkeypatch.setenv("RAMSEY_BUDGET_NODES", "40")
+        assert outcomes() == full
 
     def test_budget_exhaustion_flags_report(self):
         report = multiplicity(P.path(5), 7, SearchBudget(max_nodes=100))
