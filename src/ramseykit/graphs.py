@@ -387,8 +387,22 @@ def count_copies(g: SimpleGraph, h: PatternGraph) -> int:
     return emb // aut
 
 
+def require_edge(h: PatternGraph) -> None:
+    """Refuse a pattern with no edge: a colouring gives its copies no colour.
+
+    Counted in each colour, K1 would give n and G3: C(n,3), whatever the
+    colouring. mono_counts and every search board check it here.
+    """
+    if h.order < 2 or (h.kind == "explicit" and h.graph.num_edges() == 0):
+        raise PreconditionError(
+            f"pattern {h.label()} has no edge: monochromatic counts and searches "
+            f"need a pattern with at least one edge"
+        )
+
+
 def mono_counts(c: TwoColoring, h: PatternGraph) -> tuple[int, int]:
     """(red copies, blue copies) of the pattern in the coloring."""
+    require_edge(h)
     return count_copies(c.red_graph(), h), count_copies(c.blue_graph(), h)
 
 

@@ -157,21 +157,37 @@ masks, so no table it would not build refuses it (S40 on K_45 would need
 746 MiB; chi(22, 23) settles it).
 
 Copy enumeration. The distinct copies of the pattern on vertices 0..k'-1
-form a template of local edge lists, built once per pattern; it is mapped
-through the colex table of every k'-subset of K_n, one template edge
-column at a time. Different subsets give different copies, so no global
-deduplication is needed (isolated vertices of an explicit pattern are
-dropped first, since they would make subsets repeat copies; multiplicity
-multiplies its count back by the ways to place them, so its value counts
-subgraphs, as graphs.count_copies does). The rows come sorted by last
-edge, so the buckets are slices of the columns. That order has a closed
-form, so each copy is written straight to its row in every column,
-_CHUNK_ROWS = 8,192 copies at a time, and the build holds no sort order
-or table-sized temporary: its peak is the table plus one chunk and a few
-tables of C(k',2) C(n,k') entries. C7@13's 617,760 copies take 5.9 MiB
-and build with a tracemalloc peak 0.7 MiB above that (with two uint64
-words built 32,768 rows at a time: 9.4 and 12.3 MiB). A board whose
-table, C(n,k') times the template's copies times the bytes of a row
+form a template of local edge lists, built once per pattern, and a copy
+in K_n is a template mapped through a k'-subset. Different subsets give
+different copies, so no global deduplication is needed (isolated vertices
+of an explicit pattern are dropped first, since they would make subsets
+repeat copies; multiplicity multiplies its count back by the ways to
+place them, so its value counts subgraphs, as graphs.count_copies does).
+The rows come sorted by last edge, so the buckets are slices of the
+columns; the order inside a bucket is left open, since the copy check
+counts a bucket and the star table sums it. The subsets are unranked in
+colex order, at most _CHUNK_ROWS = 8,192 at a time. For each chunk and
+word, pair word (p, s) is the bit of local pair p's edge on subset s, 0
+for an edge of another word, and a copy's word is the OR-reduce of its
+template's pair words, 8,192 copies at a time. The templates are grouped
+by last local pair (a, b), and the subsets that map it to edge (x, y)
+number C(x,a) C(y-x-1,b-a-1) C(n-1-y,k'-1-b), so every group's share of
+every bucket is known before a copy is built: the subsets of a chunk take
+their bucket's next rows in turn, and the group's i-th template on
+subset s lands i rows past the subset's base. A copy that ends below
+edge 64w has no edge in word w, so the rows before bucket 64w are zeroed
+in column w. Colex order walks the subsets by top vertex, so a chunk ends
+where the next top needs one more word and builds no word above its last
+top. Beyond the table, the build holds one chunk's pair words (at most
+16,384), one 8,192-copy gather of them with its rows, and a few tables of
+C(k',2) or C(n,2) entries. C7@13's 617,760 copies (5.9 MiB) build in
+6.8-7.3 ms with a tracemalloc peak 0.80 MiB above the table, against
+16.1-18 ms and 0.70 MiB when each copy was written to a row ranked per
+chunk; P8@11 in 27.5-30 ms against 52-58 ms (0.95 MiB, against 0.91),
+and C4@40, 13 words, in 30 ms against 45-48 ms (0.82 MiB, against 3.04;
+least of 9 runs of scripts/board_build.py, 2 vCPUs, Python 3.11, numpy
+2.4). A board
+whose table, C(n,k') times the template's copies times the bytes of a row
 (_row_bytes), exceeds graphs.MAX_COPY_BYTES (256 MiB, the byte cap of
 every exact kernel, the walk DP's included) is refused before the table
 is built; the seeding has built the template by then. So is a pattern
@@ -212,7 +228,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import MAX_COPY_BYTES, MAX_VERTICES, PatternGraph, TwoColoring, encode, pair_index
+from .graphs import (
+    MAX_COPY_BYTES, MAX_VERTICES, PatternGraph, TwoColoring, encode, pair_index, require_edge,
+)
 
 DEFAULT_NODE_BUDGET = 400_000_000
 
@@ -385,8 +403,8 @@ class CopyTable:
 
     Row r of column w holds edges 64w.. of copy r, edge e at bit e - 64w, in
     the column's dtype (_column_dtypes). Rows come sorted by last colex edge,
-    and bucket d, the rows ending at edge d, is rows starts[d]:starts[d + 1].
-    len() is the number of copies.
+    in no set order inside a bucket, and bucket d, the rows ending at edge
+    d, is rows starts[d]:starts[d + 1]. len() is the number of copies.
     """
 
     columns: tuple
@@ -403,17 +421,20 @@ class CopyTable:
         return [sum(x << 64 * w for w, x in enumerate(row)) for row in zip(*words)]
 
 
-# The copies enumerate_copy_masks builds at a time: its memory beyond the
-# table it returns is a few arrays of this many rows, and its small tables.
+# The copies enumerate_copy_masks builds at a time, and the most subsets it
+# unranks at a time: its memory beyond the table it returns is the pair
+# words of a chunk, one gather of this many copies' pair words, and a few
+# arrays of this many rows.
 _CHUNK_ROWS = 1 << 13
 
 
 def enumerate_copy_masks(h: PatternGraph, n: int) -> CopyTable:
     """Every copy of h inside K_n as a bitmask over colex edge indices.
 
-    Rows come sorted by last colex edge, ties by template, then by subset:
-    a subset map is increasing, so it keeps colex order, and a copy's last
-    edge is the image of its template's last local pair.
+    Rows come sorted by last colex edge, in no set order inside a bucket.
+    A copy is a template mapped through a k'-subset: a subset map is
+    increasing, so a copy's last edge is the image of its template's last
+    local pair. See Copy enumeration in the module docstring.
     """
     k = h.order
     E = comb(n, 2)
@@ -421,58 +442,76 @@ def enumerate_copy_masks(h: PatternGraph, n: int) -> CopyTable:
     if k > n:
         return CopyTable(tuple(np.zeros(0, dtype) for dtype in dtypes), [0] * (E + 1))
     k, local = _local_copies(h)
-    S = comb(n, k)
-    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                          dtype=np.int16, count=S * k).reshape(S, k)
-    # table[p, s]: the colex index of local pair p = (a, b), a < b, inside subset s
-    table = np.empty((comb(k, 2), S), dtype=np.uint8 if E <= 256 else np.uint16)
-    for p, (a, b) in enumerate(_colex_edges(k)):
-        table[p] = subsets[:, b] * (subsets[:, b] - 1) // 2 + subsets[:, a]
-    del subsets
-    # Copy c on subset s ends at edge K = table[last[c], s]. Its row, the
-    # one a stable sort of the last edges would give it, is the number of
-    # rows ending below K, plus the rows of templates c' < c ending at K
-    # (seen[K] holds both as the templates go by), plus rank[which[c], s],
-    # the subsets before s that map pair last[c] to K.
-    last = local[:, -1]
-    cnt = np.stack([np.bincount(row, minlength=E) for row in table])
-    ending = np.bincount(last, minlength=len(table)) @ cnt
-    seen = np.cumsum(ending) - ending
-    starts = seen.tolist() + [len(local) * S]
-    pairs, which = np.unique(last, return_inverse=True)
-    rank = np.empty((len(pairs), S), dtype=np.int32)
-    for i, p in enumerate(pairs):
-        order = np.argsort(table[p], kind="stable")
-        rank[i, order] = np.arange(S) - (np.cumsum(cnt[p]) - cnt[p])[table[p, order]]
-    one = np.uint64(1)
+    S, pairs = comb(n, k), np.array(_colex_edges(k))
+    # the templates grouped by last local pair: group g is templates
+    # first[g]:first[g] + size[g], ending at pair last[g]
+    local = local[np.argsort(local[:, -1], kind="stable")]
+    last, first, size = np.unique(local[:, -1], return_index=True, return_counts=True)
+    # held[g, K]: group g's rows in bucket K, its templates times the subsets
+    # that map its last pair (a, b) to edge K = (x, y): a vertices below x,
+    # b - a - 1 between x and y, k' - 1 - b above y
+    pascal = np.array([[comb(i, j) for j in range(k + 1)] for i in range(n + 1)])
+    x, y = np.array(_colex_edges(n)).T
+    a, b = pairs[last].T[:, :, None]
+    held = pascal[x, a] * pascal[y - x - 1, b - a - 1] * pascal[n - 1 - y, k - 1 - b]
+    held *= size[:, None]
+    ending = held.sum(axis=0)
+    starts = np.cumsum(ending) - ending
+    # free[g, K]: the next row of bucket K that group g fills
+    free = starts + np.cumsum(held, axis=0) - held
+    # bits[w][K]: edge K's bit in word w, 0 for an edge of another word
+    edge = np.arange(E)
+    one = np.uint64(1) << (edge & 63).astype(np.uint64)
+    bits = [np.where(edge >> 6 == w, one, 0).astype(dtype) for w, dtype in enumerate(dtypes)]
+    # a copy that ends below edge 64w has no edge in word w, and those are
+    # the rows before bucket 64w
     out = tuple(np.empty(len(local) * S, dtype) for dtype in dtypes)
-    per, span = max(1, _CHUNK_ROWS // S), min(S, _CHUNK_ROWS)
-    for c0 in range(0, len(local), per):
-        cs = slice(c0, c0 + per)
-        held = cnt[last[cs]]
-        # base[c, K]: the row of the first copy of template c0 + c that ends at edge K
-        base = seen + np.cumsum(held, axis=0) - held
-        seen += held.sum(axis=0)
-        for s0 in range(0, S, span):
-            ss = slice(s0, s0 + span)
-            keys = [table[column, ss] for column in local[cs].T]
-            # keys[-1] holds each copy's last edge
-            rows = np.take(base, keys[-1] + np.arange(0, base.size, E)[:, None])
-            rows += rank[which[cs], ss]
-            keys = [key.astype(np.uint64) for key in keys]
-            for w, column in enumerate(out):
-                if w:
-                    # keys below 64 wrap around: a numpy shift by 64 or more
-                    # gives 0, so only the edges of word w set bits
-                    for key in keys:
-                        key -= np.uint64(64)
-                copy = one << keys[0]
-                for key in keys[1:]:
-                    copy |= one << key
-                # the cast to the column's dtype drops no bit: word w
-                # has no edge above the column's width
-                column[rows] = copy
-    return CopyTable(out, starts)
+    for w, column in enumerate(out):
+        column[:starts[64 * w]] = 0
+    # the subsets go in colex order, so by top vertex: a chunk ends where a
+    # top needs one more word, and builds no word above its last top
+    tops = [comb(t, k) for t in range(k, n) if comb(t + 1, 2) - 1 >> 6 != comb(t, 2) - 1 >> 6]
+    bounds = [0] + tops + [S]
+    # a chunk's pair words, C(k',2) a subset, hold at most 2 * _CHUNK_ROWS
+    # (128 KiB as uint64): at four times that, C7@13's 233 KiB of them
+    # raised the peak RSS of a process that builds it twice by 0.4 MB
+    span = max(1, min(S, _CHUNK_ROWS, 2 * _CHUNK_ROWS // len(pairs)))
+    steps = np.arange(size.max())[:, None]
+    for lo, hi in zip(bounds, bounds[1:]):
+        for s0 in range(lo, hi, span):
+            # vertex j - 1 of the subset of colex rank r is the largest t
+            # with C(t, j) <= r, less the ranks taken by the vertices above
+            rank = np.arange(s0, min(s0 + span, hi))
+            sub = np.empty((k, len(rank)), np.int16)
+            for j in range(k, 0, -1):
+                sub[j - 1] = t = np.searchsorted(pascal[:n, j], rank, side="right") - 1
+                rank -= pascal[t, j]
+            # keys[p, s]: the colex edge of local pair p in subset s
+            keys = sub[pairs[:, 1]] * (sub[pairs[:, 1]] - 1) // 2 + sub[pairs[:, 0]]
+            words = (comb(int(sub[-1, -1]) + 1, 2) - 1 >> 6) + 1
+            # base[g][s]: the row of group g's first template on subset s, its
+            # i-th template i rows on; subsets that share a last edge take
+            # the bucket's next free rows in turn
+            base = []
+            for g, p in enumerate(last):
+                key = keys[p].astype(np.intp)
+                seen = np.bincount(key, minlength=E)
+                order = np.argsort(key, kind="stable")
+                turn = np.empty_like(key)
+                turn[order] = np.arange(len(key)) - (np.cumsum(seen) - seen)[key[order]]
+                base.append(free[g, key] + turn * size[g])
+                free[g] += seen * size[g]
+            per = max(1, _CHUNK_ROWS // len(key))
+            for w in range(words):
+                # pair words: local pair p's edge in subset s, as a bit of word w
+                word = bits[w][keys.astype(np.intp)]
+                for g, c0 in enumerate(first):
+                    rows = base[g] + steps[:per]
+                    for i in range(0, size[g], per):
+                        templates = local[c0 + i:c0 + min(i + per, size[g])]
+                        out[w][i:][rows[:len(templates)]] = np.bitwise_or.reduce(
+                            word[templates], axis=1)
+    return CopyTable(out, starts.tolist() + [len(local) * S])
 
 
 # Buckets of at least this many masks are counted with numpy, smaller ones
@@ -577,10 +616,13 @@ def _canonicity_rows(n: int) -> list[tuple]:
     comparisons at n = 13 take 913 loop steps. The complement, a negative
     int, keeps each entry as small as its bits: with full-width masks the
     engine of an n = 64 board held 95 MiB instead of 50 MiB (tracemalloc).
+    Every entry shares one int 1 << e per edge e, which took the table at
+    n = 64 from 49.4 MiB, with an int per entry, to 33 MiB.
     """
     E = comb(n, 2)
     against: list[dict[int, int]] = [{} for _ in range(E)]
     extras: list[list[tuple[int, int, int]]] = [[] for _ in range(E)]
+    edge = [1 << e for e in range(E)]
 
     def compare(e: int, d: int, bit: int) -> None:
         against[d][e] = against[d].get(e, 0) | bit
@@ -596,8 +638,8 @@ def _canonicity_rows(n: int) -> list[tuple]:
                 compare(_colex_index(u, w), _colex_index(u + 1, w), 1 << s)
         d, e2, f = _colex_index(a + 1, c + 1), _colex_index(a + 1, c), _colex_index(a, c + 1)
         compare(_colex_index(a, c), d, 1 << s)
-        extras[d].append((1 << s, 1 << e2 | 1 << f, 1 << e2))
-    return [(sum(row.values()), [(1 << e, ~bits) for e, bits in row.items()],
+        extras[d].append((1 << s, edge[e2] | edge[f], edge[e2]))
+    return [(sum(row.values()), [(edge[e], ~bits) for e, bits in row.items()],
              sum(bit for bit, _, _ in extra), extra) for row, extra in zip(against, extras)]
 
 
@@ -922,8 +964,7 @@ def _board(h: PatternGraph, n: int, use_symmetry: bool) -> tuple:
     """
     if not 1 <= n <= MAX_VERTICES:
         raise PreconditionError(f"board size {n} is outside 1..{MAX_VERTICES}")
-    if h.order < 2 or (h.kind == "explicit" and h.graph.num_edges() == 0):
-        raise PreconditionError("search needs a pattern with at least one edge")
+    require_edge(h)
     if n < h.order:
         return 0, TwoColoring(n, 0), None
     count, seed = _seed_incumbent(h, n)

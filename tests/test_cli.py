@@ -66,6 +66,29 @@ class TestChiCount:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    # counted in each colour, K1 gave n and G3: C(n,3) on any colouring
+    @pytest.mark.parametrize("pattern", ["K1", "G3:", "g5:"])
+    @pytest.mark.parametrize("command", [
+        ["count"],
+        ["mult", "--n", "7"],
+        ["ramsey-number", "--n-max", "7"],
+        ["threshold", "--n-max", "7"],
+    ], ids=lambda c: c[0])
+    def test_an_edgeless_pattern_exits_2_with_one_message(self, capsys, tmp_path, command,
+                                                          pattern):
+        kcol, out = tmp_path / "chi43.kcol", tmp_path / "r.json"
+        kcol.write_text(encode(chi(4, 3)))
+        argv = command + ["--pattern", pattern, "--out", str(out)]
+        if command == ["count"]:
+            argv += ["--in", str(kcol)]
+        assert main(argv) == 2
+        label = PatternGraph.parse(pattern).label()
+        assert capsys.readouterr().err == (
+            f"ramsey {command[0]}: pattern {label} has no edge: monochromatic counts and "
+            f"searches need a pattern with at least one edge\n"
+        )
+        assert not out.exists()
+
 
 class TestEncodeDecode:
     def test_round_trip(self):
@@ -760,3 +783,17 @@ class TestSmallValuesScript:
         rows = proc.stdout.splitlines()
         assert "  C5: PARTIAL, the zero search of C5 on K_9 stopped after 100 nodes" in "\n".join(rows)
         assert rows[0].startswith("  K2: r =  2   m =     1   [exact")
+
+
+class TestBoardBuildScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "board_build.py"
+
+    def test_prints_one_line_per_board(self):
+        proc = subprocess.run([sys.executable, str(self.SCRIPT), "--boards", "P4@8,C4@13",
+                               "--repeat", "1"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rows = proc.stdout.splitlines()
+        assert [row.partition(";")[0] for row in rows] == [
+            "P4@8: 840 copies, a 0.0 MiB table", "C4@13: 2,145 copies, a 0.0 MiB table"]
+        assert all("enumerate_copy_masks " in row and " MiB beyond the table" in row
+                   for row in rows)

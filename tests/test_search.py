@@ -2,6 +2,7 @@
 known Ramsey numbers, budget and resume semantics."""
 
 import gc
+import hashlib
 import tracemalloc
 from math import comb, inf
 
@@ -184,6 +185,84 @@ class TestSoundness:
                 assert hit.base is pair[0] and spare.base is pair[1]
 
 
+TRIANGLE_AND_PENDANT = P.explicit(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
+CLAW_AND_ISOLATED = P.explicit(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)]))
+MATCHING = P.explicit(SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
+
+
+class TestCopyTableParity:
+    """Starts, dtypes and each bucket's rows, as a multiset, against the set-based reference."""
+
+    CASES = [
+        # one word (n = 8), two (12, 13), three (20) and seven (30)
+        (P.path(4), 8), (P.path(5), 12), (P.path(3), 30),
+        (P.cycle(5), 8), (P.cycle(4), 13), (P.cycle(6), 12),
+        (P.complete(3), 20), (P.complete(4), 12),
+        (P.star(1), 8), (P.star(1), 30), (P.star(3), 13), (P.star(4), 20),
+        (CLAW_AND_ISOLATED, 8), (CLAW_AND_ISOLATED, 13),
+        (TRIANGLE_AND_PENDANT, 12), (TRIANGLE_AND_PENDANT, 20), (MATCHING, 8),
+        # k' = n
+        (P.path(5), 5), (P.cycle(6), 6), (P.complete(3), 3), (P.star(3), 4), (MATCHING, 6),
+        # k' > n, and the claw's k' = 4 = n below the order 5 of its pattern
+        (P.cycle(7), 6), (P.star(5), 5), (P.complete(4), 3), (CLAW_AND_ISOLATED, 4),
+    ]
+
+    @pytest.mark.parametrize("h,n", CASES, ids=lambda x: x.label() if hasattr(x, "kind") else x)
+    def test_buckets_hold_the_reference_copies(self, h, n):
+        masks = enumerate_copy_masks(h, n)
+        E = comb(n, 2)
+        want = [[] for _ in range(E)]
+        for mask in reference_copy_masks(h, n):
+            want[mask.bit_length() - 1].append(mask)
+        assert masks.starts == np.cumsum([0] + [len(bucket) for bucket in want]).tolist()
+        assert [c.dtype for c in masks.columns] == search._column_dtypes(n)
+        assert len({len(c) for c in masks.columns}) == 1
+        rows = mask_rows_as_ints(masks)
+        for d, bucket in enumerate(want):
+            assert sorted(rows[masks.starts[d]:masks.starts[d + 1]]) == bucket
+
+
+def _ladder_fingerprint(h, n, max_nodes):
+    report = multiplicity(h, n, SearchBudget(max_nodes=max_nodes))
+    stats = report.stats
+    token = report.resume_token and hashlib.sha256(report.resume_token.encode()).hexdigest()
+    return (report.value, report.exact, stats.nodes, stats.leaves, stats.pruned_bound,
+            stats.pruned_symmetry, "".join(map(str, _coloring_to_bits(report.witness))), token)
+
+
+class TestLadderFingerprints:
+    """Value, counters, witness and token on the benchmark ladder, pinned from the
+    builder that wrote the rows of a bucket in template-then-subset order: no
+    search reads the order of the rows inside a bucket."""
+
+    @pytest.mark.parametrize("h,n,max_nodes,want", [
+        (P.cycle(5), 9, None, (12, True, 10485, 1, 2297, 2920,
+                               "000000000001111111110111110011111000", None)),
+        (P.path(6), 8, None, (300, True, 29395, 3, 7779, 6916,
+                              "0000000000001110111111011111", None)),
+        (P.complete(3), 9, None, (12, True, 56229, 3, 10247, 8993,
+                                  "000000001111011111010111100011110000", None)),
+        (P.cycle(6), 8, None, (10, True, 4601, 9, 445, 1104,
+                               "0000000000001111101111101110", None)),
+        (P.path(5), 7, None, (96, True, 809, 3, 14, 232, "000000011101110111100", None)),
+        (P.cycle(4), 7, None, (5, True, 695, 13, 52, 197, "000011011010101110100", None)),
+        (P.path(4), 8, None, (160, True, 5839, 4, 77, 1373,
+                              "0000000011110111110101111000", None)),
+        (P.cycle(7), 13, 5000, (
+            360, False, 5000, 1, 906, 1581,
+            "000000000000000000000011111111111110111111100111111100011111110000111111100000",
+            "8e2032962fce01abcbff49b9ec298d2240628f6405955b16771b905f1c180ace")),
+    ], ids=lambda x: x.label() if hasattr(x, "kind") else None)
+    def test_ladder(self, h, n, max_nodes, want):
+        assert _ladder_fingerprint(h, n, max_nodes) == want
+
+    def test_c7_on_13_zero_search(self):
+        witness, stats, settled = find_zero_coloring(P.cycle(7), 13)
+        assert (witness, settled) == (None, True)
+        assert (stats.nodes, stats.leaves, stats.pruned_bound, stats.pruned_symmetry) == (
+            16291, 0, 3344, 4802)
+
+
 def goodman_k3(n: int) -> int:
     """M(K3, n) = C(n,3) - floor((n/2) floor((n-1)^2/4)) (Goodman, 1959)."""
     return comb(n, 3) - (n * ((n - 1) ** 2 // 4)) // 2
@@ -359,6 +438,37 @@ class TestCanonicityTable:
                 want[d] += [(1 << s, 1 << e2 | 1 << f, 1 << e2) for e2, f in extra]
         got = [(extra_bits, extras) for _, _, extra_bits, extras in _canonicity_rows(n)]
         assert got == [(sum(s for s, _, _ in row), row) for row in want]
+
+    # digests of repr(_canonicity_rows(n)) from the builder that made a fresh
+    # int 1 << e for every entry
+    @pytest.mark.parametrize("n,digest", [
+        (16, "cf538ba71cbb500828c149847574af174e45998bd46542072364a8d8f93e7d34"),
+        (24, "35032584c75a3b982f9f6f54f4fffca04ae73a28091cb0a314a6339dc642464e"),
+    ])
+    def test_rows_equal_those_of_one_int_per_entry(self, n, digest):
+        assert hashlib.sha256(repr(_canonicity_rows(n)).encode()).hexdigest() == digest
+
+    def test_entries_share_one_int_per_edge(self):
+        seen = {}
+        for _, against, _, extras in _canonicity_rows(12):
+            for e, _ in against:
+                assert seen.setdefault(e, e) is e
+            for _, _, e2 in extras:
+                assert seen.setdefault(e2, e2) is e2
+        assert len(seen) == comb(12, 2) - 1  # every edge but the last is compared
+
+    def test_the_engine_of_a_64_vertex_board_holds_at_most_35_mib(self):
+        # with an int per entry the canonicity table alone held 49.4 MiB
+        masks = enumerate_copy_masks(P.path(2), 64)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            engine = _Engine(masks, 64)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert engine.E == comb(64, 2)
+        assert held <= 35 * 2**20
 
 
 class TestTemplate:
