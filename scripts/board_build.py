@@ -45,7 +45,7 @@ def main() -> int:
 
         def fresh_board():
             search._board.cache_clear()
-            search._board(h, n, True)
+            search._board(h, n)
 
         whole = least(args.repeat, fresh_board)
         search._board.cache_clear()

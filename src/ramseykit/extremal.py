@@ -15,7 +15,10 @@ decision tree walks the structural analysis of a near-extremal coloring
 on 2k-1 vertices and emits the first certified bound whose hypotheses
 fire. The verifiers, the tree and the claim battery share one
 fewest-common-neighbours helper and one first-missing-edge helper (a blue
-pair inside a part is a missing red edge). Bounds involving the constant
+pair inside a part is a missing red edge), and one function per claim for
+its cycle lengths (common_neighbor_lengths, bridged_cliques_lengths,
+alternating_lengths), which the bound, the verifier, the tree's fire_*
+and the battery's generator all read. Bounds involving the constant
 e are evaluated in double precision with downward rounding and floored;
 exact rational arithmetic is used where the formula is rational.
 """
@@ -364,6 +367,31 @@ class ClaimVerification:
     passed: bool
 
 
+# The bridged-cliques and alternating bounds hold for cycle lengths l >= 7 only.
+CLAIM_MIN_LENGTH = 7
+
+
+def common_neighbor_lengths(s: int, s_size: int) -> range:
+    """The common-neighbor claim's cycle lengths: odd l, 3 <= l <= min(2s+1, 2|S|-1)."""
+    return range(3, min(2 * s + 1, 2 * s_size - 1) + 1, 2)
+
+
+def bridged_cliques_lengths(s_size: int, t_size: int) -> range:
+    """The bridged-cliques claim's cycle lengths: 7 <= l <= min(2|S|-1, 2|T|-1), even l too."""
+    return range(CLAIM_MIN_LENGTH, min(2 * s_size - 1, 2 * t_size - 1) + 1)
+
+
+def alternating_lengths(s_size: int, t_size: int) -> range:
+    """The alternating claim's cycle lengths: odd l, 7 <= l <= min(2|S|+1, 2|T|+1)."""
+    return range(CLAIM_MIN_LENGTH, min(2 * s_size + 1, 2 * t_size + 1) + 1, 2)
+
+
+def _require_length(l: int, lengths: range, detail: str) -> None:
+    """Refuse an l that is not one of a claim's cycle lengths; detail names their sizes."""
+    if l not in lengths:
+        raise PreconditionError(f"cycle length l={l} is not one of {list(lengths)}: {detail}")
+
+
 def claim_common_neighbor_bound(s: int, s_size: int, l: int) -> int:
     """(s - l/2 + 3/2)^((l-1)/2) (|S| - (l-1)/2)^((l-3)/2), floored.
 
@@ -371,12 +399,7 @@ def claim_common_neighbor_bound(s: int, s_size: int, l: int) -> int:
     alternating into the common neighborhoods in T; exact rational
     arithmetic throughout.
     """
-    if l % 2 == 0:
-        raise PreconditionError("cycle length l must be odd")
-    if not 3 <= l <= min(2 * s + 1, 2 * s_size - 1):
-        raise PreconditionError(
-            f"l={l} outside [3, min(2s+1={2*s+1}, 2|S|-1={2*s_size-1})]"
-        )
+    _require_length(l, common_neighbor_lengths(s, s_size), f"s={s}, |S|={s_size}")
     base1 = Fraction(2 * s - l + 3, 2)
     base2 = Fraction(s_size - (l - 1) // 2)
     val = base1 ** ((l - 1) // 2) * base2 ** ((l - 3) // 2)
@@ -420,10 +443,8 @@ def verify_claim_common_neighbor(
     s, worst = fewest_common_neighbors(f, vs, t_mask)
     if not any(f.adj[v] & s_mask for v in vs):
         raise HypothesisError("no edge inside S")
-    if not 3 <= l <= min(2 * s + 1, 2 * len(vs) - 1):
-        raise PreconditionError(
-            f"l={l} outside range: pair {worst} has only {s} common neighbors in T"
-        )
+    _require_length(l, common_neighbor_lengths(s, len(vs)),
+                    f"pair {worst} has only {s} common neighbors in T, |S|={len(vs)}")
     bound = claim_common_neighbor_bound(s, len(vs), l)
     exact = count_copies(f, PatternGraph.cycle(l))
     return ClaimVerification(float(bound), bound, exact, exact >= bound)
@@ -454,9 +475,10 @@ def _check_bridge(
 
 
 def _claim_length(l: int) -> None:
-    """The claim bounds hold for cycle lengths l >= 7 only."""
-    if l < 7:
-        raise PreconditionError(f"cycle length l={l} outside the claim bounds' range l >= 7")
+    if l < CLAIM_MIN_LENGTH:
+        raise PreconditionError(
+            f"cycle length l={l} outside the claim bounds' range l >= {CLAIM_MIN_LENGTH}"
+        )
 
 
 def bridged_cliques_bound(l: int) -> tuple[float, int]:
@@ -488,10 +510,7 @@ def verify_claim_bridged_cliques(
     _check_bridge(f, p2, sm, tm, "P2")
     if set(p1) & set(p2):
         raise HypothesisError("P1 and P2 share a vertex")
-    if not 7 <= l <= min(2 * len(vs) - 1, 2 * len(vt) - 1):
-        raise PreconditionError(
-            f"l={l} outside [7, min(2|S|-1={2*len(vs)-1}, 2|T|-1={2*len(vt)-1})]"
-        )
+    _require_length(l, bridged_cliques_lengths(len(vs), len(vt)), f"|S|={len(vs)}, |T|={len(vt)}")
     val, threshold = bridged_cliques_bound(l)
     exact = count_copies(f, PatternGraph.cycle(l))
     return ClaimVerification(val, threshold, exact, exact >= threshold)
@@ -532,12 +551,7 @@ def verify_claim_alternating(
     if len(p_prime) != 3:
         raise HypothesisError("P' must be a path of length exactly two")
     _check_bridge(f, p_prime, sm, tm, "P'")
-    if l % 2 == 0:
-        raise PreconditionError("cycle length l must be odd")
-    if not 7 <= l <= min(2 * len(vs) + 1, 2 * len(vt) + 1):
-        raise PreconditionError(
-            f"l={l} outside [7, min(2|S|+1={2*len(vs)+1}, 2|T|+1={2*len(vt)+1})]"
-        )
+    _require_length(l, alternating_lengths(len(vs), len(vt)), f"|S|={len(vs)}, |T|={len(vt)}")
     val, threshold = alternating_bound(l)
     exact = count_copies(f, PatternGraph.cycle(l))
     return ClaimVerification(val, threshold, exact, exact >= threshold)
@@ -708,14 +722,14 @@ def case2_lower_bound(
 
     def fire_common_neighbor(s_vs, t_vs, edge, stage: str) -> CaseTwoCertificate:
         s = fewest_common_neighbors(gb, s_vs, vertex_set(t_vs, n, "T")[1])[0]
-        if not 3 <= k <= min(2 * s + 1, 2 * len(s_vs) - 1):
+        if k not in common_neighbor_lengths(s, len(s_vs)):
             raise outside_range(stage, "blue edge", f" (s={s}, |S|={len(s_vs)})")
         bound = claim_common_neighbor_bound(s, len(s_vs), k)
         return certify(stage, f"fired with s={s}, |S|={len(s_vs)}", bound,
                        "blue-edge-in-clique", "blue", S=s_vs, T=t_vs, edge=edge, s=s)
 
     def fire_bridges(s_vs, t_vs, pair, stage: str) -> CaseTwoCertificate:
-        if not 7 <= k <= min(2 * len(s_vs) - 1, 2 * len(t_vs) - 1):
+        if k not in bridged_cliques_lengths(len(s_vs), len(t_vs)):
             raise outside_range(stage, "two disjoint red bridges",
                                 f" (|S|={len(s_vs)}, |T|={len(t_vs)})")
         p1, p2 = pair
@@ -723,7 +737,7 @@ def case2_lower_bound(
                        "two-red-bridges", "red", S=s_vs, T=t_vs, P1=p1, P2=p2)
 
     def fire_two_path(s_vs, t_vs, w, p_prime, stage: str) -> CaseTwoCertificate:
-        if not 7 <= k <= min(2 * len(s_vs) + 1, 2 * len(t_vs) + 1):
+        if k not in alternating_lengths(len(s_vs), len(t_vs)):
             raise outside_range(stage, "blue two-path")
         return certify(stage, f"fired with P'={p_prime}", alternating_bound(k)[1],
                        "blue-two-path", "blue", S=s_vs, T=t_vs, w=w, P_prime=p_prime)

@@ -199,11 +199,14 @@ prefix of edge colours against the incumbent with a node cap; stopped by
 its cap or the deadline, it returns its untried subtrees as prefixes in
 DFS order. A job charges no prefix node but the last, which the run that
 left the prefix never visited, so serial legs add up to one run's nodes
-and every resume makes progress. A search drains a job list that starts
-as [[]]: serially each job gets all the budget left, so the root job is
-the plain DFS; with threads > 1 a fork pool runs rounds of every queued
-job with JOB_SLICE nodes and the round-start incumbent, merged in job
-order, so node counts repeat. A stop writes what is left as a one-line token,
+and every resume makes progress. A command that searches several boards
+(ramsey_number, threshold_multiplicity) draws them from one budget: each
+board gets the nodes and seconds the earlier ones left. A search drains a
+job list that starts as [[]]: serially each job gets all the budget left,
+so the root job is the plain DFS; with threads > 1 a fork pool runs rounds
+of every queued job with JOB_SLICE nodes and the round-start incumbent,
+merged in job order, so node counts repeat. A stop writes what is left as
+a one-line token,
 ramsey-resume/2;pattern=P5;n=7;witness=<C(n,2) bits>;pending=<prefix>,...
 naming the pattern (an explicit one with its edges), n, the incumbent as
 colex edge colours and the pending prefixes. Resuming checks each field
@@ -262,6 +265,13 @@ class SearchBudget:
                 f"RAMSEY_BUDGET_NODES must be an integer of at least 0, got {text!r}"
             )
         return SearchBudget(max_nodes=nodes)
+
+    def after(self, nodes: int, seconds: float) -> "SearchBudget":
+        """What is left of this budget once a command's earlier boards spent nodes and seconds."""
+        return SearchBudget(
+            None if self.max_nodes is None else max(0, self.max_nodes - nodes),
+            None if self.max_seconds is None else max(0.0, self.max_seconds - seconds),
+        )
 
 
 @dataclass
@@ -651,13 +661,13 @@ def _canonicity_rows(n: int) -> list[tuple]:
 class _Engine:
     """Branch-and-bound over colorings of K_n (0 = red, 1 = blue), built once per board."""
 
-    def __init__(self, masks: CopyTable, n: int, use_symmetry: bool = True):
+    def __init__(self, masks: CopyTable, n: int):
         self.E = comb(n, 2)
         self.masks = masks  # for recounting a resumed witness
         self.by_last = _group_by_last(masks, self.E)
         self.sigmas = _canonicity_rows(n)
-        # every sigma starts tied; without symmetry none is checked
-        self.tied = (1 << self.E + comb(n - 2, 2)) - 1 if use_symmetry else 0
+        # every sigma starts tied
+        self.tied = (1 << self.E + comb(n - 2, 2)) - 1
         # the star table, and the depth of the frontiers that it scores
         self.star = _star_table(masks, n)
         self.frontier = comb(n - 1, 2) - 1
@@ -955,7 +965,7 @@ def _require_template(h: PatternGraph) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _board(h: PatternGraph, n: int, use_symmetry: bool) -> tuple:
+def _board(h: PatternGraph, n: int) -> tuple:
     """The search board of h on K_n: (seed count, seed coloring, engine or None).
 
     A board below the pattern's order, or one a seed colours with no
@@ -974,7 +984,7 @@ def _board(h: PatternGraph, n: int, use_symmetry: bool) -> tuple:
     masks = enumerate_copy_masks(h, n)
     for column in masks.columns:
         column.flags.writeable = False
-    return count, seed, _Engine(masks, n, use_symmetry)
+    return count, seed, _Engine(masks, n)
 
 
 TOKEN_VERSION = "ramsey-resume/2"
@@ -1086,7 +1096,6 @@ def multiplicity(
     n: int,
     budget: Optional[SearchBudget] = None,
     threads: int = 1,
-    use_symmetry: bool = True,
     resume_token: Optional[str] = None,
 ) -> MultiplicityReport:
     """Exact minimum number of monochromatic copies of h over colorings of K_n.
@@ -1098,7 +1107,7 @@ def multiplicity(
     token accepted by a later call; threads > 1 drains with a worker pool.
     """
     budget = budget or SearchBudget()
-    seed_val, seed, engine = _board(h, n, use_symmetry)
+    seed_val, seed, engine = _board(h, n)
     resume = parse_resume_token(resume_token, h, n) if resume_token else None
     if engine is None:
         return MultiplicityReport(h, n, 0, seed, SearchStats(leaves=1), exact=True)
@@ -1135,7 +1144,7 @@ def _subgraphs_per_copy(h: PatternGraph, n: int) -> int:
 
 
 def find_zero_coloring(
-    h: PatternGraph, n: int, budget: Optional[SearchBudget] = None, use_symmetry: bool = True
+    h: PatternGraph, n: int, budget: Optional[SearchBudget] = None
 ) -> tuple[Optional[TwoColoring], SearchStats, bool]:
     """Search for a coloring of K_n with no monochromatic copy of h.
 
@@ -1143,7 +1152,7 @@ def find_zero_coloring(
     the budget ran out before the question was settled.
     """
     budget = budget or SearchBudget()
-    _, seed, engine = _board(h, n, use_symmetry)
+    _, seed, engine = _board(h, n)
     if engine is None:
         return seed, SearchStats(leaves=1), True
     best, bits, stats, jobs = _drain(engine, [[]], 1, None, budget)
@@ -1153,21 +1162,22 @@ def find_zero_coloring(
 
 
 def ramsey_number(
-    h: PatternGraph,
-    n_max: int = 12,
-    budget: Optional[SearchBudget] = None,
-    use_symmetry: bool = True,
+    h: PatternGraph, n_max: int = 12, budget: Optional[SearchBudget] = None
 ) -> RamseyNumberReport:
     """Smallest n <= n_max forcing a monochromatic copy of h, by search.
 
     The returned report carries a zero-copy witness for n-1 and per-board
     statistics. A board below the pattern order is trivially zero-free.
+    Every board's search draws on the one budget: its nodes and seconds.
     """
     budget = budget or SearchBudget()
+    t0, spent = time.monotonic(), 0
     witness_prev: Optional[TwoColoring] = None
     per_n = []
     for n in range(1, n_max + 1):
-        w, stats, exhaustive = find_zero_coloring(h, n, budget, use_symmetry)
+        w, stats, exhaustive = find_zero_coloring(
+            h, n, budget.after(spent, time.monotonic() - t0))
+        spent += stats.nodes
         per_n.append(
             {"n": n, "zero_coloring_exists": w is not None, "settled": exhaustive,
              "nodes": stats.nodes}
@@ -1189,8 +1199,11 @@ def threshold_multiplicity(
     """m(h): the multiplicity at the first board where it is positive.
 
     Raises BudgetExceededError when the zero search of a board stops on the
-    budget, and PreconditionError when r(h) exceeds n_max.
+    budget, and PreconditionError when r(h) exceeds n_max. The zero searches
+    and the multiplicity search draw on the one budget.
     """
+    budget = budget or SearchBudget()
+    t0 = time.monotonic()
     rn = ramsey_number(h, n_max, budget)
     if not rn.exact:
         stop = rn.per_n[-1]
@@ -1202,4 +1215,5 @@ def threshold_multiplicity(
         raise PreconditionError(
             f"ramsey number of {h.label()} exceeds n_max={n_max}; raise n_max"
         )
-    return multiplicity(h, rn.value, budget, threads=threads)
+    spent = sum(board["nodes"] for board in rn.per_n)
+    return multiplicity(h, rn.value, budget.after(spent, time.monotonic() - t0), threads=threads)

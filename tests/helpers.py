@@ -8,9 +8,12 @@ something that cannot share its bugs.
 import time
 from itertools import combinations, permutations
 from math import comb, inf
+from typing import Optional
 
 import numpy as np
 
+from ramseykit.errors import TwoMatchingExistsError
+from ramseykit.extremal import two_matching_reduction
 from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring, _bits
 from ramseykit.search import (
     _WORD,
@@ -75,6 +78,62 @@ def definitional_regularity(g: SimpleGraph, xs, ys, eps: float):
                     e = sum((g.adj[x] & mv).bit_count() for x in u)
                     if abs(float(Fraction(e, usize * vsize) - d)) > eps + 1e-15:
                         return u, v
+    return None
+
+
+def max_matching_at_least(rows: list[int], k: int) -> bool:
+    """Augmenting-path check: does the bipartite row-mask graph have a
+    matching of size >= k?"""
+    match_of_col: dict[int, int] = {}
+
+    def augment(r: int, seen: set[int]) -> bool:
+        mask = rows[r]
+        while mask:
+            low = mask & -mask
+            col = low.bit_length() - 1
+            mask ^= low
+            if col in seen:
+                continue
+            seen.add(col)
+            if col not in match_of_col or augment(match_of_col[col], seen):
+                match_of_col[col] = r
+                return True
+        return False
+
+    size = 0
+    for r in range(len(rows)):
+        if augment(r, set()):
+            size += 1
+            if size >= k:
+                return True
+    return size >= k
+
+
+def check_two_matching_against_oracle(rows: list[int], ns: int, nt: int) -> Optional[str]:
+    """One agreement check; returns an error description or None."""
+    f = SimpleGraph.from_edges(
+        ns + nt,
+        [(i, ns + j) for i, r in enumerate(rows) for j in range(nt) if r >> j & 1],
+    )
+    s_vs = list(range(ns))
+    t_vs = list(range(ns, ns + nt))
+    has_two = max_matching_at_least(rows, 2)
+    try:
+        removed = two_matching_reduction(f, s_vs, t_vs)
+    except TwoMatchingExistsError as err:
+        if not has_two:
+            return f"reduction claims a 2-matching {err.matching}, oracle disagrees"
+        (a1, b1), (a2, b2) = err.matching
+        if len({a1, b1, a2, b2}) != 4 or not (f.has_edge(a1, b1) and f.has_edge(a2, b2)):
+            return f"reduction returned an invalid 2-matching {err.matching}"
+        return None
+    if has_two:
+        return "oracle finds a 2-matching but the reduction removed one vertex"
+    keep = [v for v in range(ns + nt) if v != removed]
+    for u in s_vs:
+        for v in t_vs:
+            if u in keep and v in keep and f.has_edge(u, v):
+                return f"removal of {removed} leaves edge ({u}, {v})"
     return None
 
 
@@ -257,8 +316,8 @@ class ReferenceEngine(_Engine):
     recursion limits it to boards of under about 1,000 edges.
     """
 
-    def __init__(self, masks, n, use_symmetry=True):
-        super().__init__(masks, n, use_symmetry)
+    def __init__(self, masks, n):
+        super().__init__(masks, n)
         self.reference_sigmas = reference_sigmas(n)
         self.words = len(masks.columns)
         self.reference_buckets = [

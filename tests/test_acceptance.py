@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from ramseykit.battery import max_matching_at_least, run_battery
+from ramseykit.battery import run_battery
 from ramseykit.errors import DecisionTreeExhaustedError, PreconditionError
 from ramseykit.extremal import _two_matching_core, case2_lower_bound, chi
 from ramseykit.graphs import (
@@ -41,7 +41,7 @@ from ramseykit.regular import (
 from ramseykit.search import find_zero_coloring, multiplicity, ramsey_number, threshold_multiplicity
 from ramseykit.stability import main2_classify
 
-from .helpers import definitional_regularity
+from .helpers import definitional_regularity, max_matching_at_least
 
 P = PatternGraph
 

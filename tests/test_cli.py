@@ -128,6 +128,16 @@ class TestEncodeDecode:
         assert f"ramsey encode: --in: {problem}\n" == capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [-1, 65, 1_000_000_000_000])
+    def test_vertex_count_is_checked_before_the_pairs(self, capsys, tmp_path, n):
+        # n = 10**12 folded a pair into 1 << pair_index(...) first and ended in
+        # an OverflowError traceback (too many digits in integer)
+        src = tmp_path / "spec.json"
+        src.write_text(json.dumps({"n": n, "red_pairs": [[100_000_000_000, 999_999_999_999]]}))
+        assert main(["encode", "--in", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ramsey encode: --in: vertex count {n} outside [0, 64]\n"
+
     def test_undecodable_json_exits_2(self, capsys, tmp_path):
         # json.loads raised UnicodeDecodeError, which is no JSONDecodeError
         src = tmp_path / "spec.json"
@@ -336,6 +346,29 @@ class TestSearchCommands:
         err = capsys.readouterr().err
         assert "budget exhausted: the zero search of C5 on K_9 stopped after 100 nodes" in err
         assert "n_max" not in err
+
+    @pytest.mark.parametrize("nodes,code", [(10_485, 3), (11_401, 3), (11_402, 0)])
+    def test_threshold_draws_both_searches_from_one_budget(self, tmp_path, nodes, code):
+        # the zero search of K_9 takes 917 nodes and M(C5, 9) 10,485; each
+        # search used to get the whole budget, so 10,485 nodes gave exact: true
+        out = tmp_path / "t.json"
+        assert main(["threshold", "--pattern", "C5", "--n-max", "10",
+                     "--budget-nodes", str(nodes), "--out", str(out)]) == code
+        result = json.loads(out.read_text())["result"]
+        assert result["exact"] is (code == 0)
+        if code == 0:
+            assert (result["value"], result["stats"]["nodes"]) == (12, 10_485)
+
+    @pytest.mark.parametrize("nodes,code", [(47, 3), (61, 3), (62, 0)])
+    def test_ramsey_number_draws_every_board_from_one_budget(self, tmp_path, nodes, code):
+        # r(K3) = 6: the zero searches of K_5 and K_6 take 15 and 47 nodes,
+        # and each used to get the whole budget
+        out = tmp_path / "r.json"
+        assert main(["ramsey-number", "--pattern", "K3", "--n-max", "6",
+                     "--budget-nodes", str(nodes), "--out", str(out)]) == code
+        result = json.loads(out.read_text())["result"]
+        assert sum(board["nodes"] for board in result["per_n"]) <= nodes
+        assert result["value"] == (6 if code == 0 else None)
 
     def test_threshold_above_n_max_exits_2(self, capsys):
         # r(C5) = 9: every board up to K_8 has a coloring with no monochromatic C5

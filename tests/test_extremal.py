@@ -12,15 +12,18 @@ from ramseykit.errors import (
     PreconditionError,
     TwoMatchingExistsError,
 )
-from ramseykit import extremal
+from ramseykit import battery, extremal
 from ramseykit.battery import run_battery
 from ramseykit.extremal import (
     alternating_bound,
+    alternating_lengths,
     bridged_cliques_bound,
+    bridged_cliques_lengths,
     case2_lower_bound,
     chi,
     claim_common_neighbor_bound,
     cleanup,
+    common_neighbor_lengths,
     extremal_inequalities,
     extremal_parameter,
     partition_parameter,
@@ -30,6 +33,8 @@ from ramseykit.extremal import (
     verify_claim_common_neighbor,
 )
 from ramseykit.graphs import PatternGraph, SimpleGraph, TwoColoring, mono_counts, pair_index
+
+from .helpers import check_two_matching_against_oracle
 
 
 def flip_edges(c: TwoColoring, pairs) -> TwoColoring:
@@ -225,6 +230,18 @@ class TestClaimBounds:
         with pytest.raises(PreconditionError):
             claim_common_neighbor_bound(1, 5, 5)  # l > 2s+1
 
+    def test_each_claim_has_one_length_rule(self):
+        # the inline rules that the bound, the verifier, the case-2 tree and
+        # the battery each wrote out before
+        for a in range(13):
+            for b in range(13):
+                assert list(common_neighbor_lengths(a, b)) == [
+                    l for l in range(30) if l % 2 == 1 and 3 <= l <= min(2 * a + 1, 2 * b - 1)]
+                assert list(bridged_cliques_lengths(a, b)) == [
+                    l for l in range(30) if 7 <= l <= min(2 * a - 1, 2 * b - 1)]
+                assert list(alternating_lengths(a, b)) == [
+                    l for l in range(30) if l % 2 == 1 and 7 <= l <= min(2 * a + 1, 2 * b + 1)]
+
     def test_the_battery_counts_instances_whose_threshold_is_zero(self):
         # the bridged-cliques and alternating generators draw l in {7, 9},
         # where both bounds floor to 0
@@ -345,13 +362,72 @@ class TestTwoMatching:
         assert g.has_edge(a1, b1) and g.has_edge(a2, b2)
 
     def test_exhaustive_small_sizes(self):
-        from ramseykit.battery import check_two_matching_against_oracle
-
         for ns in range(1, 4):
             for nt in range(1, 4):
                 for code in range(1 << (ns * nt)):
                     rows = [(code >> (nt * i)) & ((1 << nt) - 1) for i in range(ns)]
                     assert check_two_matching_against_oracle(rows, ns, nt) is None
+
+
+def _none_with_an_edge(f, s_vs, t_vs):
+    return None
+
+
+def _vertex_leaving_an_edge(f, s_vs, t_vs):
+    removed = two_matching_reduction(f, s_vs, t_vs)
+    if removed is None:
+        return None
+    edges = [(u, v) for u in s_vs for v in t_vs if f.has_edge(u, v)]
+    return next((v for v in s_vs + t_vs if any(v not in e for e in edges)), removed)
+
+
+def _vertex_on_an_edgeless_graph(f, s_vs, t_vs):
+    removed = two_matching_reduction(f, s_vs, t_vs)
+    return s_vs[0] if removed is None else removed
+
+
+def _matching_sharing_a_vertex(f, s_vs, t_vs):
+    try:
+        return two_matching_reduction(f, s_vs, t_vs)
+    except TwoMatchingExistsError as err:
+        first, _ = err.matching
+        raise TwoMatchingExistsError(first, first)
+
+
+def _matching_with_a_non_edge(f, s_vs, t_vs):
+    try:
+        return two_matching_reduction(f, s_vs, t_vs)
+    except TwoMatchingExistsError as err:
+        first, second = err.matching
+        non_edge = next(((a, b) for a in s_vs for b in t_vs
+                         if not f.has_edge(a, b) and not {a, b} & set(first)), second)
+        raise TwoMatchingExistsError(first, non_edge)
+
+
+class TestTwoMatchingBattery:
+    def test_every_shipped_verdict_passes_its_certificate_check(self):
+        for ns in range(1, 4):
+            for nt in range(1, 4):
+                s_vs, t_vs = list(range(ns)), list(range(ns, ns + nt))
+                for code in range(1 << (ns * nt)):
+                    edges = [(i, ns + j) for i in range(ns) for j in range(nt)
+                             if code >> (nt * i + j) & 1]
+                    f = SimpleGraph.from_edges(ns + nt, edges)
+                    assert battery._check_two_matching(f, s_vs, t_vs) == (False, None)
+
+    @pytest.mark.parametrize("mutant", [
+        _none_with_an_edge,
+        _vertex_leaving_an_edge,
+        _vertex_on_an_edgeless_graph,
+        _matching_sharing_a_vertex,
+        _matching_with_a_non_edge,
+    ], ids=lambda mutant: mutant.__name__.strip("_"))
+    def test_a_wrong_reduction_fails_the_battery(self, monkeypatch, mutant):
+        monkeypatch.setattr(battery, "two_matching_reduction", mutant)
+        report = run_battery("two-matching", 200, seed=2026)
+        assert report.checked == 200 and report.failures and not report.all_passed
+        for failure in report.failures:
+            assert set(failure) == {"instance", "edges", "error"}
 
 
 class TestCaseTwo:

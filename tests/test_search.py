@@ -89,8 +89,15 @@ class TestSoundness:
         assert (find_zero_coloring(h, n)[0] is not None) == (report.value == 0)
 
     def test_symmetry_pruning_changes_nothing(self):
-        h = P.path(4)
-        assert multiplicity(h, 6, use_symmetry=False).value == multiplicity(h, 6).value
+        h, n = P.path(4), 6
+        masks = enumerate_copy_masks(h, n)
+        engine = _Engine(masks, n)
+        engine.tied = 0  # no sigma starts tied, so none is checked
+        best, _, stats, pending = engine.run([], len(masks) + 1, None, inf)
+        assert pending == [] and stats.pruned_symmetry == 0
+        report = multiplicity(h, n)
+        assert report.stats.pruned_symmetry > 0
+        assert best == report.value
 
     def test_copy_mask_counts(self):
         # number of distinct copies of C5 in K9 = C(9,5) * 12
@@ -726,6 +733,12 @@ class TestBudgets:
         monkeypatch.setenv("RAMSEY_BUDGET_NODES", "40")
         assert outcomes() == full
 
+    def test_what_a_budget_leaves(self):
+        budget = SearchBudget(max_nodes=100, max_seconds=2.0)
+        assert budget.after(30, 0.5) == SearchBudget(70, 1.5)
+        assert budget.after(130, 2.5) == SearchBudget(0, 0.0)
+        assert SearchBudget(None, None).after(30, 0.5) == SearchBudget(None, None)
+
     def test_budget_exhaustion_flags_report(self):
         report = multiplicity(P.path(5), 7, SearchBudget(max_nodes=100))
         assert not report.exact
@@ -902,7 +915,7 @@ class TestStarPath:
     ], ids=["K3@9", "P5@7", "C6@8", "P6@8", "P7@9", "C7@13", "P2@46", "P2@64"])
     def test_which_boards_take_the_star_path(self, h, n, star):
         search._board.cache_clear()
-        assert (search._board(h, n, True)[2].star is not None) == star
+        assert (search._board(h, n)[2].star is not None) == star
         search._board.cache_clear()
 
     def test_a_token_with_prefixes_into_the_star_resumes(self, monkeypatch):
